@@ -98,11 +98,11 @@ class MatrixCheck:
 def is_valid(m) -> MatrixCheck:
     """Diagonal dominance from below: M_ii <= M_ij for every i, j."""
     a = as_sym_matrix(m).array
-    n = a.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if a[i, i] > a[i, j]:
-                return MatrixCheck(False, (i + 1, j + 1))
+    bad = np.diag(a)[:, None] > a
+    first = int(np.argmax(bad))  # first offending pair in row-major order
+    if bad.flat[first]:
+        i, j = divmod(first, a.shape[0])
+        return MatrixCheck(False, (i + 1, j + 1))
     return MatrixCheck(True)
 
 

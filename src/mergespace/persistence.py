@@ -5,9 +5,24 @@ that absorbs it: at every merge vertex the component carrying the lowest
 minimum survives (ties to the smaller leaf id) and the others die there.
 The global minimum never dies and yields the single infinite point.
 
-Bottleneck distance is computed exactly: the optimum is one of finitely
-many candidate costs (pairwise gaps and half-persistences), found by
-binary search with a bipartite matching feasibility test at each probe.
+Bottleneck distance is computed exactly.  Essential points pair up in birth
+order, which fixes a floor on the cost.  For the finite points, one numpy
+pass builds the L-infinity cost matrix between the two diagrams; the
+optimum is the least feasible value among 0, the floor, that matrix and the
+half-persistences (a point's cost of retiring to the diagonal), found by
+binary search over those candidates.
+
+Feasibility at cost c needs no diagonal stand-ins: the classic augmented
+graph, where each point may retire to its own diagonal projection and the
+projections pair freely, has a perfect matching exactly when the graph of
+point pairs within c has a matching covering every point that cannot
+retire (half-persistence above c).  By Mendelsohn-Dulmage such a matching
+exists when each side's must-cover points can be covered on their own, so
+a probe runs two one-sided Hopcroft-Karp saturations, with explicit
+stacks so that depth never meets the recursion limit.  Each starts from the
+matchings of the largest refuted probe, whose pairs all stay within every
+later probe's cost.  A probe costs one O(nl*nr) numpy comparison plus
+O(E sqrt(V)) Python work on the E edges at the must-cover points.
 """
 
 from __future__ import annotations
@@ -16,8 +31,10 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import MergespaceError
-from .trees import LabeledMergeTree, MergeTree
+from .trees import LabeledMergeTree, MergeTree, _bare
 
 INF = math.inf
 
@@ -58,10 +75,6 @@ class PersistenceDiagram:
         return len(self.points)
 
 
-def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
-    return t.tree if isinstance(t, LabeledMergeTree) else t
-
-
 def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDiagram:
     """Elder-rule pairing of branches; exactly one infinite point."""
     t = _bare(t).ensure_valid()
@@ -83,56 +96,81 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
     return PersistenceDiagram(points)
 
 
-def _diag_cost(p) -> float:
-    return (p[1] - p[0]) / 2.0
+def _covers(cost, half, c, match_row: list, match_col: list) -> bool:
+    """Grow a matching of rows to columns along entries of `cost` within c
+    until it covers every row whose half-persistence exceeds c.
 
-
-def _pair_cost(p, q) -> float:
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
-def _finite_feasible(left, right, c: float) -> bool:
-    """Perfect matching test on diagram points plus diagonal stand-ins.
-
-    Row side: left points then one stand-in per right point; column side:
-    right points then one stand-in per left point.  Stand-ins pair with
-    their own point when its half-persistence is within c, and with each
-    other freely, so a perfect matching exists exactly when every point is
-    matched or retired within cost c.
+    `match_row`/`match_col` must hold a matching whose entries are within c;
+    rows that may retire at c are unmatched first, then the rest is grown in
+    place.  Returns False when no matching covers those rows.
     """
-    nl, nr = len(left), len(right)
-    rows = nl + nr
-    cols = nr + nl
-    adj = [[] for _ in range(rows)]
-    for i, p in enumerate(left):
-        for j, q in enumerate(right):
-            if _pair_cost(p, q) <= c:
-                adj[i].append(j)
-        if _diag_cost(p) <= c:
-            adj[i].append(nr + i)
-    for i, q in enumerate(right):
-        if _diag_cost(q) <= c:
-            adj[nl + i].append(i)
-        for j in range(nl):
-            adj[nl + i].append(nr + j)
-
-    match_col = [-1] * cols
-
-    def augment(r, seen):
-        for j in adj[r]:
-            if j in seen:
-                continue
-            seen.add(j)
-            if match_col[j] < 0 or augment(match_col[j], seen):
-                match_col[j] = r
-                return True
+    need = half > c
+    for r in np.flatnonzero(~need).tolist():
+        j = match_row[r]
+        if j >= 0:
+            match_row[r] = match_col[j] = -1
+    must = np.flatnonzero(need)
+    within = cost[must] <= c
+    deg = np.count_nonzero(within, axis=1)
+    if not deg.all():
         return False
+    cols = np.nonzero(within)[1].tolist()
+    adj, start = {}, 0
+    for r, end in zip(must.tolist(), np.cumsum(deg).tolist()):
+        adj[r] = cols[start:end]
+        start = end
 
-    size = 0
-    for r in range(rows):
-        if augment(r, set()):
-            size += 1
-    return size == rows
+    while True:
+        free = [r for r in adj if match_row[r] < 0]
+        if not free:
+            return True
+        # breadth-first: layer rows by alternating distance from free rows,
+        # stopping at the first layer that reaches a free column
+        layer = dict.fromkeys(free, 0)
+        queue, last = free[:], None
+        for r in queue:
+            d = layer[r]
+            if last is not None and d > last:
+                break
+            for j in adj[r]:
+                r2 = match_col[j]
+                if r2 < 0:
+                    last = d
+                elif r2 not in layer:
+                    layer[r2] = d + 1
+                    queue.append(r2)
+        if last is None:
+            return False
+        # depth-first with an explicit stack: augment along shortest paths,
+        # dropping rows that lead nowhere for the rest of the phase
+        nxt = dict.fromkeys(layer, 0)
+        for f in free:
+            rows, path = [f], []
+            while rows:
+                r = rows[-1]
+                d, nbrs, i = layer[r], adj[r], nxt[r]
+                step = -1
+                while i < len(nbrs):
+                    j = nbrs[i]
+                    i += 1
+                    r2 = match_col[j]
+                    if r2 < 0 or (d < last and layer.get(r2) == d + 1):
+                        step = j
+                        break
+                nxt[r] = i
+                if step < 0:
+                    layer[r] = -1
+                    rows.pop()
+                    if path:
+                        path.pop()
+                    continue
+                path.append(step)
+                if match_col[step] < 0:
+                    for r, j in zip(rows, path):
+                        match_row[r] = j
+                        match_col[j] = r
+                    break
+                rows.append(match_col[step])
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -143,25 +181,33 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         return INF
     inf_cost = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
 
-    left, right = d1.finite, d2.finite
-    cands = {0.0, inf_cost}
-    for p in left:
-        cands.add(_diag_cost(p))
-        for q in right:
-            cands.add(_pair_cost(p, q))
-    for q in right:
-        cands.add(_diag_cost(q))
-    cands = sorted(c for c in cands if c >= inf_cost)
+    left = np.array(d1.finite, dtype=float).reshape(-1, 2)
+    right = np.array(d2.finite, dtype=float).reshape(-1, 2)
+    half_l = (left[:, 1] - left[:, 0]) / 2.0
+    half_r = (right[:, 1] - right[:, 0]) / 2.0
+    cost = np.maximum(
+        np.abs(left[:, None, 0] - right[None, :, 0]),
+        np.abs(left[:, None, 1] - right[None, :, 1]),
+    )
+    cands = np.unique(np.concatenate(([0.0, inf_cost], half_l, half_r, cost.ravel())))
+    cands = cands[cands >= inf_cost]
 
+    nl, nr = cost.shape
+    sides = ((cost, half_l), (cost.T, half_r))
+    # matchings of the largest refuted probe: valid at every later probe,
+    # since the binary search only probes above it from then on
+    refuted = (([-1] * nl, [-1] * nr), ([-1] * nr, [-1] * nl))
     lo, hi = 0, len(cands) - 1
     # the largest candidate retires everything, so feasibility holds at hi
     while lo < hi:
         mid = (lo + hi) // 2
-        if _finite_feasible(left, right, cands[mid]):
+        trial = tuple((rows[:], cols[:]) for rows, cols in refuted)
+        if all(_covers(*side, cands[mid], *m) for side, m in zip(sides, trial)):
             hi = mid
         else:
             lo = mid + 1
-    return cands[lo]
+            refuted = trial
+    return float(cands[lo])
 
 
 def bottleneck_tree_distance(

@@ -294,6 +294,11 @@ def _validate(t: MergeTree) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
+    """The underlying tree of a labeled tree; a bare tree as it is."""
+    return t.tree if isinstance(t, LabeledMergeTree) else t
+
+
 def validate_tree(t: Union[MergeTree, LabeledMergeTree]) -> ValidationReport:
     """Structural validation as data; never raises on a broken tree."""
     return t.validation

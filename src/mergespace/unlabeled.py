@@ -24,6 +24,7 @@ from .metrics import DEFAULT_TOL
 from .trees import (
     LabeledMergeTree,
     MergeTree,
+    _bare,
     canonicalize_tree,
     lca,
     vertex_point,
@@ -51,10 +52,6 @@ class UnlabeledDistance:
     witness: LabelPairing
     certified: bool
     refuted_below: float = None
-
-
-def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
-    return t.tree if isinstance(t, LabeledMergeTree) else t
 
 
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:

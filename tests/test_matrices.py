@@ -49,6 +49,26 @@ def test_validity_witness_is_one_based():
     assert is_valid(as_sym_matrix([[0.0, 1.0], [1.0, 0.0]])).ok
 
 
+def test_validity_witness_is_the_first_offending_pair():
+    def first_offender(a):
+        n = a.shape[0]
+        for i in range(n):
+            for j in range(n):
+                if a[i, i] > a[i, j]:
+                    return (i + 1, j + 1)
+        return None
+
+    rng = np.random.default_rng(191)
+    for k in range(80):
+        n = int(rng.integers(1, 12))
+        a = rand_valid_matrix(rng, n, integral=k % 2 == 0).array.copy()
+        rows = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        a[rows, rows] += rng.integers(0, 6, size=len(rows))
+        check = is_valid(as_sym_matrix(a))
+        assert check.witness == first_offender(a)
+        assert check.ok == (check.witness is None)
+
+
 def test_ultra_witness_names_the_broken_triple():
     m = as_sym_matrix([[0.0, 1.0, 4.0], [1.0, 0.0, 4.0], [4.0, 4.0, 0.0]])
     assert is_ultra(m).ok

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergespace import (
     MergeTree,
@@ -11,7 +13,13 @@ from mergespace import (
     bottleneck_distance,
     persistence_diagram,
 )
-from util import bottleneck_oracle, rand_diagram, rand_merge_tree
+from util import (
+    bottleneck_covering_reference,
+    bottleneck_oracle,
+    bottleneck_reference,
+    rand_diagram,
+    rand_merge_tree,
+)
 
 INF = math.inf
 
@@ -118,3 +126,105 @@ def test_diagrams_of_random_trees_have_one_essential_point():
         assert len(d.infinite) == 1
         assert d.infinite[0][0] == min(t.height.values())
         assert len(d.finite) == len(t.leaves) - 1
+
+
+def test_bottleneck_without_finite_points_on_one_side():
+    a = PersistenceDiagram([(0.0, INF), (1.0, 3.0), (2.0, 2.5)])
+    b = PersistenceDiagram([(0.5, INF)])
+    assert bottleneck_distance(a, b) == 1.0
+    assert bottleneck_distance(b, a) == 1.0
+
+
+def test_bottleneck_without_finite_points_on_either_side():
+    a = PersistenceDiagram([(0.0, INF), (4.0, INF)])
+    b = PersistenceDiagram([(0.25, INF), (3.0, INF)])
+    assert bottleneck_distance(a, b) == 1.0
+    assert bottleneck_distance(PersistenceDiagram([]), PersistenceDiagram([])) == 0.0
+
+
+def test_bottleneck_on_mismatched_essentials_with_finite_points_is_infinite():
+    a = PersistenceDiagram([(1.0, 2.0), (0.0, 3.0)])
+    b = PersistenceDiagram([(0.0, INF), (1.0, 2.0), (0.0, 3.0)])
+    assert bottleneck_distance(a, b) == INF
+    assert bottleneck_distance(b, a) == INF
+    assert bottleneck_distance(a, a) == 0.0
+
+
+def _uniform_diagram(rng, n: int) -> PersistenceDiagram:
+    births = rng.uniform(0.0, 10.0, n)
+    deaths = births + rng.uniform(0.1, 5.0, n)
+    # the essential class is born at the global minimum, as in a merge tree
+    return PersistenceDiagram([*zip(births.tolist(), deaths.tolist()), (0.0, INF)])
+
+
+def test_bottleneck_of_two_thousand_points_needs_no_recursion():
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(2000)
+    a, b = _uniform_diagram(rng, 2000), _uniform_diagram(rng, 2000)
+    assert bottleneck_distance(a, b) == bottleneck_covering_reference(a, b)
+
+
+# -- properties -----------------------------------------------------------
+
+# coordinates on a grid of eighths stay exact under the integer shifts below
+eighths = st.integers(-80, 80).map(lambda k: k / 8)
+lifetimes = st.integers(1, 40).map(lambda k: k / 8)
+# essential births lie close together, so the finite points still decide
+# most distances instead of the essential pairing
+oldest = st.integers(-8, 8).map(lambda k: k / 8)
+
+
+@st.composite
+def diagrams(draw, births=eighths, persistence=lifetimes, min_size=0, max_size=6,
+             essentials=st.just(1)):
+    finite = draw(st.lists(st.tuples(births, persistence), min_size=min_size, max_size=max_size))
+    pts = [(b, b + p) for b, p in finite]
+    pts += [(draw(oldest), INF) for _ in range(draw(essentials))]
+    return PersistenceDiagram(pts)
+
+
+def _moved(dg: PersistenceDiagram, shift: float, scale: float) -> PersistenceDiagram:
+    return PersistenceDiagram([(b * scale + shift, d * scale + shift) for b, d in dg.points])
+
+
+@given(diagrams(), diagrams())
+def test_bottleneck_property_symmetric(a, b):
+    assert bottleneck_distance(a, b) == bottleneck_distance(b, a)
+
+
+@given(diagrams(), diagrams(), diagrams())
+def test_bottleneck_property_triangle_inequality(a, b, c):
+    # values are multiples of 1/16 here, so the sum is exact
+    assert bottleneck_distance(a, c) <= bottleneck_distance(a, b) + bottleneck_distance(b, c)
+
+
+@given(diagrams(), diagrams(), st.integers(-1000, 1000), st.integers(-30, 30))
+def test_bottleneck_property_equivariant(a, b, shift, power):
+    d = bottleneck_distance(a, b)
+    assert bottleneck_distance(_moved(a, float(shift), 1.0), _moved(b, float(shift), 1.0)) == d
+    scale = 2.0**power
+    assert bottleneck_distance(_moved(a, 0.0, scale), _moved(b, 0.0, scale)) == d * scale
+
+
+@given(diagrams(max_size=5), diagrams(max_size=5))
+def test_bottleneck_property_matches_the_enumeration_oracle(a, b):
+    assert bottleneck_distance(a, b) == bottleneck_oracle(a, b)
+
+
+# integer-grid points tie often and repeat: 6 births x 4 lifetimes
+grid_births = st.integers(0, 5).map(float)
+grid_lifetimes = st.integers(1, 4).map(float)
+real_births = st.floats(-10.0, 10.0)
+real_lifetimes = st.floats(1 / 64, 5.0)
+
+
+@settings(max_examples=40)
+@given(st.booleans(), st.data())
+def test_bottleneck_property_matches_the_scipy_reference(on_grid, data):
+    pytest.importorskip("scipy")
+    births, persistence = (grid_births, grid_lifetimes) if on_grid else (real_births, real_lifetimes)
+    sized = diagrams(births, persistence, min_size=20, max_size=150)
+    a, b = data.draw(sized), data.draw(sized)
+    want = bottleneck_reference(a, b)
+    assert bottleneck_distance(a, b) == want
+    assert bottleneck_covering_reference(a, b) == want
