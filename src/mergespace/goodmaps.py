@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
+import numpy as np
+
 from .errors import MalformedMapError, MergespaceError
 from .matrices import induced_matrix
 from .metrics import DEFAULT_TOL
@@ -369,12 +371,11 @@ def map_from_labeling(
         )
     a = induced_matrix(t1).array
     b = induced_matrix(t2).array
-    n = t1.n_labels
-    for i in range(n):
-        for j in range(n):
-            gap = abs(a[i, j] - b[i, j])
-            if gap > delta + tol:
-                return InfeasibleLabeling((i + 1, j + 1), float(gap), delta)
+    gaps = np.abs(a - b)
+    first = int(np.argmax(gaps > delta + tol))  # first offending entry, row-major
+    if gaps.flat[first] > delta + tol:
+        i, j = divmod(first, t1.n_labels)
+        return InfeasibleLabeling((i + 1, j + 1), float(gaps.flat[first]), delta)
 
     s = t1.tree
     t = t2.tree

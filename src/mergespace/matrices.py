@@ -6,6 +6,13 @@ and j meet, and the diagonal holds the label heights themselves.  `valid`
 matrices (diagonal never exceeds its row) are exactly the ones the sublevel
 construction accepts; `ultra` matrices additionally satisfy the relaxed
 ultrametric bound and are exactly the matrices that trees induce.
+
+Both directions cost O(n^2) for n labels, the size of the matrix, plus one
+walk over the tree's vertices.  A matrix's tree is single linkage, which is
+the minimum spanning tree of the complete label graph (Gower & Ross 1969):
+one dense Prim pass finds its n - 1 edges, and only those are merged.  A
+tree's matrix is a running maximum over its labels in depth-first order.
+`ultrafy` and `is_ultra` go through both.
 """
 
 from __future__ import annotations
@@ -107,19 +114,23 @@ def is_valid(m) -> MatrixCheck:
 
 
 def is_ultra(m) -> MatrixCheck:
-    """Valid plus the relaxed ultrametric bound M_ij <= max(M_ik, M_kj)."""
+    """Valid plus the relaxed ultrametric bound M_ij <= max(M_ik, M_kj).
+
+    A valid matrix is ultra exactly when it equals its `ultrafy`, which costs
+    O(n^2).  An entry equal to its closure U satisfies the bound, since
+    U_ij <= max(U_ik, U_kj) <= max(M_ik, M_kj); so the search for the first
+    offending (i, j, k) visits only the entries the closure lowered, in
+    row-major order.
+    """
     m = as_sym_matrix(m)
     base = is_valid(m)
     if not base:
         return base
     a = m.array
-    n = m.n
-    for i in range(n):
-        for j in range(n):
-            row = np.maximum(a[i, :], a[:, j])
-            bad = np.nonzero(a[i, j] > row)[0]
-            if bad.size:
-                return MatrixCheck(False, (i + 1, j + 1, int(bad[0]) + 1))
+    for i, j in np.argwhere(a != ultrafy(m).array):
+        bad = np.nonzero(a[i, j] > np.maximum(a[i, :], a[:, j]))[0]
+        if bad.size:
+            return MatrixCheck(False, (int(i) + 1, int(j) + 1, int(bad[0]) + 1))
     return MatrixCheck(True)
 
 
@@ -127,54 +138,73 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     """Pairwise lowest-common-ancestor heights of the labels.
 
     Entry (i, j) is the height of the meeting point of labels i and j; the
-    diagonal is the height of each label's own vertex.  Entries are copied
+    diagonal is the height of each label's own vertex.  In a depth-first
+    order every subtree's labels are contiguous, so the meet of two labels is
+    the highest of the meets of neighbouring labels between them: each row is
+    one running maximum, so the fill costs O(n^2).  Entries are copied
     heights, so no rounding is introduced.
     """
     lt.ensure_valid()
     t = lt.tree
     n = lt.n_labels
-    a = np.empty((n, n), dtype=float)
-    gathered = {}
-    for v in t.postorder:
-        h = t.height[v]
-        own = lt.labels_of[v]
-        groups = [gathered.pop(c) for c in t.children[v]]
-        groups.append(list(own))
-        # labels sitting on this vertex meet each other (and themselves) here
-        for i in own:
-            for j in own:
-                a[i - 1, j - 1] = h
-        for gi in range(len(groups)):
-            for gj in range(gi + 1, len(groups)):
-                for i in groups[gi]:
-                    for j in groups[gj]:
-                        a[i - 1, j - 1] = h
-                        a[j - 1, i - 1] = h
-        merged = []
-        for g in groups:
-            merged.extend(g)
-        gathered[v] = merged
+    order, own, gaps = [], [], []
+    meet = -np.inf  # highest vertex on the path since the last label
+    stack = [t.top]
+    while stack:
+        v = stack.pop()
+        if t.parent[v] is not None:
+            meet = max(meet, t.height[t.parent[v]])
+        for i in lt.labels_of[v]:
+            if order:
+                gaps.append(meet)
+            order.append(i - 1)
+            own.append(t.height[v])
+            meet = t.height[v]
+        stack.extend(reversed(t.children[v]))
+    gaps = np.array(gaps, dtype=float)
+    d = np.empty((n, n), dtype=float)
+    for p in range(n - 1):
+        d[p, p + 1 :] = d[p + 1 :, p] = np.maximum.accumulate(gaps[p:])
+    np.fill_diagonal(d, own)
+    a = np.empty_like(d)
+    a[np.ix_(order, order)] = d
     return SymMatrix(a)
 
 
-class _UnionFind:
-    """Plain union-find over 0..n-1 with path compression."""
+def _mst_edges(a: np.ndarray) -> list:
+    """Minimum spanning tree of the complete graph on the off-diagonal entries.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        self.parent[ra] = rb
-        return rb
+    Edges are ordered strictly by (h, min(i, j), max(i, j)), which makes the
+    tree unique: it is the set of edges on which Kruskal's sweep over that
+    order merges.  Prim's pass finds it in O(n^2).  For a fixed outside
+    vertex w, the key order on edges {u, w} is the order on (h, u), so the
+    best edge into w is kept as its height and its smallest tree endpoint.
+    Returns (h, i, j) triples with i < j, sorted by the key.
+    """
+    n = a.shape[0]
+    free = np.array(a, dtype=float)  # columns of tree vertices become +inf
+    free[:, 0] = np.inf
+    best_h = free[0].copy()
+    best_u = np.zeros(n, dtype=np.intp)
+    edges = []
+    for _ in range(n - 1):
+        v = int(best_h.argmin())
+        h = best_h[v]
+        tied = best_h == h
+        if np.count_nonzero(tied) > 1:
+            w = tied.nonzero()[0]
+            u = best_u[w]
+            v = int(w[(np.minimum(u, w) * n + np.maximum(u, w)).argmin()])
+        u = int(best_u[v])
+        edges.append((float(h), min(u, v), max(u, v)))
+        free[:, v] = best_h[v] = np.inf
+        row = free[v]
+        closer = row < best_h
+        closer |= (row == best_h) & (best_u > v)
+        best_u[closer] = v
+        np.minimum(best_h, row, out=best_h)
+    edges.sort()
+    return edges
 
 
 def tree_of_matrix(m) -> LabeledMergeTree:
@@ -186,6 +216,10 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     collapse into shared vertices instead of zero-length edges: a label whose
     birth height equals a merge height sits at the merge vertex itself, and
     simultaneous merges come out as one vertex of higher degree.
+
+    Only the n - 1 edges of the minimum spanning tree under that order ever
+    merge two components (single linkage is the MST), so one O(n^2) Prim
+    pass replaces a sort of all n(n-1)/2 pairs.
     """
     m = as_sym_matrix(m)
     check = is_valid(m)
@@ -197,28 +231,22 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     a = m.array
     n = m.n
 
-    heights = {}
-    labels_at = {}
-    children_of = {}
-    uf = _UnionFind(n)
-    top_of = {}  # union-find root -> current top vertex id
-    next_id = 0
+    # births, by construction in label order: vertex i carries label i + 1
+    heights = {i: float(a[i, i]) for i in range(n)}
+    labels_at = {i: [i + 1] for i in range(n)}
+    children_of = {i: [] for i in range(n)}
+    root = list(range(n))  # forest over labels; a root maps to its top vertex
+    top_of = list(range(n))
+    next_id = n
 
-    for i in range(n):  # births, by construction in label order
-        heights[next_id] = float(a[i, i])
-        labels_at[next_id] = [i + 1]
-        children_of[next_id] = []
-        top_of[i] = next_id
-        next_id += 1
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
 
-    pairs = sorted(
-        ((float(a[i, j]), i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda e: e,
-    )
-    for h, i, j in pairs:
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
-            continue
+    for h, i, j in _mst_edges(a):
+        ri, rj = find(i), find(j)
         ta, tb = top_of[ri], top_of[rj]
         if heights[ta] == h and heights[tb] == h:
             # two tops at the merge height collapse into one vertex
@@ -238,7 +266,8 @@ def tree_of_matrix(m) -> LabeledMergeTree:
             children_of[next_id] = [ta, tb]
             new_top = next_id
             next_id += 1
-        top_of[uf.union(ri, rj)] = new_top
+        root[ri] = rj
+        top_of[rj] = new_top
 
     edges = [(c, v) for v, kids in children_of.items() for c in kids]
     label_map = {i: v for v, ls in labels_at.items() for i in ls}
@@ -248,44 +277,12 @@ def tree_of_matrix(m) -> LabeledMergeTree:
 def ultrafy(m) -> SymMatrix:
     """Closest tree-realizable matrix: single-linkage merge heights.
 
-    Direct sweep over edges by increasing value with union-find; when two
-    components first connect at value h, every cross pair receives h.  Equals
-    the induced matrix of ``tree_of_matrix(m)`` (the literal route, asserted
-    in tests) and the minimax path value over the complete graph.  Identity
+    The induced matrix of ``tree_of_matrix(m)``: entry (i, j) is the height
+    where labels i and j first connect, which is the minimax path value over
+    the complete graph.  O(n^2) through the minimum spanning tree.  Identity
     on ultra matrices; entries are copied, never recomputed.
     """
-    m = as_sym_matrix(m)
-    check = is_valid(m)
-    if not check:
-        i, j = check.witness
-        raise InvalidMatrixError(
-            f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})"
-        )
-    a = m.array
-    n = m.n
-    out = np.array(a, dtype=float)
-    uf = _UnionFind(n)
-    members = {i: [i] for i in range(n)}
-    pairs = sorted(
-        ((float(a[i, j]), i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda e: e,
-    )
-    for h, i, j in pairs:
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
-            continue
-        small, large = members[ri], members[rj]
-        if len(small) > len(large):
-            small, large = large, small
-        for x in small:
-            for y in large:
-                out[x, y] = h
-                out[y, x] = h
-        root = uf.union(ri, rj)
-        merged = members.pop(ri) + members.pop(rj)
-        members[root] = merged
-    out.setflags(write=False)
-    return SymMatrix(out)
+    return induced_matrix(tree_of_matrix(m))
 
 
 def linf_distance(a, b) -> float:

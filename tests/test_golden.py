@@ -1,0 +1,68 @@
+"""Byte-for-byte CLI output against files captured from the earlier code.
+
+`tests/golden/` holds seeded inputs and the stdout that `treeify`,
+`ultrafy` and `induce` printed for them before the matrix layer was
+rewritten around the minimum spanning tree.  Real-valued inputs are in
+general position; integer-grid inputs are full of ties, so labels land on
+merge vertices and several components merge at one height.  Any change to
+vertex ids, tie handling, label placement or number formatting shows up
+here as a diff.
+
+Regenerate the files (only when an output change is intended) with
+``PYTHONPATH=src:tests python tests/test_golden.py``.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from mergespace import write_matrix
+from mergespace.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SIZES = (1, 2, 7, 40, 120)
+KINDS = ("real", "grid")
+CASES = [(kind, n) for kind in KINDS for n in SIZES]
+COMMANDS = {"treeify": "matrix.txt", "ultrafy": "matrix.txt", "induce": "tree.json"}
+
+
+def _stdout(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("kind,n", CASES)
+def test_cli_output_matches_golden(command, kind, n):
+    source = GOLDEN / f"{kind}-{n}.{COMMANDS[command]}"
+    want = (GOLDEN / f"{command}-{kind}-{n}.out").read_text()
+    assert _stdout([command, str(source)]) == want
+
+
+def _write_inputs(rng):
+    from mergespace import write_tree
+    from util import rand_labeled_tree, rand_valid_matrix
+
+    for kind in KINDS:
+        for n in SIZES:
+            grid = kind == "grid"
+            m = rand_valid_matrix(rng, n, integral=grid)
+            (GOLDEN / f"{kind}-{n}.matrix.txt").write_text(write_matrix(m))
+            t = rand_labeled_tree(rng, n, max_leaves=n, integral=grid)
+            (GOLDEN / f"{kind}-{n}.tree.json").write_text(write_tree(t))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    _write_inputs(np.random.default_rng(20191))
+    for kind, n in CASES:
+        for command, suffix in COMMANDS.items():
+            out = _stdout([command, str(GOLDEN / f"{kind}-{n}.{suffix}")])
+            (GOLDEN / f"{command}-{kind}-{n}.out").write_text(out)

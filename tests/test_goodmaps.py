@@ -20,6 +20,7 @@ from mergespace import (
     verify_delta_good,
 )
 from mergespace.goodmaps import preimage_of
+from mergespace.metrics import DEFAULT_TOL
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import rand_labeled_pair
 
@@ -147,6 +148,31 @@ def test_map_from_labeling_reports_the_blocking_entry():
     i, j = got.entry
     assert got.gap > 0.5
     assert 1 <= i <= 2 and 1 <= j <= 2
+
+
+def test_map_from_labeling_blocks_at_the_first_offending_entry():
+    def first_offender(a, b, delta, tol):
+        n = a.shape[0]
+        for i in range(n):
+            for j in range(n):
+                gap = abs(a[i, j] - b[i, j])
+                if gap > delta + tol:
+                    return (i + 1, j + 1), float(gap)
+        return None
+
+    rng = np.random.default_rng(197)
+    for k in range(80):
+        a, b = rand_labeled_pair(rng, max_leaves=5, integral=k % 2 == 0)
+        delta = labeled_interleaving(a, b) * float(rng.uniform(0.0, 0.95))
+        got = map_from_labeling(a, b, delta)
+        want = first_offender(
+            induced_matrix(a).array, induced_matrix(b).array, delta, DEFAULT_TOL
+        )
+        if want is None:
+            assert isinstance(got, VertexMap)
+        else:
+            assert isinstance(got, InfeasibleLabeling)
+            assert (got.entry, got.gap, got.delta) == (*want, delta)
 
 
 def test_random_pairs_produce_verified_maps_at_their_distance():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergespace import (
     InvalidMatrixError,
@@ -23,6 +25,8 @@ from util import (
     rand_labeled_tree,
     rand_ultra_matrix,
     rand_valid_matrix,
+    sweep_tree_oracle,
+    ultra_witness_oracle,
 )
 
 
@@ -211,3 +215,141 @@ def test_linf_distance():
     assert linf_distance(a, a) == 0.0
     with pytest.raises(InvalidMatrixError):
         linf_distance(a, as_sym_matrix([[0.0]]))
+
+
+# -- properties -----------------------------------------------------------
+
+# integer-grid entries tie all the time; eighths stay exact under the
+# power-of-two scalings and integer shifts below; reals are in general position
+grid = st.integers(0, 2).map(float)
+eighths = st.integers(0, 64).map(lambda k: k / 8)
+reals = st.floats(0.0, 8.0)
+
+
+@st.composite
+def valid_matrices(draw, max_n=7, values=st.sampled_from([grid, eighths, reals])):
+    """Diagonal entries, and off-diagonal ones at or above both diagonals."""
+    n = draw(st.integers(1, max_n))
+    entries = draw(values)
+    diag = draw(st.lists(entries, min_size=n, max_size=n))
+    bump = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    a = np.diag(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i, j] = a[j, i] = max(diag[i], diag[j]) + bump[i * n + j]
+    return as_sym_matrix(a)
+
+
+@st.composite
+def near_ultra_matrices(draw):
+    """A valid matrix, or its closure with a few off-diagonal entries raised."""
+    m = draw(valid_matrices())
+    if draw(st.booleans()):
+        return m
+    a = ultrafy(m).array.copy()
+    n = m.n
+    for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a[i, j] = a[j, i] = a[i, j] + draw(st.integers(1, 3))
+    return as_sym_matrix(a)
+
+
+@st.composite
+def labeled_trees(draw, max_labels=8):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_labels))
+    return rand_labeled_tree(rng, n, max_leaves=n, integral=draw(st.booleans()))
+
+
+@given(valid_matrices(max_n=6))
+def test_ultrafy_property_is_an_idempotent_projection_from_below(m):
+    u = ultrafy(m)
+    assert ultrafy(u) == u
+    assert np.all(u.array <= m.array)
+    assert np.array_equal(u.array, minimax_matrix(m))
+
+
+@given(valid_matrices(max_n=12))
+def test_tree_of_matrix_property_matches_the_full_sweep(m):
+    # same vertex ids and edges, same labels on the same vertices
+    got, want = tree_of_matrix(m), sweep_tree_oracle(m)
+    assert (got.tree, got.labels) == (want.tree, want.labels)
+
+
+@given(near_ultra_matrices())
+def test_is_ultra_property_means_fixed_by_ultrafy(m):
+    check = is_ultra(m)
+    assert check.ok == (ultrafy(m) == m)
+    assert check.witness == ultra_witness_oracle(m)
+
+
+@given(labeled_trees())
+def test_tree_matrix_property_round_trips(lt):
+    a = induced_matrix(lt)
+    back = tree_of_matrix(a)
+    assert induced_matrix(back) == a
+    assert labeled_trees_equal(back, canonicalize(lt))
+
+
+@given(valid_matrices(values=st.sampled_from([grid, eighths])),
+       st.integers(-1000, 1000), st.integers(-30, 30))
+def test_ultrafy_property_equivariant(m, shift, power):
+    u = ultrafy(m).array
+    assert np.array_equal(ultrafy(m.array + shift).array, u + shift)
+    scale = 2.0**power
+    assert np.array_equal(ultrafy(m.array * scale).array, u * scale)
+
+
+# -- size -----------------------------------------------------------------
+
+
+def _caterpillar(n: int):
+    """Leaves 0..n-1 hang off a spine whose vertex n-1+k sits at height k.
+
+    Returns the tree and its matrix: leaves p < q meet at height max(q, 1).
+    """
+    rng = np.random.default_rng(1500)
+    low = rng.uniform(0.0, 0.5, size=n)
+    vertices = [(v, float(h)) for v, h in enumerate(low)]
+    vertices += [(n - 1 + k, float(k)) for k in range(1, n)]
+    edges = [(0, n), (1, n)] + [(k, n - 1 + k) for k in range(2, n)]
+    edges += [(n - 2 + k, n - 1 + k) for k in range(2, n)]
+    leaf = rng.permutation(n)  # label i + 1 sits on leaf[i]
+    labels = {i + 1: int(v) for i, v in enumerate(leaf)}
+    want = np.maximum(np.maximum.outer(leaf, leaf), 1).astype(float)
+    want[np.diag_indices(n)] = low[leaf]
+    return LabeledMergeTree(MergeTree(vertices, edges), labels), want
+
+
+def _balanced(n: int):
+    """Leaves at height 0, paired level by level; level k merges at height k.
+
+    Leaf p sits at position p >> k of level k, an odd one out moving up
+    last, so leaves p and q meet at height (p ^ q).bit_length().
+    """
+    vertices = [(v, 0.0) for v in range(n)]
+    edges = []
+    level, height = list(range(n)), 0.0
+    while len(level) > 1:
+        height += 1.0
+        up = []
+        for k in range(0, len(level) - 1, 2):
+            v = len(vertices)
+            vertices.append((v, height))
+            edges += [(level[k], v), (level[k + 1], v)]
+            up.append(v)
+        level = up + level[len(level) - len(level) % 2 :]
+    labels = {v + 1: v for v in range(n)}
+    idx = np.arange(n)
+    want = np.frexp(idx ^ idx[:, None])[1].astype(float)  # the exponent is the bit length
+    return LabeledMergeTree(MergeTree(vertices, edges), labels), want
+
+
+@pytest.mark.parametrize("shape", [_caterpillar, _balanced])
+def test_matrix_layer_handles_fifteen_hundred_labels(shape):
+    lt, want = shape(1500)
+    a = induced_matrix(lt)
+    assert np.array_equal(a.array, want)
+    assert is_ultra(a).ok
+    assert ultrafy(a) == a
+    assert induced_matrix(tree_of_matrix(a)) == a

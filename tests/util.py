@@ -209,6 +209,66 @@ def minimax_matrix(m: SymMatrix) -> np.ndarray:
     return out
 
 
+def sweep_tree_oracle(m: SymMatrix) -> LabeledMergeTree:
+    """Tree of a valid matrix by the plain single-linkage sweep over all pairs.
+
+    Visits every pair (M_ij, i, j), i < j, in sorted order and merges the
+    components of its ends when they differ, so it owes nothing to a
+    spanning-tree shortcut.  Vertex ids, tie collapsing and label placement follow the
+    rules `tree_of_matrix` documents.
+    """
+    a = m.array
+    n = m.n
+    heights = {i: float(a[i, i]) for i in range(n)}
+    labels_at = {i: [i + 1] for i in range(n)}
+    children_of = {i: [] for i in range(n)}
+    comp = list(range(n))  # label -> component id; a component id is a label
+    top = list(range(n))  # component id -> its current top vertex
+    next_id = n
+    for h, i, j in sorted((float(a[i, j]), i, j) for i in range(n) for j in range(i + 1, n)):
+        ci, cj = comp[i], comp[j]
+        if ci == cj:
+            continue
+        ta, tb = top[ci], top[cj]
+        if heights[ta] == h and heights[tb] == h:
+            labels_at[ta].extend(labels_at.pop(tb))
+            children_of[ta].extend(children_of.pop(tb))
+            del heights[tb]
+            new_top = ta
+        elif heights[ta] == h:
+            children_of[ta].append(tb)
+            new_top = ta
+        elif heights[tb] == h:
+            children_of[tb].append(ta)
+            new_top = tb
+        else:
+            heights[next_id] = h
+            labels_at[next_id] = []
+            children_of[next_id] = [ta, tb]
+            new_top = next_id
+            next_id += 1
+        comp = [ci if c == cj else c for c in comp]
+        top[ci] = new_top
+    edges = [(c, v) for v, kids in children_of.items() for c in kids]
+    label_map = {i: v for v, ls in labels_at.items() for i in ls}
+    return LabeledMergeTree(MergeTree(heights, edges), label_map)
+
+
+def ultra_witness_oracle(m: SymMatrix):
+    """First (i, j, k), one-based in row-major order, with M_ij > max(M_ik, M_kj).
+
+    None when the relaxed ultrametric bound holds everywhere.
+    """
+    a = m.array
+    n = m.n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if a[i, j] > max(a[i, k], a[k, j]):
+                    return (i + 1, j + 1, k + 1)
+    return None
+
+
 def induced_oracle(lt: LabeledMergeTree) -> np.ndarray:
     """Pairwise meet heights by explicit ancestor-chain intersection."""
     t = lt.tree
