@@ -162,7 +162,10 @@ def build_parser() -> _Parser:
     p.add_argument("kind", choices=["labeled", "unlabeled", "bottleneck"])
     p.add_argument("t1")
     p.add_argument("t2")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help="placement states each feasibility probe of the unlabeled search may explore",
+    )
     p.add_argument("--witness", help="write the witness pairing here")
     p.set_defaults(func=_cmd_dist)
 

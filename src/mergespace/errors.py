@@ -38,8 +38,23 @@ class FormatError(MergespaceError):
 
 
 class BudgetExceededError(MergespaceError):
-    """A search exceeded its state budget and was stopped before answering."""
+    """A search exceeded its state budget and was stopped before answering.
 
-    def __init__(self, budget):
+    When the search knows where it stood, `delta` is the shift under test,
+    `refuted_below` the largest shift refuted so far and `feasible_at` the
+    smallest shift found feasible so far (None where nothing is known), and
+    the message ends with that bracket.
+    """
+
+    def __init__(self, budget, delta=None, refuted_below=None, feasible_at=None):
         self.budget = budget
-        super().__init__(f"search budget of {budget} states exceeded")
+        self.delta = delta
+        self.refuted_below = refuted_below
+        self.feasible_at = feasible_at
+        message = f"search budget of {budget} states exceeded"
+        if delta is not None:
+            message += (
+                f" at shift {delta!r} (largest refuted shift {refuted_below!r},"
+                f" smallest feasible shift {feasible_at!r})"
+            )
+        super().__init__(message)

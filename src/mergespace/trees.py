@@ -494,14 +494,39 @@ def tree_signature(t: MergeTree, labels_of: Mapping = None):
     return sig[t.top]
 
 
+def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:
+    """Id of the top's signature in `table`, built bottom-up without nesting.
+
+    Each vertex's (height, labels, sorted child ids) gets one integer id, so
+    two vertices share an id exactly when their signatures are equal, and no
+    step recurses as deep as the tree.
+    """
+    t.ensure_valid()
+    ids = {}
+    for v in t.postorder:
+        key = (
+            t.height[v],
+            tuple(sorted(labels_of[v])) if labels_of else (),
+            tuple(sorted(ids[c] for c in t.children[v])),
+        )
+        ids[v] = table.setdefault(key, len(table))
+    return ids[t.top]
+
+
 def trees_equal(a: MergeTree, b: MergeTree) -> bool:
     """Structural equality after canonicalization, exact heights, ids ignored."""
-    return tree_signature(canonicalize_tree(a)) == tree_signature(canonicalize_tree(b))
+    table = {}
+    return _interned_top(canonicalize_tree(a), None, table) == _interned_top(
+        canonicalize_tree(b), None, table
+    )
 
 
 def labeled_trees_equal(a: LabeledMergeTree, b: LabeledMergeTree) -> bool:
     ca, cb = canonicalize(a), canonicalize(b)
-    return tree_signature(ca.tree, ca.labels_of) == tree_signature(cb.tree, cb.labels_of)
+    table = {}
+    return _interned_top(ca.tree, ca.labels_of, table) == _interned_top(
+        cb.tree, cb.labels_of, table
+    )
 
 
 # -- refinement -----------------------------------------------------------

@@ -6,7 +6,17 @@ other.  The search space is finite: candidate shifts come from pairwise
 height differences (and their halves), and for a given shift each tree's
 leaves only need placements at leaf height + shift in the opposite tree,
 one per crossing branch.  A pruned exhaustive search over those placements
-decides feasibility per candidate, ascending until the first success.
+decides feasibility per candidate.  Feasibility is monotone in the shift (a
+map that is good at some shift stays good at any larger one), so the
+candidates are bisected: the smallest feasible one is found in about
+log2(C) + 1 probes of C candidates.
+
+Inside a probe, the height where two placed points meet is
+max(h_p, h_q, H[p.anchor][q.anchor]), with H the lowest-common-ancestor
+heights of every vertex pair: either one point lies on the other's upward
+path and the higher one is the meet, or the meet is the vertex where their
+anchors join, which lies above both.  H is one induced matrix per tree,
+built once per call.
 
 Every result is double-checked from below: feasibility is re-tested just
 under the returned value, and the `certified` flag records that the re-test
@@ -20,13 +30,13 @@ from typing import Union
 
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing, _points_at
+from .matrices import induced_matrix
 from .metrics import DEFAULT_TOL
 from .trees import (
     LabeledMergeTree,
     MergeTree,
     _bare,
     canonicalize_tree,
-    lca,
     vertex_point,
 )
 
@@ -44,14 +54,17 @@ class UnlabeledDistance:
     labeled trees realizing the value).
     certified: feasibility was refuted at value * (1 - 1e-6); when False the
     value is only an upper bound and `refuted_below` tells how far down the
-    sweep actually refuted.
-    refuted_below: largest shift shown infeasible, or None when value is 0.
+    search actually refuted.
+    refuted_below: largest candidate shift shown infeasible, or None when
+    value is 0.
+    probes: feasibility tests run, the re-test below the value included.
     """
 
     value: float
     witness: LabelPairing
     certified: bool
     refuted_below: float = None
+    probes: int = 0
 
 
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
@@ -66,88 +79,87 @@ def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
     return sorted(out)
 
 
+def _meet_table(t: MergeTree):
+    """(vertex id -> row, rows of the meet heights of every vertex pair)."""
+    order = sorted(t.height)
+    lt = LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)})
+    return {v: k for k, v in enumerate(order)}, induced_matrix(lt).array.tolist()
+
+
 class _Search:
-    """Feasibility test for one shift: place cross labels, prune on entries."""
+    """Feasibility tests of one tree pair: place cross labels, prune on entries."""
 
-    def __init__(self, t1: MergeTree, t2: MergeTree, delta: float,
-                 budget: int, tol: float):
-        self.t1, self.t2, self.delta, self.tol = t1, t2, delta, tol
-        self.budget = budget
-        self.states = 0
-        self._lca_h = {}
+    def __init__(self, t1: MergeTree, t2: MergeTree, budget: int, tol: float):
+        self.t1, self.t2, self.budget, self.tol = t1, t2, budget, tol
+        self.tables = (_meet_table(t1), _meet_table(t2))
+        self.probes = 0
 
-    def _meet(self, tree_idx: int, a, b) -> float:
-        ka, kb = (a.anchor, a.height), (b.anchor, b.height)
-        key = (tree_idx,) + (ka + kb if ka <= kb else kb + ka)
-        got = self._lca_h.get(key)
-        if got is None:
-            tree = self.t1 if tree_idx == 1 else self.t2
-            first = a if ka <= kb else b
-            second = b if ka <= kb else a
-            got = lca(tree, first, second).height
-            self._lca_h[key] = got
-        return got
+    def _placed(self, side: int, p):
+        """(height, meet-table row index, that row, point) of a point."""
+        rows, meets = self.tables[side - 1]
+        r = rows[p.anchor]
+        return (p.height, r, meets[r], p)
 
-    def run(self):
-        t1, t2, d = self.t1, self.t2, self.delta
-        left = [vertex_point(t1, v) for v in t1.leaves]
-        right = [vertex_point(t2, v) for v in t2.leaves]
+    def feasible(self, delta: float):
+        """A witness pairing at this shift, or None when none exists."""
+        self.probes += 1
+        t1, t2, tol, budget = self.t1, self.t2, self.tol, self.budget
+        left = [self._placed(1, vertex_point(t1, v)) for v in t1.leaves]
+        right = [self._placed(2, vertex_point(t2, v)) for v in t2.leaves]
         n1 = len(left)
-        labels = list(range(n1 + len(right)))
+        labels = range(n1 + len(right))
 
-        # fixed side per label, candidate placements on the other side
-        fixed = {}
-        cands = {}
-        for k, p in enumerate(left):
-            fixed[k] = (1, p)
-            cands[k] = _points_at(t2, p.height + d, self.tol)
-        for k, p in enumerate(right):
-            fixed[n1 + k] = (2, p)
-            cands[n1 + k] = _points_at(t1, p.height + d, self.tol)
-        if any(not cands[k] for k in labels):
+        # labels below n1 sit on the leaves of t1 and are placed in t2; the
+        # rest sit on the leaves of t2 and are placed in t1
+        pos1 = left + [None] * len(right)
+        pos2 = [None] * n1 + right
+        cands = [
+            [self._placed(2, q) for q in _points_at(t2, p[0] + delta, tol)]
+            for p in left
+        ] + [
+            [self._placed(1, q) for q in _points_at(t1, p[0] + delta, tol)]
+            for p in right
+        ]
+        if not all(cands):
             return None
 
         order = sorted(labels, key=lambda k: (len(cands[k]), k))
-        pos1 = {}
-        pos2 = {}
-        for k, (side, p) in fixed.items():
-            (pos1 if side == 1 else pos2)[k] = p
-
+        limit = delta + tol
         assigned = []
+        states = 0
 
-        def ok_pair(x: int, y: int) -> bool:
-            gap = abs(
-                self._meet(1, pos1[x], pos1[y]) - self._meet(2, pos2[x], pos2[y])
-            )
-            return gap <= d + self.tol
+        def fits(x: int) -> bool:
+            a, c = pos1[x], pos2[x]
+            for y in assigned:
+                b, e = pos1[y], pos2[y]
+                gap = max(a[0], b[0], a[2][b[1]]) - max(c[0], e[0], c[2][e[1]])
+                if abs(gap) > limit:
+                    return False
+            return True
 
         def dfs(i: int):
+            nonlocal states
             if i == len(order):
                 return True
             k = order[i]
-            side = fixed[k][0]
-            store = pos2 if side == 1 else pos1
+            store = pos2 if k < n1 else pos1
             for cand in cands[k]:
-                self.states += 1
-                if self.states > self.budget:
-                    raise BudgetExceededError(self.budget)
+                states += 1
+                if states > budget:
+                    raise BudgetExceededError(budget)
                 store[k] = cand
-                if all(ok_pair(k, y) for y in assigned):
+                if fits(k):
                     assigned.append(k)
                     if dfs(i + 1):
                         return True
                     assigned.pop()
-            store.pop(k, None)
+            store[k] = None
             return False
 
         if not dfs(0):
             return None
-        pairs = tuple((pos1[k], pos2[k]) for k in labels)
+        pairs = tuple((pos1[k][3], pos2[k][3]) for k in labels)
         return LabelPairing(t1, t2, pairs)
-
-
-def _feasible(t1, t2, delta, budget, tol):
-    return _Search(t1, t2, delta, budget, tol).run()
 
 
 def unlabeled_interleaving(
@@ -158,21 +170,47 @@ def unlabeled_interleaving(
 ) -> UnlabeledDistance:
     """Exact distance between bare merge trees, with witness labeling.
 
-    Labels on the inputs are ignored.  `budget` bounds the assignment states
-    each feasibility test may explore; exceeding it raises
-    :class:`BudgetExceededError` rather than guessing.
+    Labels on the inputs are ignored.  `tol` is relative: height comparisons
+    allow `tol` times the height span (highest minus lowest vertex of both
+    trees), so scaling every height by a power of two scales the value
+    exactly.  `budget` bounds the assignment states each feasibility test
+    may explore; exceeding it raises :class:`BudgetExceededError`, which
+    names the shift under test and the bracket established so far, rather
+    than guessing.
     """
     a = canonicalize_tree(_bare(t1).ensure_valid())
     b = canonicalize_tree(_bare(t2).ensure_valid())
-    refuted = None
-    for delta in candidate_shifts(a, b):
-        witness = _feasible(a, b, delta, budget, tol)
-        if witness is None:
-            refuted = delta
-            continue
-        if delta == 0.0:
-            return UnlabeledDistance(0.0, witness, True, None)
-        eps = 1e-6 * delta
-        recheck = _feasible(a, b, delta - eps, budget, tol)
-        return UnlabeledDistance(delta, witness, recheck is None, refuted)
-    raise MergespaceError("no feasible shift found; candidate set exhausted")
+    shifts = candidate_shifts(a, b)
+    # the largest candidate is the height span of both trees together
+    search = _Search(a, b, budget, tol * shifts[-1])
+    lo, hi = 0, len(shifts)  # shifts[:lo] refuted, shifts[hi:] feasible
+    witness = None
+
+    def probe(delta: float):
+        try:
+            return search.feasible(delta)
+        except BudgetExceededError:
+            raise BudgetExceededError(
+                budget,
+                delta=delta,
+                refuted_below=shifts[lo - 1] if lo else None,
+                feasible_at=shifts[hi] if hi < len(shifts) else None,
+            ) from None
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        found = probe(shifts[mid])
+        if found is None:
+            lo = mid + 1
+        else:
+            hi, witness = mid, found
+    if witness is None:
+        raise MergespaceError("no feasible shift found; candidate set exhausted")
+    delta = shifts[hi]
+    if delta == 0.0:
+        return UnlabeledDistance(0.0, witness, True, None, search.probes)
+    eps = 1e-6 * delta
+    recheck = probe(delta - eps)
+    return UnlabeledDistance(
+        delta, witness, recheck is None, shifts[hi - 1], search.probes
+    )

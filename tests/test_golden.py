@@ -8,6 +8,11 @@ merge vertices and several components merge at one height.  Any change to
 vertex ids, tie handling, label placement or number formatting shows up
 here as a diff.
 
+It also holds seeded bare tree pairs with 2 to 5 leaves, with the stdout
+and the `--witness` file of `dist unlabeled` as printed by the ascending
+scan over candidate shifts, before the search was bisected.  A change to
+the value, the witness placement or its order shows up here.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -38,6 +43,19 @@ def _stdout(argv) -> str:
     return buf.getvalue()
 
 
+UNLABELED = [(kind, leaves) for kind in KINDS for leaves in (2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("kind,leaves", UNLABELED)
+def test_dist_unlabeled_matches_golden(kind, leaves, tmp_path):
+    stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
+    witness = tmp_path / "witness.json"
+    argv = ["dist", "unlabeled", f"{stem}.a.tree.json", f"{stem}.b.tree.json",
+            "--witness", str(witness)]
+    assert _stdout(argv) == (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").read_text()
+    assert witness.read_text() == Path(f"{stem}.witness.json").read_text()
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("kind,n", CASES)
 def test_cli_output_matches_golden(command, kind, n):
@@ -59,6 +77,23 @@ def _write_inputs(rng):
             (GOLDEN / f"{kind}-{n}.tree.json").write_text(write_tree(t))
 
 
+def _write_pairs(rng):
+    from mergespace import write_tree
+    from util import rand_merge_tree
+
+    def tree_with(leaves, grid):
+        while True:
+            t = rand_merge_tree(rng, max_leaves=leaves, integral=grid)
+            if len(t.leaves) == leaves:
+                return t
+
+    for kind, leaves in UNLABELED:
+        stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
+        for side in "ab":
+            t = tree_with(leaves, kind == "grid")
+            Path(f"{stem}.{side}.tree.json").write_text(write_tree(t))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     _write_inputs(np.random.default_rng(20191))
@@ -66,3 +101,9 @@ if __name__ == "__main__":
         for command, suffix in COMMANDS.items():
             out = _stdout([command, str(GOLDEN / f"{kind}-{n}.{suffix}")])
             (GOLDEN / f"{command}-{kind}-{n}.out").write_text(out)
+    _write_pairs(np.random.default_rng(20192))
+    for kind, leaves in UNLABELED:
+        stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
+        out = _stdout(["dist", "unlabeled", f"{stem}.a.tree.json",
+                       f"{stem}.b.tree.json", "--witness", f"{stem}.witness.json"])
+        (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").write_text(out)

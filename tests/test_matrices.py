@@ -17,6 +17,7 @@ from mergespace import (
     labeled_trees_equal,
     linf_distance,
     tree_of_matrix,
+    trees_equal,
     ultrafy,
 )
 from util import (
@@ -353,3 +354,14 @@ def test_matrix_layer_handles_fifteen_hundred_labels(shape):
     assert is_ultra(a).ok
     assert ultrafy(a) == a
     assert induced_matrix(tree_of_matrix(a)) == a
+
+
+def test_tree_equality_handles_a_fifteen_hundred_label_caterpillar():
+    lt, _ = _caterpillar(1500)
+    assert labeled_trees_equal(lt, lt)
+    assert trees_equal(lt.tree, lt.tree)
+    vertices = dict(lt.tree.vertices)
+    vertices[7] += 0.25  # a leaf, still below the spine vertex it hangs off
+    moved = MergeTree(vertices, lt.tree.edges)
+    assert not labeled_trees_equal(lt, LabeledMergeTree(moved, lt.labels))
+    assert not trees_equal(lt.tree, moved)

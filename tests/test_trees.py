@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergespace import (
     InvalidTreeError,
@@ -12,10 +14,12 @@ from mergespace import (
     canonicalize,
     canonicalize_tree,
     depth,
+    labeled_trees_equal,
     lca,
     path_metric,
     point_at,
     refine_at,
+    tree_signature,
     trees_equal,
     validate_tree,
     vertex_point,
@@ -208,6 +212,37 @@ def test_trees_equal_ignores_vertex_ids():
     assert trees_equal(a, b)
     c = MergeTree([(0, 0.0), (1, 1.0), (2, 3.5)], [(0, 2), (1, 2)])
     assert not trees_equal(a, c)
+
+
+def _with_new_ids(rng, t: MergeTree) -> MergeTree:
+    """The same tree under a random permutation of fresh vertex ids."""
+    ids = [v for v, _ in t.vertices]
+    new = dict(zip(ids, (int(k) + 100 for k in rng.permutation(len(ids)))))
+    return MergeTree(
+        [(new[v], h) for v, h in t.vertices], [(new[c], new[p]) for c, p in t.edges]
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_trees_equal_property_agrees_with_signatures(seed, same_shape):
+    # two-leaf grid trees coincide often, so both verdicts come up
+    rng = np.random.default_rng(seed)
+    a = rand_merge_tree(rng, max_leaves=2, integral=True)
+    b = _with_new_ids(rng, a) if same_shape else rand_merge_tree(rng, max_leaves=2, integral=True)
+    want = tree_signature(canonicalize_tree(a)) == tree_signature(canonicalize_tree(b))
+    assert trees_equal(a, b) == want
+    assert not same_shape or want
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_labeled_trees_equal_property_agrees_with_signatures(seed, n):
+    rng = np.random.default_rng(seed)
+    a = rand_labeled_tree(rng, n, max_leaves=2, integral=True)
+    b = rand_labeled_tree(rng, n, max_leaves=2, integral=True)
+    ca, cb = canonicalize(a), canonicalize(b)
+    want = tree_signature(ca.tree, ca.labels_of) == tree_signature(cb.tree, cb.labels_of)
+    assert labeled_trees_equal(a, b) == want
+    assert labeled_trees_equal(a, a)
 
 
 def test_refine_at_interior_and_ray_points():

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergespace import (
     BudgetExceededError,
@@ -12,10 +14,14 @@ from mergespace import (
     candidate_shifts,
     canonicalize_tree,
     labeled_interleaving,
+    lca,
     unlabeled_interleaving,
     vertex_point,
 )
-from util import rand_merge_tree, rand_point
+from mergespace.goodmaps import _points_at
+from mergespace.metrics import DEFAULT_TOL
+from mergespace.unlabeled import _meet_table, _Search
+from util import rand_merge_tree, rand_point, unlabeled_scan_oracle
 
 TWO_LEAF = MergeTree([(0, 0.0), (1, 0.0), (2, 2.0)], [(0, 2), (1, 2)])
 SINGLE = MergeTree([(0, 0.0)], [])
@@ -100,15 +106,18 @@ def test_witness_realizes_the_value():
         assert got >= r.value - 1e-9
 
 
+BUDGET_A = MergeTree(
+    [(0, 0.0), (1, 0.3), (2, 0.9), (3, 2.0), (4, 3.0)],
+    [(0, 3), (1, 3), (3, 4), (2, 4)],
+)
+BUDGET_B = MergeTree(
+    [(0, 0.1), (1, 0.5), (2, 1.1), (3, 2.5), (4, 3.7)],
+    [(0, 3), (1, 3), (3, 4), (2, 4)],
+)
+
+
 def test_tiny_budget_raises():
-    a = MergeTree(
-        [(0, 0.0), (1, 0.3), (2, 0.9), (3, 2.0), (4, 3.0)],
-        [(0, 3), (1, 3), (3, 4), (2, 4)],
-    )
-    b = MergeTree(
-        [(0, 0.1), (1, 0.5), (2, 1.1), (3, 2.5), (4, 3.7)],
-        [(0, 3), (1, 3), (3, 4), (2, 4)],
-    )
+    a, b = BUDGET_A, BUDGET_B
     with pytest.raises(BudgetExceededError) as err:
         unlabeled_interleaving(a, b, budget=1)
     assert "budget of 1" in str(err.value)
@@ -130,3 +139,103 @@ def test_labels_on_inputs_are_ignored():
 
     lt = LabeledMergeTree(TWO_LEAF, {1: 0, 2: 1})
     assert unlabeled_interleaving(lt, SINGLE).value == 1.0
+
+
+def test_budget_errors_carry_the_bracket():
+    full = unlabeled_interleaving(BUDGET_A, BUDGET_B)
+    shifts = candidate_shifts(canonicalize_tree(BUDGET_A), canonicalize_tree(BUDGET_B))
+    seen = set()
+    for budget in range(1, 200):
+        try:
+            r = unlabeled_interleaving(BUDGET_A, BUDGET_B, budget=budget)
+        except BudgetExceededError as err:
+            assert str(err).startswith(f"search budget of {budget} states exceeded at shift ")
+            assert err.budget == budget
+            low, high = err.refuted_below, err.feasible_at
+            assert low is None or low < full.value
+            assert high is None or high >= full.value
+            if err.delta == full.value - 1e-6 * full.value:  # the re-test
+                assert (low, high) == (full.refuted_below, full.value)
+            else:
+                assert err.delta in shifts
+                assert low is None or low < err.delta
+                assert high is None or err.delta < high
+            seen.add((low is None, high is None))
+        else:
+            assert r == full
+            break
+    else:
+        pytest.fail("no budget below 200 was enough")
+    # some budgets fail before any bracket exists, some once both ends do
+    assert (True, True) in seen and (False, False) in seen
+
+
+def _pairs(seed, count, max_leaves, grid=None):
+    """Seeded tree pairs; by default every other one on the integer grid."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        integral = k % 2 == 0 if grid is None else grid
+        yield (
+            rand_merge_tree(rng, max_leaves=max_leaves, integral=integral),
+            rand_merge_tree(rng, max_leaves=max_leaves, integral=integral),
+        )
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-4])
+def test_bisection_equals_the_ascending_scan(tol):
+    # the coarse tolerance admits the re-test just below the value, which
+    # leaves results uncertified: the bracket must match there too
+    uncertified = 0
+    for a, b in _pairs(157, 60, 4):
+        r = unlabeled_interleaving(a, b, tol=tol)
+        value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b, tol)
+        uncertified += not certified
+        assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
+        assert r.witness.pairs == witness.pairs
+        n = len(candidate_shifts(canonicalize_tree(a), canonicalize_tree(b)))
+        assert 1 <= r.probes <= n.bit_length() + 1
+        if r.certified and r.value > 0:
+            assert r.refuted_below < r.value
+    assert uncertified == 0 if tol == DEFAULT_TOL else uncertified > 0
+
+
+small_pairs = st.builds(
+    lambda seed, leaves, grid: next(_pairs(seed, 1, leaves, grid)),
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans(),
+)
+
+
+@settings(max_examples=60)
+@given(small_pairs)
+def test_feasibility_property_is_monotone_in_the_shift(pair):
+    a, b = (canonicalize_tree(t) for t in pair)
+    shifts = candidate_shifts(a, b)
+    search = _Search(a, b, 10**6, DEFAULT_TOL * shifts[-1])
+    found = [search.feasible(d) is not None for d in shifts]
+    assert found == sorted(found)
+    assert found[-1]
+
+
+@settings(max_examples=60)
+@given(small_pairs, st.integers(-40, 40))
+def test_unlabeled_property_power_of_two_scaling_is_exact(pair, power):
+    scale = 2.0**power
+    a, b = pair
+    r = unlabeled_interleaving(a, b)
+    scaled = [MergeTree([(v, h * scale) for v, h in t.vertices], t.edges) for t in pair]
+    s = unlabeled_interleaving(*scaled)
+    assert s.value == r.value * scale
+    assert s.certified == r.certified
+
+
+def test_meet_table_matches_lca():
+    for a, b in _pairs(163, 30, 4):
+        for t in (canonicalize_tree(a), a):
+            rows, meets = _meet_table(t)
+            heights = sorted(set(t.height.values()))
+            probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
+            points = {p for h in probes + [heights[-1] + 1.0] for p in _points_at(t, h, 0.0)}
+            for p in points:
+                for q in points:
+                    got = max(p.height, q.height, meets[rows[p.anchor]][rows[q.anchor]])
+                    assert got == lca(t, p, q).height

@@ -3,7 +3,8 @@
 The oracles deliberately take different routes than the library code:
 minimax values come from enumerating simple paths, bottleneck cost from
 enumerating matchings (or, for larger diagrams, from scipy's Hopcroft-Karp),
-induced entries from walking ancestor chains.
+induced entries from walking ancestor chains, unlabeled distances from an
+ascending scan over every candidate shift with `lca` meets.
 """
 
 from __future__ import annotations
@@ -14,15 +15,21 @@ import math
 import numpy as np
 
 from mergespace import (
+    LabelPairing,
     LabeledMergeTree,
     MergeTree,
     PersistenceDiagram,
     PointOnTree,
     SymMatrix,
     as_sym_matrix,
+    candidate_shifts,
+    canonicalize_tree,
+    lca,
     ultrafy,
 )
-from mergespace.trees import as_point, vertex_point
+from mergespace.goodmaps import _points_at
+from mergespace.metrics import DEFAULT_TOL
+from mergespace.trees import _bare, as_point, vertex_point
 
 INF = float("inf")
 
@@ -291,6 +298,72 @@ def induced_oracle(lt: LabeledMergeTree) -> np.ndarray:
             h = min(t.height[u] for u in common)
             out[i - 1, j - 1] = out[j - 1, i - 1] = h
     return out
+
+
+def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
+    """One feasibility test: depth-first placement, meets from `lca`."""
+    left = [vertex_point(t1, v) for v in t1.leaves]
+    right = [vertex_point(t2, v) for v in t2.leaves]
+    n1 = len(left)
+    labels = list(range(n1 + len(right)))
+    pos1 = dict(enumerate(left))
+    pos2 = {n1 + k: p for k, p in enumerate(right)}
+    cands = [_points_at(t2, p.height + delta, tol) for p in left]
+    cands += [_points_at(t1, p.height + delta, tol) for p in right]
+    if not all(cands):
+        return None
+    order = sorted(labels, key=lambda k: (len(cands[k]), k))
+    assigned = []
+
+    def fits(x):
+        return all(
+            abs(lca(t1, pos1[x], pos1[y]).height - lca(t2, pos2[x], pos2[y]).height)
+            <= delta + tol
+            for y in assigned
+        )
+
+    def dfs(i):
+        if i == len(order):
+            return True
+        k = order[i]
+        store = pos2 if k < n1 else pos1
+        for cand in cands[k]:
+            store[k] = cand
+            if fits(k):
+                assigned.append(k)
+                if dfs(i + 1):
+                    return True
+                assigned.pop()
+        store.pop(k, None)
+        return False
+
+    if not dfs(0):
+        return None
+    return LabelPairing(t1, t2, tuple((pos1[k], pos2[k]) for k in labels))
+
+
+def unlabeled_scan_oracle(t1, t2, tol: float = DEFAULT_TOL):
+    """(value, certified, refuted_below, witness) by the ascending scan.
+
+    Every candidate shift is tested in increasing order until the first
+    feasible one, then feasibility is re-tested at value * (1 - 1e-6).
+    `tol` is relative to the height span, as in `unlabeled_interleaving`.
+    """
+    a = canonicalize_tree(_bare(t1))
+    b = canonicalize_tree(_bare(t2))
+    heights = list(a.height.values()) + list(b.height.values())
+    tol = tol * (max(heights) - min(heights))
+    refuted = None
+    for delta in candidate_shifts(a, b):
+        witness = _scan_probe(a, b, delta, tol)
+        if witness is None:
+            refuted = delta
+            continue
+        if delta == 0.0:
+            return 0.0, True, None, witness
+        recheck = _scan_probe(a, b, delta - 1e-6 * delta, tol)
+        return delta, recheck is None, refuted, witness
+    raise AssertionError("no feasible candidate shift")
 
 
 def _pair_cost(p, q) -> float:
