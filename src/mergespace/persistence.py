@@ -23,6 +23,13 @@ stacks so that depth never meets the recursion limit.  Each starts from the
 matchings of the largest refuted probe, whose pairs all stay within every
 later probe's cost.  A probe costs one O(nl*nr) numpy comparison plus
 O(E sqrt(V)) Python work on the E edges at the must-cover points.
+
+Diagrams with at most SMALL_DIAGRAM finite points per side take a plain
+Python path: the same candidates from the same IEEE operations, and the
+same adjacency, built from lists.  A numpy call costs microseconds whatever
+its size, and a tiny diagram's work is smaller than the ten or so calls per
+probe; the unlabeled search bounds every tree pair this way.  Values are
+bit-identical on both paths.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ from .errors import MergespaceError
 from .trees import LabeledMergeTree, MergeTree, _bare
 
 INF = math.inf
+# finite points per side up to which bottleneck_distance stays in plain
+# Python: below it, numpy's per-call overhead outweighs the work
+SMALL_DIAGRAM = 8
 
 __all__ = [
     "PersistenceDiagram",
@@ -96,29 +106,47 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
     return PersistenceDiagram(points)
 
 
-def _covers(cost, half, c, match_row: list, match_col: list) -> bool:
-    """Grow a matching of rows to columns along entries of `cost` within c
-    until it covers every row whose half-persistence exceeds c.
-
-    `match_row`/`match_col` must hold a matching whose entries are within c;
-    rows that may retire at c are unmatched first, then the rest is grown in
-    place.  Returns False when no matching covers those rows.
-    """
-    need = half > c
-    for r in np.flatnonzero(~need).tolist():
-        j = match_row[r]
-        if j >= 0:
-            match_row[r] = match_col[j] = -1
-    must = np.flatnonzero(need)
+def _numpy_adjacency(cost, half, c):
+    """Rows that must be covered at c (half-persistence above c) -> their
+    columns within c, from one numpy comparison; None when a row has none."""
+    must = np.flatnonzero(half > c)
     within = cost[must] <= c
     deg = np.count_nonzero(within, axis=1)
     if not deg.all():
-        return False
+        return None
     cols = np.nonzero(within)[1].tolist()
     adj, start = {}, 0
     for r, end in zip(must.tolist(), np.cumsum(deg).tolist()):
         adj[r] = cols[start:end]
         start = end
+    return adj
+
+
+def _small_adjacency(cost, half, c):
+    """The same adjacency from lists, for diagrams too small for numpy."""
+    adj = {}
+    for r, h in enumerate(half):
+        if h > c:
+            cols = [j for j, x in enumerate(cost[r]) if x <= c]
+            if not cols:
+                return None
+            adj[r] = cols
+    return adj
+
+
+def _covers(adj, match_row: list, match_col: list) -> bool:
+    """Grow a matching of rows to columns along `adj` until it covers every
+    row of `adj` (the rows that cannot retire).
+
+    `match_row`/`match_col` must hold a matching along edges within the
+    probe's cost; rows outside `adj` are unmatched first, then the rest is
+    grown in place.  Returns False when no matching covers those rows.
+    """
+    if adj is None:
+        return False
+    for r, j in enumerate(match_row):
+        if j >= 0 and r not in adj:
+            match_row[r] = match_col[j] = -1
 
     while True:
         free = [r for r in adj if match_row[r] < 0]
@@ -181,19 +209,32 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         return INF
     inf_cost = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
 
-    left = np.array(d1.finite, dtype=float).reshape(-1, 2)
-    right = np.array(d2.finite, dtype=float).reshape(-1, 2)
-    half_l = (left[:, 1] - left[:, 0]) / 2.0
-    half_r = (right[:, 1] - right[:, 0]) / 2.0
-    cost = np.maximum(
-        np.abs(left[:, None, 0] - right[None, :, 0]),
-        np.abs(left[:, None, 1] - right[None, :, 1]),
-    )
-    cands = np.unique(np.concatenate(([0.0, inf_cost], half_l, half_r, cost.ravel())))
-    cands = cands[cands >= inf_cost]
+    left, right = d1.finite, d2.finite
+    nl, nr = len(left), len(right)
+    if max(nl, nr) <= SMALL_DIAGRAM:
+        # the numpy route's values from the same IEEE operations, as lists
+        half_l = [(d - b) / 2.0 for b, d in left]
+        half_r = [(d - b) / 2.0 for b, d in right]
+        cost = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in right] for b, d in left]
+        cost_t = [[max(abs(b - b2), abs(d - d2)) for b, d in left] for b2, d2 in right]
+        cands = sorted({0.0, inf_cost, *half_l, *half_r, *(x for row in cost for x in row)})
+        cands = [x for x in cands if x >= inf_cost]
+        adjacency = _small_adjacency
+    else:
+        left = np.array(left, dtype=float).reshape(-1, 2)
+        right = np.array(right, dtype=float).reshape(-1, 2)
+        half_l = (left[:, 1] - left[:, 0]) / 2.0
+        half_r = (right[:, 1] - right[:, 0]) / 2.0
+        cost = np.maximum(
+            np.abs(left[:, None, 0] - right[None, :, 0]),
+            np.abs(left[:, None, 1] - right[None, :, 1]),
+        )
+        cost_t = cost.T
+        cands = np.unique(np.concatenate(([0.0, inf_cost], half_l, half_r, cost.ravel())))
+        cands = cands[cands >= inf_cost]
+        adjacency = _numpy_adjacency
 
-    nl, nr = cost.shape
-    sides = ((cost, half_l), (cost.T, half_r))
+    sides = ((cost, half_l), (cost_t, half_r))
     # matchings of the largest refuted probe: valid at every later probe,
     # since the binary search only probes above it from then on
     refuted = (([-1] * nl, [-1] * nr), ([-1] * nr, [-1] * nl))
@@ -202,7 +243,8 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     while lo < hi:
         mid = (lo + hi) // 2
         trial = tuple((rows[:], cols[:]) for rows, cols in refuted)
-        if all(_covers(*side, cands[mid], *m) for side, m in zip(sides, trial)):
+        c = cands[mid]
+        if all(_covers(adjacency(*side, c), *m) for side, m in zip(sides, trial)):
             hi = mid
         else:
             lo = mid + 1

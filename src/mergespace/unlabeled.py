@@ -6,10 +6,20 @@ other.  The search space is finite: candidate shifts come from pairwise
 height differences (and their halves), and for a given shift each tree's
 leaves only need placements at leaf height + shift in the opposite tree,
 one per crossing branch.  A pruned exhaustive search over those placements
-decides feasibility per candidate.  Feasibility is monotone in the shift (a
-map that is good at some shift stays good at any larger one), so the
-candidates are bisected: the smallest feasible one is found in about
-log2(C) + 1 probes of C candidates.
+decides feasibility per candidate, depth-first on an explicit stack, so no
+leaf count meets the recursion limit.
+
+The search starts from a lower bound.  The bottleneck distance between the
+trees' persistence diagrams never exceeds the interleaving distance, and
+on random pairs it usually equals it.  Every candidate below bound - slack
+counts as refuted, where slack = tol * span is the tolerance the probes
+compare with; the slack matters, since the bound can round one ULP above
+a candidate that is feasible within the tolerance.  The first probe is the
+lowest candidate left.  Only when it is refuted does the search go on, and
+feasibility being monotone in the shift (a map that is good at some shift
+stays good at any larger one), it bisects the candidates above: the
+smallest feasible one is found in about log2(C) + 1 probes of C
+candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
 max(h_p, h_q, H[p.anchor][q.anchor]), with H the lowest-common-ancestor
@@ -18,13 +28,17 @@ path and the higher one is the meet, or the meet is the vertex where their
 anchors join, which lies above both.  H is one induced matrix per tree,
 built once per call.
 
-Every result is double-checked from below: feasibility is re-tested just
-under the returned value, and the `certified` flag records that the re-test
-failed as expected.  An uncertified result is still a valid upper bound.
+Every result is double-checked from below at value * (1 - 1e-6), and the
+`certified` flag records that nothing feasible lies there.  When that
+shift plus twice the slack is still below the bound, the bound proves it
+and no probe runs; otherwise feasibility is re-tested there and must fail.
+`certified_by` on the result says which.  An uncertified result is still a
+valid upper bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,6 +46,7 @@ from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing, _points_at
 from .matrices import induced_matrix
 from .metrics import DEFAULT_TOL
+from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
     MergeTree,
@@ -52,12 +67,16 @@ class UnlabeledDistance:
     value: smallest candidate shift that admitted a placement.
     witness: the feasible placement as a label pairing (apply it to get two
     labeled trees realizing the value).
-    certified: feasibility was refuted at value * (1 - 1e-6); when False the
+    certified: feasibility is refuted at value * (1 - 1e-6); when False the
     value is only an upper bound and `refuted_below` tells how far down the
     search actually refuted.
-    refuted_below: largest candidate shift shown infeasible, or None when
-    value is 0.
+    refuted_below: largest candidate shift shown infeasible, by a probe or
+    by the bound, or None when value is 0.
     probes: feasibility tests run, the re-test below the value included.
+    lower_bound: bottleneck distance of the trees' persistence diagrams.
+    certified_by: what certified the value: "zero" (nothing lies below
+    it), "bound" (`lower_bound` refutes the re-test shift), "retest" (the
+    re-test probe was refuted), or None when uncertified.
     """
 
     value: float
@@ -65,6 +84,8 @@ class UnlabeledDistance:
     certified: bool
     refuted_below: float = None
     probes: int = 0
+    lower_bound: float = None
+    certified_by: str = None
 
 
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
@@ -137,26 +158,35 @@ class _Search:
                     return False
             return True
 
-        def dfs(i: int):
-            nonlocal states
-            if i == len(order):
-                return True
+        # depth-first over `order` with an explicit stack: tried[i] counts
+        # the candidates tried for label order[i], and assigned == order[:i]
+        tried = [0] * len(order)
+        i = 0
+        while 0 <= i < len(order):
             k = order[i]
             store = pos2 if k < n1 else pos1
-            for cand in cands[k]:
+            options = cands[k]
+            j = tried[i]
+            while j < len(options):
                 states += 1
                 if states > budget:
                     raise BudgetExceededError(budget)
-                store[k] = cand
+                store[k] = options[j]
+                j += 1
                 if fits(k):
-                    assigned.append(k)
-                    if dfs(i + 1):
-                        return True
+                    break
+            else:
+                # exhausted: back up and move the previous label on
+                tried[i] = 0
+                i -= 1
+                if i >= 0:
                     assigned.pop()
-            store[k] = None
-            return False
+                continue
+            tried[i] = j
+            assigned.append(k)
+            i += 1
 
-        if not dfs(0):
+        if i < 0:
             return None
         pairs = tuple((pos1[k][3], pos2[k][3]) for k in labels)
         return LabelPairing(t1, t2, pairs)
@@ -182,8 +212,12 @@ def unlabeled_interleaving(
     b = canonicalize_tree(_bare(t2).ensure_valid())
     shifts = candidate_shifts(a, b)
     # the largest candidate is the height span of both trees together
-    search = _Search(a, b, budget, tol * shifts[-1])
-    lo, hi = 0, len(shifts)  # shifts[:lo] refuted, shifts[hi:] feasible
+    slack = tol * shifts[-1]
+    search = _Search(a, b, budget, slack)
+    bound = bottleneck_tree_distance(a, b)
+    # shifts[:lo] refuted (the bound refutes every shift below bound - slack),
+    # shifts[hi:] feasible; the first probe is the lowest shift left open
+    lo, hi = bisect_left(shifts, bound - slack), len(shifts)
     witness = None
 
     def probe(delta: float):
@@ -197,20 +231,26 @@ def unlabeled_interleaving(
                 feasible_at=shifts[hi] if hi < len(shifts) else None,
             ) from None
 
+    mid = lo
     while lo < hi:
-        mid = (lo + hi) // 2
         found = probe(shifts[mid])
         if found is None:
             lo = mid + 1
         else:
             hi, witness = mid, found
+        mid = (lo + hi) // 2
     if witness is None:
         raise MergespaceError("no feasible shift found; candidate set exhausted")
     delta = shifts[hi]
     if delta == 0.0:
-        return UnlabeledDistance(0.0, witness, True, None, search.probes)
-    eps = 1e-6 * delta
-    recheck = probe(delta - eps)
+        return UnlabeledDistance(0.0, witness, True, None, search.probes, bound, "zero")
+    below = delta - 1e-6 * delta
+    if below + 2 * slack < bound:
+        # the re-test shift lies below the bound by more than the tolerance
+        # can bridge, so the bound refutes it
+        by = "bound"
+    else:
+        by = "retest" if probe(below) is None else None
     return UnlabeledDistance(
-        delta, witness, recheck is None, shifts[hi - 1], search.probes
+        delta, witness, by is not None, shifts[hi - 1], search.probes, bound, by
     )

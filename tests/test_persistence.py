@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from mergespace import persistence
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,3 +229,41 @@ def test_bottleneck_property_matches_the_scipy_reference(on_grid, data):
     want = bottleneck_reference(a, b)
     assert bottleneck_distance(a, b) == want
     assert bottleneck_covering_reference(a, b) == want
+
+
+def _on_path(small: bool, a: PersistenceDiagram, b: PersistenceDiagram) -> float:
+    """bottleneck_distance forced onto the plain-Python or the numpy path."""
+    saved = persistence.SMALL_DIAGRAM
+    persistence.SMALL_DIAGRAM = INF if small else -1
+    try:
+        return bottleneck_distance(a, b)
+    finally:
+        persistence.SMALL_DIAGRAM = saved
+
+
+# sizes on both sides of the threshold, empty sides and unequal essentials
+# included; the integer grid makes ties and duplicate points common
+around_the_threshold = dict(
+    min_size=0, max_size=persistence.SMALL_DIAGRAM + 4, essentials=st.integers(0, 2)
+)
+
+
+@settings(max_examples=150)
+@given(st.booleans(), st.data())
+def test_bottleneck_property_small_path_is_bit_identical(on_grid, data):
+    pytest.importorskip("scipy")
+    births, spans = (grid_births, grid_lifetimes) if on_grid else (real_births, real_lifetimes)
+    sized = diagrams(births, spans, **around_the_threshold)
+    a, b = data.draw(sized), data.draw(sized)
+    small, dense = _on_path(True, a, b), _on_path(False, a, b)
+    assert small.hex() == dense.hex()
+    assert small == bottleneck_reference(a, b)
+    assert bottleneck_distance(a, b).hex() == small.hex()
+
+
+def test_bottleneck_small_path_covers_the_tiny_cases():
+    empty, lone = PersistenceDiagram([]), PersistenceDiagram([(0.0, INF)])
+    pair = PersistenceDiagram([(0.0, INF), (1.0, 3.0), (1.0, 3.0)])
+    for a, b, want in [(empty, empty, 0.0), (lone, lone, 0.0), (pair, lone, 1.0),
+                       (lone, pair, 1.0), (pair, pair, 0.0), (empty, lone, INF)]:
+        assert _on_path(True, a, b) == _on_path(False, a, b) == want

@@ -21,7 +21,7 @@ from mergespace import (
 from mergespace.goodmaps import _points_at
 from mergespace.metrics import DEFAULT_TOL
 from mergespace.unlabeled import _meet_table, _Search
-from util import rand_merge_tree, rand_point, unlabeled_scan_oracle
+from util import rand_grown_tree, rand_merge_tree, rand_point, unlabeled_scan_oracle
 
 TWO_LEAF = MergeTree([(0, 0.0), (1, 0.0), (2, 2.0)], [(0, 2), (1, 2)])
 SINGLE = MergeTree([(0, 0.0)], [])
@@ -141,33 +141,60 @@ def test_labels_on_inputs_are_ignored():
     assert unlabeled_interleaving(lt, SINGLE).value == 1.0
 
 
+# same diagram {(0, inf), (1, 5), (2, 3)}, different trees: the bottleneck
+# bound is 0 while the value is not, so the search starts with no bracket
+SAME_DIAGRAM_A = MergeTree(
+    [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0), (4, 5.0)],
+    [(1, 3), (2, 3), (3, 4), (0, 4)],
+)
+SAME_DIAGRAM_B = MergeTree(
+    [(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0), (4, 5.0)],
+    [(0, 3), (2, 3), (3, 4), (1, 4)],
+)
+
+
 def test_budget_errors_carry_the_bracket():
-    full = unlabeled_interleaving(BUDGET_A, BUDGET_B)
-    shifts = candidate_shifts(canonicalize_tree(BUDGET_A), canonicalize_tree(BUDGET_B))
+    # BUDGET_A/B is settled by its first probe; the seeded pair's bound lies
+    # strictly between 0 and its value, so its search bisects above the
+    # bound after a refuted first probe
+    pairs = [
+        (BUDGET_A, BUDGET_B),
+        (SAME_DIAGRAM_A, SAME_DIAGRAM_B),
+        next(_pairs(109, 1, 4, grid=False)),
+    ]
     seen = set()
-    for budget in range(1, 200):
-        try:
-            r = unlabeled_interleaving(BUDGET_A, BUDGET_B, budget=budget)
-        except BudgetExceededError as err:
-            assert str(err).startswith(f"search budget of {budget} states exceeded at shift ")
-            assert err.budget == budget
-            low, high = err.refuted_below, err.feasible_at
-            assert low is None or low < full.value
-            assert high is None or high >= full.value
-            if err.delta == full.value - 1e-6 * full.value:  # the re-test
-                assert (low, high) == (full.refuted_below, full.value)
+    for a, b in pairs:
+        full = unlabeled_interleaving(a, b)
+        shifts = candidate_shifts(canonicalize_tree(a), canonicalize_tree(b))
+        slack = DEFAULT_TOL * shifts[-1]
+        for budget in range(1, 400):
+            try:
+                r = unlabeled_interleaving(a, b, budget=budget)
+            except BudgetExceededError as err:
+                assert str(err).startswith(f"search budget of {budget} states exceeded at shift ")
+                assert err.budget == budget
+                low, high = err.refuted_below, err.feasible_at
+                assert low is None or low < full.value
+                assert high is None or high >= full.value
+                # every candidate the bound refutes is reported as refuted
+                refuted = [s for s in shifts if s < full.lower_bound - slack]
+                if refuted:
+                    assert low is not None and low >= refuted[-1]
+                if err.delta == full.value - 1e-6 * full.value:  # the re-test
+                    assert (low, high) == (full.refuted_below, full.value)
+                else:
+                    assert err.delta in shifts
+                    assert low is None or low < err.delta
+                    assert high is None or err.delta < high
+                seen.add((low is None, high is None))
             else:
-                assert err.delta in shifts
-                assert low is None or low < err.delta
-                assert high is None or err.delta < high
-            seen.add((low is None, high is None))
+                assert r == full
+                break
         else:
-            assert r == full
-            break
-    else:
-        pytest.fail("no budget below 200 was enough")
-    # some budgets fail before any bracket exists, some once both ends do
-    assert (True, True) in seen and (False, False) in seen
+            pytest.fail("no budget below 400 was enough")
+    # some budgets fail before any bracket exists, some with only the bound's
+    # refutation, some once both ends do
+    assert {(True, True), (False, True), (False, False)} <= seen
 
 
 def _pairs(seed, count, max_leaves, grid=None):
@@ -239,3 +266,52 @@ def test_meet_table_matches_lca():
                 for q in points:
                     got = max(p.height, q.height, meets[rows[p.anchor]][rows[q.anchor]])
                     assert got == lca(t, p, q).height
+
+
+@settings(max_examples=200)
+@given(small_pairs)
+def test_unlabeled_property_bound_first_equals_the_ascending_scan(pair):
+    a, b = pair
+    r = unlabeled_interleaving(a, b)
+    value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b)
+    assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
+    assert r.witness.pairs == witness.pairs
+    assert r.lower_bound == bottleneck_tree_distance(a, b)
+    slack = DEFAULT_TOL * candidate_shifts(canonicalize_tree(a), canonicalize_tree(b))[-1]
+    if r.value == 0.0:
+        assert r.certified_by == "zero"
+    elif r.value - 1e-6 * r.value + 2 * slack < r.lower_bound:
+        assert r.certified_by == "bound"
+    else:
+        assert r.certified_by == ("retest" if r.certified else None)
+
+
+def test_bound_first_does_not_start_at_the_float_bound():
+    # the bound rounds to 0.7000000000000002, yet the candidate 0.7 just
+    # below it is feasible within the tolerance: a search that started at
+    # the bound would return the larger value, flagged certified
+    r = unlabeled_interleaving(BUDGET_A, BUDGET_B)
+    assert r.lower_bound == 0.7000000000000002
+    assert r.value == 0.7
+    assert (r.certified, r.certified_by, r.probes) == (True, "bound", 1)
+    assert (r.value, r.certified, r.refuted_below) == unlabeled_scan_oracle(BUDGET_A, BUDGET_B)[:3]
+
+
+def test_near_copies_are_certified():
+    # a 40-leaf tree against itself with every height moved by at most 0.02:
+    # the bottom-up bisection ran out of budget on such pairs
+    rng = np.random.default_rng(211)
+    t = rand_grown_tree(rng, 40)
+    moved = MergeTree([(v, h + float(rng.uniform(-0.02, 0.02))) for v, h in t.vertices], t.edges)
+    r = unlabeled_interleaving(t, moved)
+    assert r.certified
+    assert r.lower_bound <= r.value <= 0.04
+    lt1, lt2 = apply_pairing(r.witness)
+    assert abs(labeled_interleaving(lt1, lt2) - r.value) <= 1e-9
+
+
+def test_a_large_tree_against_itself_is_one_probe():
+    # 1200 labels: one placement per label, deeper than the recursion limit
+    t = rand_grown_tree(np.random.default_rng(600), 600)
+    r = unlabeled_interleaving(t, t)
+    assert (r.value, r.certified, r.certified_by, r.probes) == (0.0, True, "zero", 1)

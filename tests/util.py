@@ -113,6 +113,24 @@ def rand_merge_tree(rng, max_leaves: int = 5, integral: bool = False) -> MergeTr
     return MergeTree(vertices, edges).ensure_valid()
 
 
+def rand_grown_tree(rng, n_leaves: int) -> MergeTree:
+    """Tree on exactly n_leaves leaves, grown as the benchmark grows its
+    trees: leaves born in [0, 4], each merge 0.05 to 1.5 above its highest
+    child, one merge in five ternary."""
+    vertices = [(v, float(rng.uniform(0.0, 4.0))) for v in range(n_leaves)]
+    height = dict(vertices)
+    active, edges = list(range(n_leaves)), []
+    while len(active) > 1:
+        size = 3 if len(active) > 2 and rng.random() < 0.2 else 2
+        kids = [active.pop(int(rng.integers(len(active)))) for _ in range(size)]
+        v = len(vertices)
+        height[v] = max(height[c] for c in kids) + float(rng.uniform(0.05, 1.5))
+        vertices.append((v, height[v]))
+        edges += [(c, v) for c in kids]
+        active.append(v)
+    return MergeTree(vertices, edges).ensure_valid()
+
+
 def rand_labeled_tree(
     rng, n_labels: int, max_leaves: int = 5, integral: bool = False
 ) -> LabeledMergeTree:
