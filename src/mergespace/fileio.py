@@ -42,10 +42,7 @@ __all__ = [
 
 def fmt_num(x: float) -> str:
     """Shortest decimal that parses back to the same float."""
-    x = float(x)
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+    return repr(_jsonable_num(x))
 
 
 def _jsonable_num(x: float):

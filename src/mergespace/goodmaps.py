@@ -10,25 +10,27 @@ pairings, and the conversions between them live here.
 
 Float discipline: stored heights are compared exactly where possible, but
 image heights arise as sums (height + delta), so point lookups snap within
-a small tolerance instead of demanding bit equality.
+`height_tol` of the two trees rather than demand bit equality; scaling
+every height by a power of two changes no verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Union
 
 import numpy as np
 
 from .errors import MalformedMapError, MergespaceError
 from .matrices import induced_matrix
-from .metrics import DEFAULT_TOL
 from .trees import (
     LabeledMergeTree,
     MergeTree,
     PointOnTree,
     ancestor_at,
     as_point,
+    height_tol,
     is_vertex_point,
     lca,
     refine_at,
@@ -88,6 +90,10 @@ class VertexMap:
     @property
     def image_of(self) -> dict:
         return dict(self.images)
+
+    @cached_property
+    def tol(self) -> float:
+        return height_tol(self.source, self.target)
 
 
 @dataclass(frozen=True)
@@ -184,29 +190,27 @@ def _snap_point(t: MergeTree, p: PointOnTree, tol: float) -> PointOnTree:
     return p
 
 
-def map_point(
-    vm: VertexMap, x: Union[PointOnTree, int], tol: float = DEFAULT_TOL
-) -> PointOnTree:
+def map_point(vm: VertexMap, x: Union[PointOnTree, int]) -> PointOnTree:
     """Image of an arbitrary source point, by continuity from its anchor.
 
     Heights recombine as x.height + delta, which can land a rounding step
     away from a vertex the exact map would hit; the result snaps onto any
-    vertex within tol."""
+    vertex within the map's tolerance."""
     x = as_point(vm.source, x)
     base = vm.image_of[x.anchor]
     h = x.height + vm.delta
     if h < base.height:
         # sub-tolerance shift wobble; never more once the map verifies
         h = base.height
-    return _snap_point(vm.target, ancestor_at(vm.target, base, h), tol)
+    return _snap_point(vm.target, ancestor_at(vm.target, base, h), vm.tol)
 
 
-def preimage_of(vm: VertexMap, p: PointOnTree, tol: float = DEFAULT_TOL):
+def preimage_of(vm: VertexMap, p: PointOnTree):
     """All source points mapping to p, one per branch, sorted by anchor."""
     src_h = p.height - vm.delta
     out = []
-    for x in _points_at(vm.source, src_h, tol):
-        if _points_close(vm.target, map_point(vm, x), p, 2 * tol):
+    for x in _points_at(vm.source, src_h, vm.tol):
+        if _points_close(vm.target, map_point(vm, x), p, 2 * vm.tol):
             out.append(x)
     return out
 
@@ -214,7 +218,18 @@ def preimage_of(vm: VertexMap, p: PointOnTree, tol: float = DEFAULT_TOL):
 # -- goodness -------------------------------------------------------------
 
 
-def verify_delta_good(vm: VertexMap, tol: float = DEFAULT_TOL) -> GoodMapReport:
+def _missed_branches(vm: VertexMap, vertices):
+    """(w, attach) for each target vertex w whose branch no leaf image reaches,
+    attach being the lowest meet of w with a leaf image."""
+    t = vm.target
+    leaf_images = [vm.image_of[leaf] for leaf in vm.source.leaves]
+    for w in vertices:
+        wp = vertex_point(t, w)
+        if not any(_is_ancestor_close(t, li, wp, vm.tol) for li in leaf_images):
+            yield w, min((lca(t, wp, li) for li in leaf_images), key=lambda p: p.height)
+
+
+def verify_delta_good(vm: VertexMap) -> GoodMapReport:
     """Check the three goodness conditions, reporting the first failure.
 
     height-shift: every vertex image sits exactly delta above its vertex.
@@ -225,7 +240,7 @@ def verify_delta_good(vm: VertexMap, tol: float = DEFAULT_TOL) -> GoodMapReport:
     missed-depth: any target branch the image misses is shallower than
     2*delta.
     """
-    s, t, d = vm.source, vm.target, vm.delta
+    s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
     img = vm.image_of
 
     for v in sorted(s.height):
@@ -254,7 +269,7 @@ def verify_delta_good(vm: VertexMap, tol: float = DEFAULT_TOL) -> GoodMapReport:
         if g - d < min(s.subtree_min.values()) - tol:
             continue
         for p in _points_at(t, g, 0.0):
-            pre = preimage_of(vm, p, tol)
+            pre = preimage_of(vm, p)
             if len(pre) < 2:
                 continue
             meet = pre[0]
@@ -269,14 +284,7 @@ def verify_delta_good(vm: VertexMap, tol: float = DEFAULT_TOL) -> GoodMapReport:
                     f"({p.anchor}, {p.height}) but lie {spread} below it",
                 )
 
-    leaf_images = [img[leaf] for leaf in s.leaves]
-    for w in sorted(t.height):
-        wp = vertex_point(t, w)
-        if any(_is_ancestor_close(t, li, wp, tol) for li in leaf_images):
-            continue
-        attach = min(
-            (lca(t, wp, li) for li in leaf_images), key=lambda p: p.height
-        )
+    for w, attach in _missed_branches(vm, sorted(t.height)):
         gap = attach.height - t.subtree_min[w]
         if gap > 2 * d + tol:
             return GoodMapReport(
@@ -291,7 +299,7 @@ def verify_delta_good(vm: VertexMap, tol: float = DEFAULT_TOL) -> GoodMapReport:
 # -- map -> labeling ------------------------------------------------------
 
 
-def labeling_from_map(vm: VertexMap, tol: float = DEFAULT_TOL) -> LabelPairing:
+def labeling_from_map(vm: VertexMap) -> LabelPairing:
     """Optimal label transfer along a delta-good map.
 
     Every source leaf contributes its whole image preimage as pairs; every
@@ -300,7 +308,7 @@ def labeling_from_map(vm: VertexMap, tol: float = DEFAULT_TOL) -> LabelPairing:
     insertion positions.  The applied pairing realizes a labeled distance of
     at most delta when the map is delta-good.
     """
-    s, t = vm.source, vm.target
+    s, t, tol = vm.source, vm.target, vm.tol
     pairs = []
     seen = []
     for v in s.leaves:
@@ -308,25 +316,17 @@ def labeling_from_map(vm: VertexMap, tol: float = DEFAULT_TOL) -> LabelPairing:
         if any(_points_close(t, w, u, tol) for u in seen):
             continue
         seen.append(w)
-        for x in preimage_of(vm, w, tol):
+        for x in preimage_of(vm, w):
             pairs.append((x, w))
 
-    leaf_images = [vm.image_of[leaf] for leaf in s.leaves]
-    for w in t.leaves:
-        wp = vertex_point(t, w)
-        if any(_is_ancestor_close(t, li, wp, tol) for li in leaf_images):
-            continue
-        attach = min(
-            (lca(t, wp, li) for li in leaf_images), key=lambda p: p.height
-        )
-        attach = _snap_point(t, attach, tol)
-        pre = preimage_of(vm, attach, tol)
+    for w, attach in _missed_branches(vm, t.leaves):
+        pre = preimage_of(vm, _snap_point(t, attach, tol))
         if not pre:
             raise MalformedMapError(
                 f"no preimage for the image point above target leaf {w}; "
                 f"is the map delta-good?"
             )
-        pairs.append((pre[0], wp))
+        pairs.append((pre[0], vertex_point(t, w)))
     return LabelPairing(s, t, tuple(pairs))
 
 
@@ -347,12 +347,7 @@ def apply_pairing(pairing: LabelPairing):
 # -- labeling -> map ------------------------------------------------------
 
 
-def map_from_labeling(
-    t1: LabeledMergeTree,
-    t2: LabeledMergeTree,
-    delta: float,
-    tol: float = DEFAULT_TOL,
-):
+def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
     """Shift map determined by a shared labeling, if one exists at this delta.
 
     Sends each source vertex to the point delta above where its subtree's
@@ -372,6 +367,7 @@ def map_from_labeling(
     a = induced_matrix(t1).array
     b = induced_matrix(t2).array
     gaps = np.abs(a - b)
+    tol = height_tol(t1, t2)
     first = int(np.argmax(gaps > delta + tol))  # first offending entry, row-major
     if gaps.flat[first] > delta + tol:
         i, j = divmod(first, t1.n_labels)

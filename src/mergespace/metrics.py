@@ -14,12 +14,9 @@ import numpy as np
 
 from .errors import MergespaceError
 from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix
-from .trees import LabeledMergeTree
-
-DEFAULT_TOL = 1e-9
+from .trees import LabeledMergeTree, height_tol
 
 __all__ = [
-    "DEFAULT_TOL",
     "labeled_interleaving",
     "geodesic_point",
     "geodesic_length",
@@ -61,13 +58,12 @@ def geodesic_point(
 
 
 def geodesic_length(
-    t1: LabeledMergeTree, t2: LabeledMergeTree, samples: int = 10,
-    tol: float = DEFAULT_TOL,
+    t1: LabeledMergeTree, t2: LabeledMergeTree, samples: int = 10
 ) -> float:
     """Sum of step distances along a uniform partition of the geodesic.
 
     Any partition reproduces the endpoint distance; the function checks that
-    identity within tol before returning, as a guard on the construction.
+    identity within `height_tol` per rounded step, as a guard on the construction.
     """
     if samples < 1:
         raise MergespaceError("need at least one sample segment")
@@ -79,7 +75,7 @@ def geodesic_length(
         total += labeled_interleaving(prev, cur)
         prev = cur
     direct = linf_distance(m1, m2)
-    if abs(total - direct) > tol:
+    if abs(total - direct) > samples * height_tol(t1, t2):
         raise MergespaceError(
             f"geodesic additivity broken: partition sum {total} vs {direct}"
         )

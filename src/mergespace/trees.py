@@ -299,6 +299,16 @@ def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
     return t.tree if isinstance(t, LabeledMergeTree) else t
 
 
+REL_TOL = 1e-9
+
+
+def height_tol(*trees) -> float:
+    """Height slack of these trees: REL_TOL of their span, floored at their rounding."""
+    hs = [h for t in trees for _, h in _bare(t).vertices]
+    # 8 ULPs: a compared height is a sum or difference of a few rounded ones
+    return max(REL_TOL * (max(hs) - min(hs)), 8 * math.ulp(max(map(abs, hs))))
+
+
 def validate_tree(t: Union[MergeTree, LabeledMergeTree]) -> ValidationReport:
     """Structural validation as data; never raises on a broken tree."""
     return t.validation

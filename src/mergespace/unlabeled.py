@@ -12,10 +12,10 @@ leaf count meets the recursion limit.
 The search starts from a lower bound.  The bottleneck distance between the
 trees' persistence diagrams never exceeds the interleaving distance, and
 on random pairs it usually equals it.  Every candidate below bound - slack
-counts as refuted, where slack = tol * span is the tolerance the probes
-compare with; the slack matters, since the bound can round one ULP above
-a candidate that is feasible within the tolerance.  The first probe is the
-lowest candidate left.  Only when it is refuted does the search go on, and
+counts as refuted, where slack = height_tol(t1, t2) is the tolerance the
+probes compare with; the slack matters, since the bound can round one ULP
+above a candidate feasible within it.  The first probe is the lowest
+candidate left.  Only when it is refuted does the search go on, and
 feasibility being monotone in the shift (a map that is good at some shift
 stays good at any larger one), it bisects the candidates above: the
 smallest feasible one is found in about log2(C) + 1 probes of C
@@ -45,13 +45,13 @@ from typing import Union
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing, _points_at
 from .matrices import induced_matrix
-from .metrics import DEFAULT_TOL
 from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
     MergeTree,
     _bare,
     canonicalize_tree,
+    height_tol,
     vertex_point,
 )
 
@@ -196,23 +196,21 @@ def unlabeled_interleaving(
     t1: Union[MergeTree, LabeledMergeTree],
     t2: Union[MergeTree, LabeledMergeTree],
     budget: int = DEFAULT_BUDGET,
-    tol: float = DEFAULT_TOL,
 ) -> UnlabeledDistance:
     """Exact distance between bare merge trees, with witness labeling.
 
-    Labels on the inputs are ignored.  `tol` is relative: height comparisons
-    allow `tol` times the height span (highest minus lowest vertex of both
-    trees), so scaling every height by a power of two scales the value
-    exactly.  `budget` bounds the assignment states each feasibility test
-    may explore; exceeding it raises :class:`BudgetExceededError`, which
-    names the shift under test and the bracket established so far, rather
-    than guessing.
+    Labels on the inputs are ignored.  Heights compare within `height_tol`
+    of the two trees, so scaling every height by a power of two scales the
+    value exactly; at offsets whose rounding swallows the re-test shift,
+    values come back uncertified.  `budget` bounds the assignment states
+    each feasibility test may explore; exceeding it raises
+    :class:`BudgetExceededError`, which names the shift under test and the
+    bracket established so far, rather than guessing.
     """
     a = canonicalize_tree(_bare(t1).ensure_valid())
     b = canonicalize_tree(_bare(t2).ensure_valid())
     shifts = candidate_shifts(a, b)
-    # the largest candidate is the height span of both trees together
-    slack = tol * shifts[-1]
+    slack = height_tol(a, b)
     search = _Search(a, b, budget, slack)
     bound = bottleneck_tree_distance(a, b)
     # shifts[:lo] refuted (the bound refutes every shift below bound - slack),

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergespace import (
     InfeasibleLabeling,
@@ -10,7 +12,9 @@ from mergespace import (
     MergeTree,
     PointOnTree,
     VertexMap,
+    ancestor_at,
     apply_pairing,
+    geodesic_length,
     induced_matrix,
     labeled_interleaving,
     labeling_from_map,
@@ -20,9 +24,9 @@ from mergespace import (
     verify_delta_good,
 )
 from mergespace.goodmaps import preimage_of
-from mergespace.metrics import DEFAULT_TOL
+from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
-from util import rand_labeled_pair
+from util import rand_labeled_pair, with_heights
 
 WYE = MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 2), (1, 2)])
 WYE_UP = MergeTree([(0, 1.0), (1, 2.0), (2, 4.0)], [(0, 2), (1, 2)])
@@ -166,7 +170,7 @@ def test_map_from_labeling_blocks_at_the_first_offending_entry():
         delta = labeled_interleaving(a, b) * float(rng.uniform(0.0, 0.95))
         got = map_from_labeling(a, b, delta)
         want = first_offender(
-            induced_matrix(a).array, induced_matrix(b).array, delta, DEFAULT_TOL
+            induced_matrix(a).array, induced_matrix(b).array, delta, height_tol(a, b)
         )
         if want is None:
             assert isinstance(got, VertexMap)
@@ -202,3 +206,68 @@ def test_map_from_labeling_is_infeasible_below_the_distance():
         assert isinstance(got, InfeasibleLabeling)
         assert got.gap > d * 0.9
     assert seen > 10
+
+
+def test_a_tiny_scale_admits_no_map_below_the_distance():
+    # an absolute tolerance of 1e-9 swamps heights scaled by 2**-40: every
+    # pair here used to get a map at half its distance, verified as good
+    rng = np.random.default_rng(211)
+    for _ in range(100):
+        a, b = (with_heights(t, lambda h: h * 2.0**-40) for t in rand_labeled_pair(rng))
+        d = labeled_interleaving(a, b)
+        assert d > 0
+        assert isinstance(map_from_labeling(a, b, d / 2), InfeasibleLabeling)
+
+
+def _collapse_map(a, b, delta):
+    """Every vertex of a's tree sent delta up, onto the branch above b's
+    lowest leaf; delta must reach that leaf from a's lowest vertex, up to
+    the rounding the max absorbs."""
+    s, t = a.tree, b.tree
+    low = min(t.leaves, key=t.height.get)
+    images = {v: ancestor_at(t, low, max(h + delta, t.height[low])) for v, h in s.vertices}
+    return VertexMap(s, t, delta, images)
+
+
+def _map_layer_verdicts(a, b, frac):
+    """What the map layer decides for a pair: the map_from_labeling verdict
+    below and at the distance, the goodness verdict on each map, the label
+    count transferred back, and the verdict on a collapse map."""
+    d = labeled_interleaving(a, b)
+    out = []
+    for delta in (d * frac, d):
+        got = map_from_labeling(a, b, delta)
+        if isinstance(got, InfeasibleLabeling):
+            out.append(got.entry)
+        else:
+            out.append((verify_delta_good(got).condition, labeling_from_map(got).n_labels))
+    reach = max(0.0, min(b.tree.height.values()) - min(a.tree.height.values()))
+    out.append(verify_delta_good(_collapse_map(a, b, reach + d * frac)).condition)
+    return out
+
+
+labeled_pairs = st.builds(
+    lambda seed, integral: rand_labeled_pair(np.random.default_rng(seed), integral=integral),
+    st.integers(0, 2**32 - 1), st.booleans(),
+)
+fractions = st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9, 0.999])
+
+
+@settings(max_examples=60, deadline=None)
+@given(labeled_pairs, fractions, st.integers(-40, 40))
+def test_map_layer_property_power_of_two_scaling_is_exact(pair, frac, power):
+    scale = 2.0**power
+    a, b = pair
+    sa, sb = (with_heights(t, lambda h: h * scale) for t in pair)
+    assert _map_layer_verdicts(sa, sb, frac) == _map_layer_verdicts(a, b, frac)
+    assert geodesic_length(sa, sb) == geodesic_length(a, b) * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), fractions, st.integers(-50, 50))
+def test_map_layer_property_integer_translation_changes_nothing(seed, frac, shift):
+    a, b = rand_labeled_pair(np.random.default_rng(seed), integral=True)
+    ma, mb = (with_heights(t, lambda h: h + shift) for t in (a, b))
+    assert _map_layer_verdicts(ma, mb, frac) == _map_layer_verdicts(a, b, frac)
+    # with eight steps every blend of integer matrices is exact
+    assert geodesic_length(ma, mb, samples=8) == geodesic_length(a, b, samples=8)

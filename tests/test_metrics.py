@@ -19,8 +19,9 @@ from mergespace import (
     tree_of_matrix,
     ultrafy,
 )
+from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
-from util import rand_labeled_pair, rand_ultra_matrix, rand_valid_matrix
+from util import rand_labeled_pair, rand_ultra_matrix, rand_valid_matrix, with_heights
 
 
 def _two_leaf(merge_h, base=0.0):
@@ -143,3 +144,14 @@ def test_one_center_of_a_single_tree_is_that_tree():
 def test_one_center_needs_at_least_one_tree():
     with pytest.raises(MergespaceError):
         one_center([])
+
+
+def test_geodesic_length_at_a_large_offset():
+    # heights near 1e12 round at 2**-13, so the partition sum may differ
+    # from the direct distance by far more than an absolute 1e-9
+    rng = np.random.default_rng(229)
+    for _ in range(60):
+        pair = rand_labeled_pair(rng, integral=True)
+        a, b = (with_heights(t, lambda h: h + 1e12) for t in pair)
+        gap = geodesic_length(a, b) - labeled_interleaving(a, b)
+        assert abs(gap) <= 10 * height_tol(a, b)

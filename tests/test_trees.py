@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,9 +27,12 @@ from mergespace import (
     validate_tree,
     vertex_point,
 )
+import mergespace
 from mergespace.trees import (
+    REL_TOL,
     ancestor_at,
     as_point,
+    height_tol,
     is_ancestor_point,
     is_vertex_point,
     on_root_ray,
@@ -273,3 +279,23 @@ def test_random_trees_validate(seed=5):
         assert validate_tree(t).ok
         lt = rand_labeled_tree(rng, int(rng.integers(1, 7)), max_leaves=4)
         assert lt.validation.ok
+
+
+def test_height_tol_is_relative_to_the_span_with_a_ulp_floor():
+    wye = _wye()
+    assert height_tol(wye) == REL_TOL * 3.0
+    assert height_tol(LabeledMergeTree(wye, {1: 0, 2: 1}), wye) == REL_TOL * 3.0
+    scaled = MergeTree([(v, h * 2.0**-40) for v, h in wye.vertices], wye.edges)
+    assert height_tol(scaled) == height_tol(wye) * 2.0**-40
+    far = MergeTree([(v, h + 2.0**40) for v, h in wye.vertices], wye.edges)
+    assert height_tol(far) == 8 * math.ulp(2.0**40 + 3.0)
+
+
+def test_no_public_callable_takes_a_tolerance():
+    for name in mergespace.__all__:
+        try:
+            params = inspect.signature(getattr(mergespace, name)).parameters
+        except ValueError:  # exceptions with only a builtin constructor
+            continue
+        assert "tol" not in params, name
+    assert "height_tol" not in mergespace.__all__

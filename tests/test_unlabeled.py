@@ -18,10 +18,17 @@ from mergespace import (
     unlabeled_interleaving,
     vertex_point,
 )
+from mergespace import trees
 from mergespace.goodmaps import _points_at
-from mergespace.metrics import DEFAULT_TOL
+from mergespace.trees import height_tol
 from mergespace.unlabeled import _meet_table, _Search
-from util import rand_grown_tree, rand_merge_tree, rand_point, unlabeled_scan_oracle
+from util import (
+    rand_grown_tree,
+    rand_merge_tree,
+    rand_point,
+    unlabeled_scan_oracle,
+    with_heights,
+)
 
 TWO_LEAF = MergeTree([(0, 0.0), (1, 0.0), (2, 2.0)], [(0, 2), (1, 2)])
 SINGLE = MergeTree([(0, 0.0)], [])
@@ -165,8 +172,8 @@ def test_budget_errors_carry_the_bracket():
     seen = set()
     for a, b in pairs:
         full = unlabeled_interleaving(a, b)
-        shifts = candidate_shifts(canonicalize_tree(a), canonicalize_tree(b))
-        slack = DEFAULT_TOL * shifts[-1]
+        ca, cb = canonicalize_tree(a), canonicalize_tree(b)
+        shifts, slack = candidate_shifts(ca, cb), height_tol(ca, cb)
         for budget in range(1, 400):
             try:
                 r = unlabeled_interleaving(a, b, budget=budget)
@@ -208,22 +215,27 @@ def _pairs(seed, count, max_leaves, grid=None):
         )
 
 
-@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-4])
-def test_bisection_equals_the_ascending_scan(tol):
+@pytest.mark.parametrize("rel_tol", [trees.REL_TOL, 1e-4])
+def test_bisection_equals_the_ascending_scan(rel_tol):
     # the coarse tolerance admits the re-test just below the value, which
     # leaves results uncertified: the bracket must match there too
     uncertified = 0
-    for a, b in _pairs(157, 60, 4):
-        r = unlabeled_interleaving(a, b, tol=tol)
-        value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b, tol)
-        uncertified += not certified
-        assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
-        assert r.witness.pairs == witness.pairs
-        n = len(candidate_shifts(canonicalize_tree(a), canonicalize_tree(b)))
-        assert 1 <= r.probes <= n.bit_length() + 1
-        if r.certified and r.value > 0:
-            assert r.refuted_below < r.value
-    assert uncertified == 0 if tol == DEFAULT_TOL else uncertified > 0
+    saved = trees.REL_TOL
+    trees.REL_TOL = rel_tol
+    try:
+        for a, b in _pairs(157, 60, 4):
+            r = unlabeled_interleaving(a, b)
+            value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b)
+            uncertified += not certified
+            assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
+            assert r.witness.pairs == witness.pairs
+            n = len(candidate_shifts(canonicalize_tree(a), canonicalize_tree(b)))
+            assert 1 <= r.probes <= n.bit_length() + 1
+            if r.certified and r.value > 0:
+                assert r.refuted_below < r.value
+    finally:
+        trees.REL_TOL = saved
+    assert uncertified == 0 if rel_tol == saved else uncertified > 0
 
 
 small_pairs = st.builds(
@@ -237,7 +249,7 @@ small_pairs = st.builds(
 def test_feasibility_property_is_monotone_in_the_shift(pair):
     a, b = (canonicalize_tree(t) for t in pair)
     shifts = candidate_shifts(a, b)
-    search = _Search(a, b, 10**6, DEFAULT_TOL * shifts[-1])
+    search = _Search(a, b, 10**6, height_tol(a, b))
     found = [search.feasible(d) is not None for d in shifts]
     assert found == sorted(found)
     assert found[-1]
@@ -277,7 +289,7 @@ def test_unlabeled_property_bound_first_equals_the_ascending_scan(pair):
     assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
     assert r.witness.pairs == witness.pairs
     assert r.lower_bound == bottleneck_tree_distance(a, b)
-    slack = DEFAULT_TOL * candidate_shifts(canonicalize_tree(a), canonicalize_tree(b))[-1]
+    slack = height_tol(canonicalize_tree(a), canonicalize_tree(b))
     if r.value == 0.0:
         assert r.certified_by == "zero"
     elif r.value - 1e-6 * r.value + 2 * slack < r.lower_bound:
@@ -315,3 +327,14 @@ def test_a_large_tree_against_itself_is_one_probe():
     t = rand_grown_tree(np.random.default_rng(600), 600)
     r = unlabeled_interleaving(t, t)
     assert (r.value, r.certified, r.certified_by, r.probes) == (0.0, True, "zero", 1)
+
+
+def test_values_at_a_large_offset_stay_within_the_tolerance():
+    # near 2**40 one ULP of the heights (2**-12) dwarfs the span-relative
+    # slack; subtracting the offset again is exact, which gives the reference
+    offset = 2.0**40
+    for pair in _pairs(223, 150, 4, grid=False):
+        a, b = (with_heights(t, lambda h: h + offset) for t in pair)
+        r = unlabeled_interleaving(a, b)
+        back = (with_heights(t, lambda h: h - offset) for t in (a, b))
+        assert abs(r.value - unlabeled_interleaving(*back).value) <= height_tol(a, b)

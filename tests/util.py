@@ -28,8 +28,7 @@ from mergespace import (
     ultrafy,
 )
 from mergespace.goodmaps import _points_at
-from mergespace.metrics import DEFAULT_TOL
-from mergespace.trees import _bare, as_point, vertex_point
+from mergespace.trees import _bare, as_point, height_tol, vertex_point
 
 INF = float("inf")
 
@@ -182,6 +181,13 @@ def _label_tree(rng, t: MergeTree, n: int) -> LabeledMergeTree:
     return LabeledMergeTree(
         t, {int(i + 1): targets[int(perm[i])] for i in range(n)}
     ).ensure_valid()
+
+
+def with_heights(t, f):
+    """The same tree, labels kept, with every height h replaced by f(h)."""
+    if isinstance(t, LabeledMergeTree):
+        return LabeledMergeTree(with_heights(t.tree, f), t.labels)
+    return MergeTree([(v, f(h)) for v, h in t.vertices], t.edges)
 
 
 def rand_point(rng, t: MergeTree) -> PointOnTree:
@@ -360,17 +366,16 @@ def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
     return LabelPairing(t1, t2, tuple((pos1[k], pos2[k]) for k in labels))
 
 
-def unlabeled_scan_oracle(t1, t2, tol: float = DEFAULT_TOL):
+def unlabeled_scan_oracle(t1, t2):
     """(value, certified, refuted_below, witness) by the ascending scan.
 
     Every candidate shift is tested in increasing order until the first
     feasible one, then feasibility is re-tested at value * (1 - 1e-6).
-    `tol` is relative to the height span, as in `unlabeled_interleaving`.
+    Heights compare within `height_tol`, as in `unlabeled_interleaving`.
     """
     a = canonicalize_tree(_bare(t1))
     b = canonicalize_tree(_bare(t2))
-    heights = list(a.height.values()) + list(b.height.values())
-    tol = tol * (max(heights) - min(heights))
+    tol = height_tol(a, b)
     refuted = None
     for delta in candidate_shifts(a, b):
         witness = _scan_probe(a, b, delta, tol)
