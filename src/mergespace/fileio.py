@@ -22,8 +22,6 @@ from .trees import (
     is_vertex_point,
 )
 
-MATRIX_SYM_TOL = 1e-12
-
 __all__ = [
     "fmt_num",
     "parse_tree",
@@ -64,7 +62,10 @@ def _load_json(text: str):
 
 def parse_tree_raw(text: str):
     """Decode tree JSON without validating; returns (MergeTree, labels dict)."""
-    obj = _load_json(text)
+    return _tree_from_json(_load_json(text))
+
+
+def _tree_from_json(obj):
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
     for key in ("vertices", "edges"):
@@ -110,6 +111,10 @@ def parse_tree(text: str) -> Union[MergeTree, LabeledMergeTree]:
 
 
 def write_tree(t: Union[MergeTree, LabeledMergeTree]) -> str:
+    return json.dumps(_tree_to_json(t), indent=2) + "\n"
+
+
+def _tree_to_json(t: Union[MergeTree, LabeledMergeTree]) -> dict:
     if isinstance(t, LabeledMergeTree):
         tree, labels_of = t.tree, t.labels_of
     else:
@@ -122,15 +127,14 @@ def write_tree(t: Union[MergeTree, LabeledMergeTree]) -> str:
         }
         for v, h in tree.vertices
     ]
-    payload = {"vertices": vertices, "edges": [list(e) for e in tree.edges]}
-    return json.dumps(payload, indent=2) + "\n"
+    return {"vertices": vertices, "edges": [list(e) for e in tree.edges]}
 
 
 # -- matrix text ----------------------------------------------------------
 
 
 def parse_matrix(text: str) -> SymMatrix:
-    """First line is n, then n rows of n numbers; near-symmetry is averaged."""
+    """First line is n, then n rows of n numbers; rounding asymmetry is averaged."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty matrix file")
@@ -156,7 +160,7 @@ def parse_matrix(text: str) -> SymMatrix:
         if not all(math.isfinite(x) for x in row):
             raise FormatError("entries must be finite", line=k + 1)
         rows.append(row)
-    return SymMatrix(rows, sym_tol=MATRIX_SYM_TOL)
+    return SymMatrix(rows)
 
 
 def write_matrix(m) -> str:
@@ -268,8 +272,8 @@ def parse_pairing(text: str, source: MergeTree, target: MergeTree) -> LabelPairi
 
 def write_map(vm: VertexMap) -> str:
     payload = {
-        "source": json.loads(write_tree(vm.source)),
-        "target": json.loads(write_tree(vm.target)),
+        "source": _tree_to_json(vm.source),
+        "target": _tree_to_json(vm.target),
         "delta": _jsonable_num(vm.delta),
         "images": [
             [v, _point_to_json(vm.target, p)] for v, p in vm.images
@@ -285,8 +289,8 @@ def parse_map(text: str) -> VertexMap:
     for key in ("source", "target", "delta", "images"):
         if key not in obj:
             raise FormatError(f"missing '{key}'")
-    source, _ = parse_tree_raw(json.dumps(obj["source"]))
-    target, _ = parse_tree_raw(json.dumps(obj["target"]))
+    source, _ = _tree_from_json(obj["source"])
+    target, _ = _tree_from_json(obj["target"])
     source.ensure_valid()
     target.ensure_valid()
     try:

@@ -8,6 +8,10 @@ exactly delta, merges branches no earlier than 2*delta above them, and
 misses no target branch deeper than 2*delta.  Good maps, optimal label
 pairings, and the conversions between them live here.
 
+Every ancestry test reads the meet identity of `matrices.meet_table`, from
+tables a map caches for both trees.  Merge-spread is one comparison over
+pairs of source leaves, missed-depth one row minimum over leaf images.
+
 Float discipline: stored heights are compared exactly where possible, but
 image heights arise as sums (height + delta), so point lookups snap within
 `height_tol` of the two trees rather than demand bit equality; scaling
@@ -23,7 +27,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from .errors import MalformedMapError, MergespaceError
-from .matrices import induced_matrix
+from .matrices import induced_matrix, meet_table
 from .trees import (
     LabeledMergeTree,
     MergeTree,
@@ -31,8 +35,7 @@ from .trees import (
     ancestor_at,
     as_point,
     height_tol,
-    is_vertex_point,
-    lca,
+    point_at,
     refine_at,
     vertex_point,
 )
@@ -87,13 +90,17 @@ class VertexMap:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "images", tuple(sorted(norm.items())))
 
-    @property
+    @cached_property
     def image_of(self) -> dict:
         return dict(self.images)
 
     @cached_property
     def tol(self) -> float:
         return height_tol(self.source, self.target)
+
+    @cached_property
+    def meets(self) -> tuple:
+        return meet_table(self.source), meet_table(self.target)
 
 
 @dataclass(frozen=True)
@@ -144,40 +151,23 @@ def _points_at(t: MergeTree, h: float, tol: float):
     otherwise an interior edge (or ray) point.  Sorted by anchor id.
     """
     pts = []
-    for v in sorted(t.height):
-        hv = t.height[v]
+    for v, hv in t.vertices:
+        par = t.parent[v]
         if abs(hv - h) <= tol:
             pts.append(vertex_point(t, v))
-            continue
-        if hv > h:
-            continue
-        par = t.parent[v]
-        if par is None:
-            pts.append(PointOnTree(v, h))
-        elif h < t.height[par] and abs(t.height[par] - h) > tol:
+        elif hv < h and (par is None or h < t.height[par] and abs(t.height[par] - h) > tol):
             pts.append(PointOnTree(v, h))
     return pts
 
 
-def _points_close(t: MergeTree, a: PointOnTree, b: PointOnTree, tol: float) -> bool:
-    if abs(a.height - b.height) > tol:
-        return False
-    if a.anchor == b.anchor:
-        return True
-    # distinct anchors may still be the same point up to tolerance when the
-    # branches merge within tol above (heights that differ by one rounding
-    # step straddle the merge vertex)
-    hi = max(a.height, b.height) + tol
-    return ancestor_at(t, a, hi).anchor == ancestor_at(t, b, hi).anchor
-
-
-def _is_ancestor_close(
-    t: MergeTree, below: PointOnTree, above: PointOnTree, tol: float
-) -> bool:
-    if below.height > above.height + tol:
-        return False
-    hi = max(below.height, above.height)
-    return _points_close(t, ancestor_at(t, below, hi), above, tol)
+def _points_close(meets, a: PointOnTree, b: PointOnTree, tol: float) -> bool:
+    """Whether two points coincide up to tol, by their tree's meet table: the
+    heights agree and the paths join within tol above the higher one."""
+    rows, h = meets
+    return (
+        abs(a.height - b.height) <= tol
+        and h[rows[a.anchor], rows[b.anchor]] <= max(a.height, b.height) + tol
+    )
 
 
 def _snap_point(t: MergeTree, p: PointOnTree, tol: float) -> PointOnTree:
@@ -210,7 +200,7 @@ def preimage_of(vm: VertexMap, p: PointOnTree):
     src_h = p.height - vm.delta
     out = []
     for x in _points_at(vm.source, src_h, vm.tol):
-        if _points_close(vm.target, map_point(vm, x), p, 2 * vm.tol):
+        if _points_close(vm.meets[1], map_point(vm, x), p, 2 * vm.tol):
             out.append(x)
     return out
 
@@ -221,12 +211,58 @@ def preimage_of(vm: VertexMap, p: PointOnTree):
 def _missed_branches(vm: VertexMap, vertices):
     """(w, attach) for each target vertex w whose branch no leaf image reaches,
     attach being the lowest meet of w with a leaf image."""
-    t = vm.target
-    leaf_images = [vm.image_of[leaf] for leaf in vm.source.leaves]
-    for w in vertices:
-        wp = vertex_point(t, w)
-        if not any(_is_ancestor_close(t, li, wp, vm.tol) for li in leaf_images):
-            yield w, min((lca(t, wp, li) for li in leaf_images), key=lambda p: p.height)
+    t, tol = vm.target, vm.tol
+    rows, h = vm.meets[1]
+    images = [vm.image_of[leaf] for leaf in vm.source.leaves]
+    lh = np.array([p.height for p in images])
+    hw = np.array([t.height[w] for w in vertices])[:, None]
+    joins = h[np.ix_([rows[w] for w in vertices], [rows[p.anchor] for p in images])]
+    up = np.maximum(lh, hw)
+    # w is reached when some leaf image lies below it on its path, up to tol
+    reached = (lh <= hw + tol) & (up - hw <= tol) & (joins <= up + tol)
+    attach = np.maximum(up, joins).min(axis=1)
+    for k in np.flatnonzero(~reached.any(axis=1)):
+        yield vertices[k], point_at(t, vertices[k], attach[k])
+
+
+def _merge_spread(vm: VertexMap):
+    """The merge-spread failure report, or None when there is none.
+
+    Source leaves i and j share an image point from the lowest critical
+    height g where both reach g - delta and their images meet, up to the
+    tolerance of `preimage_of`; their branches must join by g + delta + tol.
+    The witness is sought point by point at offending heights only.
+    """
+    s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
+    (srows, sh), (trows, th) = vm.meets
+    crit = np.unique([p.height for _, p in vm.images] + list(t.height.values()))
+    images = [vm.image_of[leaf] for leaf in s.leaves]
+    fh = np.array([p.height for p in images])
+    fr = [trows[p.anchor] for p in images]
+    together = np.searchsorted(crit + 2 * tol, np.maximum(np.maximum.outer(fh, fh), th[np.ix_(fr, fr)]))
+    sr = [srows[leaf] for leaf in s.leaves]
+    hl = sh[sr, sr][:, None]
+    # a leaf's branch reaches g - delta from its first critical g on; its
+    # point there is the leaf itself while that lies within tol
+    born = len(crit) - np.count_nonzero(hl - (crit - d) <= tol, axis=1)
+    g = np.append(crit, np.inf)[np.maximum(together, np.maximum.outer(born, born))]
+    at = np.where(abs(hl - (g - d)) <= tol, hl, g - d)
+    bad = sh[np.ix_(sr, sr)] - np.minimum(at, at.T) > 2 * d + tol
+    for h in np.unique(g[bad]).tolist():
+        for p in _points_at(t, h, 0.0):
+            pre = preimage_of(vm, p)
+            if len(pre) < 2:
+                continue
+            base = srows[pre[0].anchor]
+            top = float(max(max(x.height, sh[base, srows[x.anchor]]) for x in pre))
+            spread = top - min(x.height for x in pre)
+            if spread > 2 * d + tol:
+                return GoodMapReport(
+                    False, "merge-spread", (p, tuple(pre), point_at(s, pre[0].anchor, top)),
+                    f"branches merging at {top} share the image point "
+                    f"({p.anchor}, {p.height}) but lie {spread} below it",
+                )
+    return None
 
 
 def verify_delta_good(vm: VertexMap) -> GoodMapReport:
@@ -253,36 +289,17 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
             )
 
     for c, p in s.edges:
-        lifted = ancestor_at(t, img[c], max(img[c].height, img[p].height))
-        if not _points_close(t, lifted, img[p], tol):
+        # the child's image raised to the parent's image's height lands on it
+        lifted = PointOnTree(img[c].anchor, max(img[c].height, img[p].height))
+        if not _points_close(vm.meets[1], lifted, img[p], tol):
             return GoodMapReport(
                 False, "edge-coherence", (c, p),
                 f"images of edge ({c}, {p}) do not lie on one target path",
             )
 
-    # merge-spread: preimage structure only changes where some source vertex
-    # maps, or at a target vertex, so those heights carry the binding checks
-    crit = sorted(
-        {img[v].height for v in s.height} | {t.height[w] for w in t.height}
-    )
-    for g in crit:
-        if g - d < min(s.subtree_min.values()) - tol:
-            continue
-        for p in _points_at(t, g, 0.0):
-            pre = preimage_of(vm, p)
-            if len(pre) < 2:
-                continue
-            meet = pre[0]
-            for q in pre[1:]:
-                meet = lca(s, meet, q)
-            low = min(x.height for x in pre)
-            spread = meet.height - low
-            if spread > 2 * d + tol:
-                return GoodMapReport(
-                    False, "merge-spread", (p, tuple(pre), meet),
-                    f"branches merging at {meet.height} share the image point "
-                    f"({p.anchor}, {p.height}) but lie {spread} below it",
-                )
+    spread = _merge_spread(vm)
+    if spread is not None:
+        return spread
 
     for w, attach in _missed_branches(vm, sorted(t.height)):
         gap = attach.height - t.subtree_min[w]
@@ -309,15 +326,13 @@ def labeling_from_map(vm: VertexMap) -> LabelPairing:
     at most delta when the map is delta-good.
     """
     s, t, tol = vm.source, vm.target, vm.tol
-    pairs = []
-    seen = []
+    pairs, seen = [], []
     for v in s.leaves:
         w = map_point(vm, v)
-        if any(_points_close(t, w, u, tol) for u in seen):
+        if any(_points_close(vm.meets[1], w, u, tol) for u in seen):
             continue
         seen.append(w)
-        for x in preimage_of(vm, w):
-            pairs.append((x, w))
+        pairs.extend((x, w) for x in preimage_of(vm, w))
 
     for w, attach in _missed_branches(vm, t.leaves):
         pre = preimage_of(vm, _snap_point(t, attach, tol))
@@ -364,8 +379,7 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
         raise MergespaceError(
             f"label count mismatch: {t1.n_labels} vs {t2.n_labels}"
         )
-    a = induced_matrix(t1).array
-    b = induced_matrix(t2).array
+    a, b = induced_matrix(t1).array, induced_matrix(t2).array
     gaps = np.abs(a - b)
     tol = height_tol(t1, t2)
     first = int(np.argmax(gaps > delta + tol))  # first offending entry, row-major
@@ -373,31 +387,21 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
         i, j = divmod(first, t1.n_labels)
         return InfeasibleLabeling((i + 1, j + 1), float(gaps.flat[first]), delta)
 
-    s = t1.tree
-    t = t2.tree
-    below = {}  # vertex -> sorted labels in its subtree (itself included)
+    s, t = t1.tree, t2.tree
+    least = {}  # vertex -> smallest label in its subtree
     for v in s.postorder:
-        acc = list(t1.labels_of[v])
-        for c in s.children[v]:
-            acc.extend(below[c])
-        below[v] = sorted(acc)
-
-    def lift(label: int, target_h: float) -> PointOnTree:
-        w = t2.label_to_vertex[label]
-        # the label vertex may sit a hair above h+delta inside the tolerance
-        return ancestor_at(t, w, max(target_h, t.height[w]))
-
+        least[v] = min([*t1.labels_of[v], *(least[c] for c in s.children[v])])
     images = {}
     for v, hv in s.vertices:
-        labs = below[v]
-        target_h = hv + delta
-        first = lift(labs[0], target_h)
-        for i in labs[1:]:
-            other = lift(i, target_h)
-            if not _points_close(t, other, first, tol):
-                # labels of one subtree split in the target: only possible in
-                # the tolerance slack, and means no map exists at this delta
-                gap = float(abs(a[labs[0] - 1, i - 1] - b[labs[0] - 1, i - 1]))
-                return InfeasibleLabeling((labs[0], i), gap, delta)
-        images[v] = first
+        i = least[v] - 1
+        labs = np.flatnonzero(a[i] <= hv)  # the labels of v's subtree, i first
+        # each lifted to hv + delta on its target path (a label may sit a
+        # hair above); they split only in the tolerance slack, and then no
+        # map exists at this delta
+        up = np.maximum(hv + delta, np.diag(b)[labs])
+        split = (np.abs(up - up[0]) > tol) | (b[i, labs] > np.maximum(up, up[0]) + tol)
+        if split.any():
+            j = int(labs[np.argmax(split)])
+            return InfeasibleLabeling((i + 1, j + 1), float(abs(a[i, j] - b[i, j])), delta)
+        images[v] = point_at(t, t2.label_to_vertex[i + 1], up[0])
     return VertexMap(s, t, delta, images)

@@ -13,6 +13,10 @@ the minimum spanning tree of the complete label graph (Gower & Ross 1969):
 one dense Prim pass finds its n - 1 edges, and only those are merged.  A
 tree's matrix is a running maximum over its labels in depth-first order.
 `ultrafy` and `is_ultra` go through both.
+
+Labeling every vertex gives a tree's meet table H.  Points p and q meet at
+max(p.height, q.height, H[p.anchor, q.anchor]): one lies on the other's
+upward path, or their anchors join at a vertex above both.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrixError
-from .trees import LabeledMergeTree, MergeTree
+from .trees import LabeledMergeTree, MergeTree, slack_of
 
 __all__ = [
     "SymMatrix",
@@ -42,11 +46,12 @@ class SymMatrix:
 
     Thin wrapper around a read-only numpy array.  Indexing is zero-based and
     delegates to numpy; label-facing reports elsewhere are one-based.
+    An asymmetry within `trees.slack_of` the entries is averaged away.
     """
 
     __slots__ = ("_a",)
 
-    def __init__(self, entries, *, sym_tol: float = 0.0):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
@@ -54,12 +59,12 @@ class SymMatrix:
             raise InvalidMatrixError("empty matrix")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrixError("matrix entries must be finite")
-        gap = np.max(np.abs(a - a.T)) if a.size else 0.0
-        if gap > sym_tol:
-            raise InvalidMatrixError(
-                f"matrix is not symmetric (largest asymmetry {gap:g})"
-            )
+        gap = np.max(np.abs(a - a.T))
         if gap:
+            if gap > slack_of((a.min(), a.max())):
+                raise InvalidMatrixError(
+                    f"matrix is not symmetric (largest asymmetry {gap:g})"
+                )
             a = (a + a.T) / 2.0
         a.setflags(write=False)
         self._a = a
@@ -87,8 +92,8 @@ class SymMatrix:
         return f"SymMatrix({self._a.tolist()!r})"
 
 
-def as_sym_matrix(m, *, sym_tol: float = 0.0) -> SymMatrix:
-    return m if isinstance(m, SymMatrix) else SymMatrix(m, sym_tol=sym_tol)
+def as_sym_matrix(m) -> SymMatrix:
+    return m if isinstance(m, SymMatrix) else SymMatrix(m)
 
 
 @dataclass(frozen=True)
@@ -169,6 +174,13 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     a = np.empty_like(d)
     a[np.ix_(order, order)] = d
     return SymMatrix(a)
+
+
+def meet_table(t: MergeTree):
+    """(vertex id -> row, meet heights of every vertex pair), rows in id order."""
+    order = sorted(t.height)
+    lt = LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)})
+    return {v: k for k, v in enumerate(order)}, induced_matrix(lt).array
 
 
 def _mst_edges(a: np.ndarray) -> list:

@@ -302,11 +302,16 @@ def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
 REL_TOL = 1e-9
 
 
-def height_tol(*trees) -> float:
-    """Height slack of these trees: REL_TOL of their span, floored at their rounding."""
-    hs = [h for t in trees for _, h in _bare(t).vertices]
+def slack_of(heights) -> float:
+    """REL_TOL of the heights' span, floored at their rounding."""
+    lo, hi = float(min(heights)), float(max(heights))
     # 8 ULPs: a compared height is a sum or difference of a few rounded ones
-    return max(REL_TOL * (max(hs) - min(hs)), 8 * math.ulp(max(map(abs, hs))))
+    return max(REL_TOL * (hi - lo), 8 * math.ulp(max(-lo, hi)))
+
+
+def height_tol(*trees) -> float:
+    """Height slack of these trees, by `slack_of` over all their heights."""
+    return slack_of([h for t in trees for _, h in _bare(t).vertices])
 
 
 def validate_tree(t: Union[MergeTree, LabeledMergeTree]) -> ValidationReport:
@@ -389,37 +394,23 @@ def is_ancestor_point(t: MergeTree, below: PointOnTree, above: PointOnTree) -> b
     return ancestor_at(t, below, above.height) == above
 
 
-def _vertex_chain_above(t: MergeTree, p: PointOnTree):
-    """Vertices strictly on the upward path from p, lowest first.
-
-    Includes the anchor itself when p is that vertex.
-    """
-    v = p.anchor
-    if not is_vertex_point(t, p):
-        v = t.parent[v]
-    while v is not None:
-        yield v
-        v = t.parent[v]
-
-
 def lca(
     t: MergeTree, a: Union[PointOnTree, int], b: Union[PointOnTree, int]
 ) -> PointOnTree:
     """Lowest common ancestor of two points; always a finite point.
 
     When one point sits on the upward path of the other, the higher point is
-    returned; otherwise the paths first meet at a merge vertex.
+    returned; otherwise the paths first meet at a merge vertex.  Found by
+    stepping the lower anchor up until the anchors agree.
     """
-    a = as_point(t, a)
-    b = as_point(t, b)
-    lo, hi = (a, b) if a.height <= b.height else (b, a)
-    if ancestor_at(t, lo, hi.height) == hi:
-        return hi
-    seen = set(_vertex_chain_above(t, lo))
-    for v in _vertex_chain_above(t, hi):
-        if v in seen:
-            return vertex_point(t, v)
-    raise MergespaceError("points share no ancestor; tree is disconnected")
+    a, b = as_point(t, a), as_point(t, b)
+    u, v = a.anchor, b.anchor
+    while u != v:
+        if t.height[u] <= t.height[v]:
+            u = t.parent[u]
+        else:
+            v = t.parent[v]
+    return point_at(t, u, max(a.height, b.height, t.height[u]))
 
 
 def depth(t: MergeTree, v: Union[PointOnTree, int]) -> float:

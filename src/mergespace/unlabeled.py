@@ -22,11 +22,8 @@ smallest feasible one is found in about log2(C) + 1 probes of C
 candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
-max(h_p, h_q, H[p.anchor][q.anchor]), with H the lowest-common-ancestor
-heights of every vertex pair: either one point lies on the other's upward
-path and the higher one is the meet, or the meet is the vertex where their
-anchors join, which lies above both.  H is one induced matrix per tree,
-built once per call.
+max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet table
+(`matrices.meet_table`), built once per call.
 
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that
@@ -42,9 +39,11 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing, _points_at
-from .matrices import induced_matrix
+from .matrices import meet_table
 from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
@@ -90,21 +89,10 @@ class UnlabeledDistance:
 
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
     """Sorted candidate values: 0 plus |a-b| and |a-b|/2 over all heights."""
-    heights = sorted(set(t1.height.values()) | set(t2.height.values()))
-    out = {0.0}
-    for i, a in enumerate(heights):
-        for b in heights[i + 1 :]:
-            gap = b - a
-            out.add(gap)
-            out.add(gap / 2.0)
-    return sorted(out)
-
-
-def _meet_table(t: MergeTree):
-    """(vertex id -> row, rows of the meet heights of every vertex pair)."""
-    order = sorted(t.height)
-    lt = LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)})
-    return {v: k for k, v in enumerate(order)}, induced_matrix(lt).array.tolist()
+    h = np.unique(list(t1.height.values()) + list(t2.height.values()))
+    gaps = np.subtract.outer(h, h)
+    gaps = gaps[gaps > 0]
+    return np.unique(np.concatenate(([0.0], gaps, gaps / 2.0))).tolist()
 
 
 class _Search:
@@ -112,7 +100,7 @@ class _Search:
 
     def __init__(self, t1: MergeTree, t2: MergeTree, budget: int, tol: float):
         self.t1, self.t2, self.budget, self.tol = t1, t2, budget, tol
-        self.tables = (_meet_table(t1), _meet_table(t2))
+        self.tables = [(rows, h.tolist()) for rows, h in map(meet_table, (t1, t2))]
         self.probes = 0
 
     def _placed(self, side: int, p):

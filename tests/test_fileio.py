@@ -187,3 +187,17 @@ def test_write_diagram_uses_inf_for_essential_points():
     text = write_diagram(d)
     assert "inf" in text.splitlines()[-1] or "inf" in text
     assert parse_diagram(text).points == d.points
+
+
+def test_matrix_asymmetry_is_judged_against_the_entries_scale():
+    from mergespace import InvalidMatrixError
+
+    # entries a factor of 2 apart are different however small they are
+    with pytest.raises(InvalidMatrixError):
+        parse_matrix("2\n0 1e-15\n2e-15 0\n")
+    with pytest.raises(InvalidMatrixError):
+        parse_matrix("2\n0 1\n2 0\n")
+    # one ULP at 1e6 is rounding, and is averaged away
+    big = 1e6
+    m = parse_matrix(f"2\n0 {big!r}\n{math.nextafter(big, math.inf)!r} 0\n")
+    assert m[0, 1] == m[1, 0]

@@ -26,7 +26,15 @@ from mergespace import (
 from mergespace.goodmaps import preimage_of
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
-from util import rand_labeled_pair, with_heights
+from util import (
+    _label_tree,
+    labeling_from_map_oracle,
+    rand_grown_tree,
+    rand_labeled_pair,
+    rand_leaf_up_map,
+    verify_delta_good_oracle,
+    with_heights,
+)
 
 WYE = MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 2), (1, 2)])
 WYE_UP = MergeTree([(0, 1.0), (1, 2.0), (2, 4.0)], [(0, 2), (1, 2)])
@@ -271,3 +279,96 @@ def test_map_layer_property_integer_translation_changes_nothing(seed, frac, shif
     assert _map_layer_verdicts(ma, mb, frac) == _map_layer_verdicts(a, b, frac)
     # with eight steps every blend of integer matrices is exact
     assert geodesic_length(ma, mb, samples=8) == geodesic_length(a, b, samples=8)
+
+
+def _outcome(transfer, vm):
+    """The pairs a label transfer returns, or the error it raises."""
+    try:
+        return transfer(vm).pairs
+    except MalformedMapError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labeled_pairs,
+    fractions,
+    st.sampled_from([
+        lambda h: h, lambda h: h * 2.0**40, lambda h: h * 2.0**-40, lambda h: h + 2.0**40,
+    ]),
+    st.integers(0, 2**32 - 1),
+)
+def test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle(pair, frac, f, seed):
+    a, b = (with_heights(t, f) for t in pair)
+    d = labeled_interleaving(a, b)
+    reach = max(0.0, min(b.tree.height.values()) - min(a.tree.height.values()))
+    rng = np.random.default_rng(seed)
+    maps = [
+        _collapse_map(a, b, reach + d * frac),
+        rand_leaf_up_map(rng, a.tree, b.tree, reach + d * frac),
+        rand_leaf_up_map(rng, a.tree, b.tree, reach + d * (1 + frac)),
+    ]
+    maps += [
+        vm for vm in (map_from_labeling(a, b, d * frac), map_from_labeling(a, b, d))
+        if isinstance(vm, VertexMap)
+    ]
+    for vm in maps:
+        assert verify_delta_good(vm) == verify_delta_good_oracle(vm)
+        assert _outcome(labeling_from_map, vm) == _outcome(labeling_from_map_oracle, vm)
+
+
+def test_a_300_leaf_map_at_the_distance_verifies_good():
+    # a jittered copy: each merge of the source has one in the target
+    # within the distance, so the map at the distance is good
+    rng = np.random.default_rng(300)
+    a = _label_tree(rng, rand_grown_tree(rng, 300), 300)
+    b = with_heights(a, lambda h: h + float(rng.uniform(-0.02, 0.02)))
+    d = labeled_interleaving(a, b)
+    vm = map_from_labeling(a, b, d)
+    assert verify_delta_good(vm).good
+    lt1, lt2 = apply_pairing(labeling_from_map(vm))
+    assert labeled_interleaving(lt1, lt2) <= d + height_tol(a, b)
+
+
+# Maps at a 2**40 offset, where the tolerance (8 ULPs) spans several
+# distinct heights, so each merge-spread verdict hinges on it: images
+# within 2*tol share a point below their exact meet; a leaf within tol
+# above the source height counts there; and such a leaf's own height sets
+# the spread.  Heights are offsets from 2**40, images (anchor, height).
+TOLERANCE_EDGE_MAPS = [
+    (
+        {0: 2.0, 1: 2.0, 2: 2.0, 3: 3.0, 4: 5.0, 5: 4.0, 6: 6.0},
+        [(0, 3), (1, 3), (2, 5), (3, 4), (4, 6), (5, 4)],
+        {0: 1.0, 1: 3.0, 2: 4.0}, [(0, 2), (1, 2)], 0.999,
+        {0: (1, 3.0), 1: (1, 3.0), 2: (0, 2.9990234375), 3: (1, 3.9990234375),
+         4: (2, 5.9990234375), 5: (2, 4.9990234375), 6: (2, 6.9990234375)},
+    ),
+    (
+        {0: 1.40576171875, 1: 0.3427734375, 2: 0.341796875, 3: 1.45458984375,
+         4: 1.482666015625, 5: 2.115966796875, 6: 2.2998046875, 7: 2.819580078125,
+         8: 2.22509765625, 9: 2.567626953125},
+        [(0, 6), (1, 6), (2, 5), (3, 5), (4, 8), (5, 9), (6, 7), (8, 6), (9, 7)],
+        {0: 0.770263671875}, [], 0.428466796875,
+        {0: (0, 1.834228515625), 1: (0, 0.771240234375), 2: (0, 0.770263671875),
+         3: (0, 1.883056640625), 4: (0, 1.9111328125), 5: (0, 2.54443359375),
+         6: (0, 2.728271484375), 7: (0, 3.248046875), 8: (0, 2.653564453125),
+         9: (0, 2.99609375)},
+    ),
+    (
+        {0: 2.0, 1: 2.0, 2: 4.0, 3: 3.0}, [(0, 2), (1, 3), (3, 2)],
+        {0: 3.0}, [], 0.999,
+        {0: (0, 3.0), 1: (0, 3.0), 2: (0, 4.9990234375), 3: (0, 3.9990234375)},
+    ),
+]
+
+
+@pytest.mark.parametrize("case", TOLERANCE_EDGE_MAPS)
+def test_merge_spread_at_the_tolerance_edge_equals_the_sweep_oracle(case):
+    sv, se, tv, te, delta, images = case
+    off = 2.0**40
+    s = MergeTree({v: off + h for v, h in sv.items()}, se)
+    t = MergeTree({v: off + h for v, h in tv.items()}, te)
+    vm = VertexMap(s, t, delta, {v: (a, off + h) for v, (a, h) in images.items()})
+    report = verify_delta_good(vm)
+    assert report.condition == "merge-spread"
+    assert report == verify_delta_good_oracle(vm)

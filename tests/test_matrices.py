@@ -43,7 +43,7 @@ def test_sym_matrix_rejects_bad_shapes():
 
 
 def test_sym_matrix_symmetrizes_tiny_noise():
-    m = as_sym_matrix([[0.0, 1.0 + 1e-13], [1.0, 0.0]], sym_tol=1e-12)
+    m = as_sym_matrix([[0.0, 1.0 + 1e-13], [1.0, 0.0]])
     assert m[0, 1] == m[1, 0]
 
 

@@ -37,7 +37,7 @@ from mergespace.trees import (
     is_vertex_point,
     on_root_ray,
 )
-from util import rand_labeled_tree, rand_merge_tree
+from util import lca_oracle, rand_labeled_tree, rand_merge_tree, rand_point
 
 
 def _wye():
@@ -299,3 +299,12 @@ def test_no_public_callable_takes_a_tolerance():
             continue
         assert "tol" not in params, name
     assert "height_tol" not in mergespace.__all__
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_lca_property_equals_the_chain_intersection(seed, integral):
+    rng = np.random.default_rng(seed)
+    t = rand_merge_tree(rng, max_leaves=6, integral=integral)
+    for _ in range(20):
+        p, q = rand_point(rng, t), rand_point(rng, t)
+        assert lca(t, p, q) == lca_oracle(t, p, q)

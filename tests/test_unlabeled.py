@@ -21,8 +21,10 @@ from mergespace import (
 from mergespace import trees
 from mergespace.goodmaps import _points_at
 from mergespace.trees import height_tol
-from mergespace.unlabeled import _meet_table, _Search
+from mergespace.matrices import meet_table
+from mergespace.unlabeled import _Search
 from util import (
+    candidate_shifts_oracle,
     rand_grown_tree,
     rand_merge_tree,
     rand_point,
@@ -270,7 +272,7 @@ def test_unlabeled_property_power_of_two_scaling_is_exact(pair, power):
 def test_meet_table_matches_lca():
     for a, b in _pairs(163, 30, 4):
         for t in (canonicalize_tree(a), a):
-            rows, meets = _meet_table(t)
+            rows, meets = meet_table(t)
             heights = sorted(set(t.height.values()))
             probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
             points = {p for h in probes + [heights[-1] + 1.0] for p in _points_at(t, h, 0.0)}
@@ -338,3 +340,14 @@ def test_values_at_a_large_offset_stay_within_the_tolerance():
         r = unlabeled_interleaving(a, b)
         back = (with_heights(t, lambda h: h - offset) for t in (a, b))
         assert abs(r.value - unlabeled_interleaving(*back).value) <= height_tol(a, b)
+
+
+@given(small_pairs)
+def test_candidate_shifts_property_equal_the_pairwise_loop(pair):
+    assert candidate_shifts(*pair) == candidate_shifts_oracle(*pair)
+
+
+def test_candidate_shifts_equal_the_pairwise_loop_on_grown_trees():
+    rng = np.random.default_rng(61)
+    a, b = rand_grown_tree(rng, 60), rand_grown_tree(rng, 60)
+    assert candidate_shifts(a, b) == candidate_shifts_oracle(a, b)

@@ -3,8 +3,9 @@
 The oracles deliberately take different routes than the library code:
 minimax values come from enumerating simple paths, bottleneck cost from
 enumerating matchings (or, for larger diagrams, from scipy's Hopcroft-Karp),
-induced entries from walking ancestor chains, unlabeled distances from an
-ascending scan over every candidate shift with `lca` meets.
+induced entries and meets from walking ancestor chains, unlabeled distances
+from an ascending scan over every candidate shift with those meets, map
+verdicts and label transfers from a sweep over every critical height.
 """
 
 from __future__ import annotations
@@ -15,20 +16,23 @@ import math
 import numpy as np
 
 from mergespace import (
+    GoodMapReport,
     LabelPairing,
     LabeledMergeTree,
+    MalformedMapError,
     MergeTree,
+    MergespaceError,
     PersistenceDiagram,
     PointOnTree,
     SymMatrix,
+    ancestor_at,
     as_sym_matrix,
-    candidate_shifts,
     canonicalize_tree,
-    lca,
+    map_point,
     ultrafy,
 )
-from mergespace.goodmaps import _points_at
-from mergespace.trees import _bare, as_point, height_tol, vertex_point
+from mergespace.goodmaps import _points_at, _snap_point
+from mergespace.trees import _bare, as_point, height_tol, is_vertex_point, vertex_point
 
 INF = float("inf")
 
@@ -183,6 +187,25 @@ def _label_tree(rng, t: MergeTree, n: int) -> LabeledMergeTree:
     ).ensure_valid()
 
 
+def rand_leaf_up_map(rng, s: MergeTree, t: MergeTree, delta: float):
+    """A map built leaf-up: each vertex delta above itself, a leaf (or, one
+    time in ten, an inner vertex) on a random branch of the target, an inner
+    vertex otherwise on the upward path of a random child's image."""
+    from mergespace import VertexMap
+
+    images = {}
+    for v in s.postorder:
+        h = s.height[v] + delta
+        kids = s.children[v]
+        if kids and rng.random() > 0.1:
+            base = images[kids[int(rng.integers(len(kids)))]]
+            images[v] = ancestor_at(t, base, max(h, base.height))
+        else:
+            pts = _points_at(t, max(h, min(t.height.values())), 0.0)
+            images[v] = pts[int(rng.integers(len(pts)))]
+    return VertexMap(s, t, delta, images)
+
+
 def with_heights(t, f):
     """The same tree, labels kept, with every height h replaced by f(h)."""
     if isinstance(t, LabeledMergeTree):
@@ -324,8 +347,151 @@ def induced_oracle(lt: LabeledMergeTree) -> np.ndarray:
     return out
 
 
+def candidate_shifts_oracle(t1: MergeTree, t2: MergeTree) -> list:
+    """`candidate_shifts` by the loop over every pair of distinct heights."""
+    heights = sorted(set(t1.height.values()) | set(t2.height.values()))
+    out = {0.0}
+    for i, a in enumerate(heights):
+        for b in heights[i + 1 :]:
+            gap = b - a
+            out.add(gap)
+            out.add(gap / 2.0)
+    return sorted(out)
+
+
+def _vertex_chain_above(t: MergeTree, p: PointOnTree):
+    """Vertices strictly on the upward path from p, lowest first; the
+    anchor itself when p is that vertex."""
+    v = p.anchor
+    if not is_vertex_point(t, p):
+        v = t.parent[v]
+    while v is not None:
+        yield v
+        v = t.parent[v]
+
+
+def lca_oracle(t: MergeTree, a, b) -> PointOnTree:
+    """Lowest common ancestor by intersecting the two vertex chains."""
+    a = as_point(t, a)
+    b = as_point(t, b)
+    lo, hi = (a, b) if a.height <= b.height else (b, a)
+    if ancestor_at(t, lo, hi.height) == hi:
+        return hi
+    seen = set(_vertex_chain_above(t, lo))
+    for v in _vertex_chain_above(t, hi):
+        if v in seen:
+            return vertex_point(t, v)
+    raise MergespaceError("points share no ancestor; tree is disconnected")
+
+
+def _points_close_oracle(t: MergeTree, a, b, tol: float) -> bool:
+    """Same point up to tol: both lifted to the higher height plus tol land
+    on one branch."""
+    if abs(a.height - b.height) > tol:
+        return False
+    if a.anchor == b.anchor:
+        return True
+    hi = max(a.height, b.height) + tol
+    return ancestor_at(t, a, hi).anchor == ancestor_at(t, b, hi).anchor
+
+
+def _is_ancestor_close_oracle(t: MergeTree, below, above, tol: float) -> bool:
+    if below.height > above.height + tol:
+        return False
+    hi = max(below.height, above.height)
+    return _points_close_oracle(t, ancestor_at(t, below, hi), above, tol)
+
+
+def _preimage_oracle(vm, p):
+    out = []
+    for x in _points_at(vm.source, p.height - vm.delta, vm.tol):
+        if _points_close_oracle(vm.target, map_point(vm, x), p, 2 * vm.tol):
+            out.append(x)
+    return out
+
+
+def _missed_oracle(vm, vertices):
+    t = vm.target
+    leaf_images = [vm.image_of[leaf] for leaf in vm.source.leaves]
+    for w in vertices:
+        wp = vertex_point(t, w)
+        if not any(_is_ancestor_close_oracle(t, li, wp, vm.tol) for li in leaf_images):
+            yield w, min((lca_oracle(t, wp, li) for li in leaf_images), key=lambda p: p.height)
+
+
+def verify_delta_good_oracle(vm) -> GoodMapReport:
+    """`verify_delta_good` by lifting points along ancestor chains and, for
+    merge-spread, sweeping every image and target vertex height."""
+    s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
+    img = vm.image_of
+    for v in sorted(s.height):
+        want = s.height[v] + d
+        got = img[v].height
+        if abs(got - want) > tol:
+            return GoodMapReport(
+                False, "height-shift", (v,),
+                f"vertex {v} at {s.height[v]} maps to height {got}, not {want}",
+            )
+    for c, p in s.edges:
+        lifted = ancestor_at(t, img[c], max(img[c].height, img[p].height))
+        if not _points_close_oracle(t, lifted, img[p], tol):
+            return GoodMapReport(
+                False, "edge-coherence", (c, p),
+                f"images of edge ({c}, {p}) do not lie on one target path",
+            )
+    crit = sorted({img[v].height for v in s.height} | {t.height[w] for w in t.height})
+    for g in crit:
+        if g - d < min(s.subtree_min.values()) - tol:
+            continue
+        for p in _points_at(t, g, 0.0):
+            pre = _preimage_oracle(vm, p)
+            if len(pre) < 2:
+                continue
+            meet = pre[0]
+            for q in pre[1:]:
+                meet = lca_oracle(s, meet, q)
+            spread = meet.height - min(x.height for x in pre)
+            if spread > 2 * d + tol:
+                return GoodMapReport(
+                    False, "merge-spread", (p, tuple(pre), meet),
+                    f"branches merging at {meet.height} share the image point "
+                    f"({p.anchor}, {p.height}) but lie {spread} below it",
+                )
+    for w, attach in _missed_oracle(vm, sorted(t.height)):
+        gap = attach.height - t.subtree_min[w]
+        if gap > 2 * d + tol:
+            return GoodMapReport(
+                False, "missed-depth", (w, attach),
+                f"the image misses the branch at vertex {w}, leaving depth {gap} "
+                f"unreached",
+            )
+    return GoodMapReport(True)
+
+
+def labeling_from_map_oracle(vm) -> LabelPairing:
+    """`labeling_from_map` with the oracle's closeness, preimages and misses."""
+    s, t, tol = vm.source, vm.target, vm.tol
+    pairs = []
+    seen = []
+    for v in s.leaves:
+        w = map_point(vm, v)
+        if any(_points_close_oracle(t, w, u, tol) for u in seen):
+            continue
+        seen.append(w)
+        pairs.extend((x, w) for x in _preimage_oracle(vm, w))
+    for w, attach in _missed_oracle(vm, t.leaves):
+        pre = _preimage_oracle(vm, _snap_point(t, attach, tol))
+        if not pre:
+            raise MalformedMapError(
+                f"no preimage for the image point above target leaf {w}; "
+                f"is the map delta-good?"
+            )
+        pairs.append((pre[0], vertex_point(t, w)))
+    return LabelPairing(s, t, tuple(pairs))
+
+
 def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
-    """One feasibility test: depth-first placement, meets from `lca`."""
+    """One feasibility test: depth-first placement, meets from `lca_oracle`."""
     left = [vertex_point(t1, v) for v in t1.leaves]
     right = [vertex_point(t2, v) for v in t2.leaves]
     n1 = len(left)
@@ -341,7 +507,10 @@ def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
 
     def fits(x):
         return all(
-            abs(lca(t1, pos1[x], pos1[y]).height - lca(t2, pos2[x], pos2[y]).height)
+            abs(
+                lca_oracle(t1, pos1[x], pos1[y]).height
+                - lca_oracle(t2, pos2[x], pos2[y]).height
+            )
             <= delta + tol
             for y in assigned
         )
@@ -377,7 +546,7 @@ def unlabeled_scan_oracle(t1, t2):
     b = canonicalize_tree(_bare(t2))
     tol = height_tol(a, b)
     refuted = None
-    for delta in candidate_shifts(a, b):
+    for delta in candidate_shifts_oracle(a, b):
         witness = _scan_probe(a, b, delta, tol)
         if witness is None:
             refuted = delta
