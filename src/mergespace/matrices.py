@@ -11,8 +11,9 @@ Both directions cost O(n^2) for n labels, the size of the matrix, plus one
 walk over the tree's vertices.  A matrix's tree is single linkage, which is
 the minimum spanning tree of the complete label graph (Gower & Ross 1969):
 one dense Prim pass finds its n - 1 edges, and only those are merged.  A
-tree's matrix is a running maximum over its labels in depth-first order.
-`ultrafy` and `is_ultra` go through both.
+tree's matrix is one running maximum down the columns of a matrix filled
+from the tree's cached depth-first label walk, so it takes a fixed number of
+whole-matrix numpy passes.  `ultrafy` and `is_ultra` go through both.
 
 Labeling every vertex gives a tree's meet table H.  Points p and q meet at
 max(p.height, q.height, H[p.anchor, q.anchor]): one lies on the other's
@@ -59,8 +60,8 @@ class SymMatrix:
             raise InvalidMatrixError("empty matrix")
         if not np.all(np.isfinite(a)):
             raise InvalidMatrixError("matrix entries must be finite")
-        gap = np.max(np.abs(a - a.T))
-        if gap:
+        if not np.array_equal(a, a.T):
+            gap = np.max(np.abs(a - a.T))
             if gap > slack_of((a.min(), a.max())):
                 raise InvalidMatrixError(
                     f"matrix is not symmetric (largest asymmetry {gap:g})"
@@ -143,36 +144,27 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     """Pairwise lowest-common-ancestor heights of the labels.
 
     Entry (i, j) is the height of the meeting point of labels i and j; the
-    diagonal is the height of each label's own vertex.  In a depth-first
-    order every subtree's labels are contiguous, so the meet of two labels is
-    the highest of the meets of neighbouring labels between them: each row is
-    one running maximum, so the fill costs O(n^2).  Entries are copied
+    diagonal is the height of each label's own vertex.  The tree's cached
+    `label_walk` lists the labels in depth-first order, where the meet of two
+    labels is the highest gap between them.  Rows follow the walk and columns
+    the labels: row q holds gap q - 1 in the columns of labels met before
+    position q, so one running maximum down the columns gives the meet of
+    every label with each later one.  Gathering the rows into label order
+    fills one triangle, the transpose fills the other, and the diagonal comes
+    last: a fixed number of passes over the n x n matrix.  Entries are copied
     heights, so no rounding is introduced.
     """
     lt.ensure_valid()
-    t = lt.tree
-    n = lt.n_labels
-    order, own, gaps = [], [], []
-    meet = -np.inf  # highest vertex on the path since the last label
-    stack = [t.top]
-    while stack:
-        v = stack.pop()
-        if t.parent[v] is not None:
-            meet = max(meet, t.height[t.parent[v]])
-        for i in lt.labels_of[v]:
-            if order:
-                gaps.append(meet)
-            order.append(i - 1)
-            own.append(t.height[v])
-            meet = t.height[v]
-        stack.extend(reversed(t.children[v]))
-    gaps = np.array(gaps, dtype=float)
-    d = np.empty((n, n), dtype=float)
-    for p in range(n - 1):
-        d[p, p + 1 :] = d[p + 1 :, p] = np.maximum.accumulate(gaps[p:])
-    np.fill_diagonal(d, own)
-    a = np.empty_like(d)
-    a[np.ix_(order, order)] = d
+    labels, own, gaps = lt.label_walk
+    n = len(labels)
+    rank = np.empty(n, dtype=np.intp)  # label index -> walk position
+    rank[np.array(labels) - 1] = np.arange(n)
+    rows = np.array((-np.inf,) + gaps)[:, None]  # row q: the gap just before it
+    d = np.where(np.arange(n)[:, None] > rank, rows, -np.inf)
+    np.maximum.accumulate(d, axis=0, out=d)
+    a = d[rank]  # (i, j) is the meet when label i comes after label j, else -inf
+    a = np.maximum(a, a.T)
+    np.fill_diagonal(a, np.array(own)[rank])
     return SymMatrix(a)
 
 

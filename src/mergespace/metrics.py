@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MergespaceError
-from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix
+from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix, ultrafy
 from .trees import LabeledMergeTree, height_tol
 
 __all__ = [
@@ -69,10 +69,10 @@ def geodesic_length(
         raise MergespaceError("need at least one sample segment")
     m1, m2 = induced_matrix(t1), induced_matrix(t2)
     total = 0.0
-    prev = tree_of_matrix(m1)
+    prev = m1  # a tree's matrix is its own ultrafy, the geodesic's first point
     for k in range(1, samples + 1):
-        cur = tree_of_matrix(_blend(m1, m2, k / samples))
-        total += labeled_interleaving(prev, cur)
+        cur = ultrafy(_blend(m1, m2, k / samples))  # the next point's matrix
+        total += linf_distance(prev, cur)
         prev = cur
     direct = linf_distance(m1, m2)
     if abs(total - direct) > samples * height_tol(t1, t2):
@@ -103,5 +103,6 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     stack = np.stack([induced_matrix(t).array for t in trees])
     mid = SymMatrix((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
     center = tree_of_matrix(mid)
-    radius = max(labeled_interleaving(center, t) for t in trees)
+    c = induced_matrix(center).array
+    radius = max(float(np.max(np.abs(m - c))) for m in stack)
     return center, radius

@@ -198,6 +198,33 @@ class LabeledMergeTree:
         return {v: tuple(sorted(l)) for v, l in out.items()}
 
     @cached_property
+    def label_walk(self) -> tuple:
+        """(labels, heights, gaps) met by a depth-first walk of a valid tree.
+
+        The labels in walk order, the height of each one's vertex, and for
+        each neighbouring pair the height where the two meet: the highest
+        vertex the walk passes between them.  Every subtree's labels are
+        contiguous in this order, so any two labels meet at the highest gap
+        between them.
+        """
+        t = self.tree
+        labels, heights, gaps = [], [], []
+        meet = -math.inf  # highest vertex on the path since the last label
+        stack = [t.top]
+        while stack:
+            v = stack.pop()
+            if t.parent[v] is not None:
+                meet = max(meet, t.height[t.parent[v]])
+            for i in self.labels_of[v]:
+                if labels:
+                    gaps.append(meet)
+                labels.append(i)
+                heights.append(t.height[v])
+                meet = t.height[v]
+            stack.extend(reversed(t.children[v]))
+        return tuple(labels), tuple(heights), tuple(gaps)
+
+    @cached_property
     def validation(self) -> ValidationReport:
         problems = list(self.tree.validation.violations)
         seen = {}

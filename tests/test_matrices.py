@@ -22,12 +22,14 @@ from mergespace import (
 )
 from util import (
     induced_oracle,
+    induced_rowwise_oracle,
     minimax_matrix,
     rand_labeled_tree,
     rand_ultra_matrix,
     rand_valid_matrix,
     sweep_tree_oracle,
     ultra_witness_oracle,
+    with_heights,
 )
 
 
@@ -45,6 +47,18 @@ def test_sym_matrix_rejects_bad_shapes():
 def test_sym_matrix_symmetrizes_tiny_noise():
     m = as_sym_matrix([[0.0, 1.0 + 1e-13], [1.0, 0.0]])
     assert m[0, 1] == m[1, 0]
+
+
+def test_sym_matrix_keeps_an_exactly_symmetric_matrix_as_given():
+    rng = np.random.default_rng(19)
+    a = rng.normal(size=(6, 6))
+    a = a + a.T
+    assert as_sym_matrix(a).array.tobytes() == a.tobytes()
+    # -0.0 == 0.0, so the pair is symmetric and each entry keeps its sign bit
+    z = np.array([[1.0, -0.0], [0.0, 1.0]])
+    kept = as_sym_matrix(z).array
+    assert kept.tobytes() == z.tobytes()
+    assert np.signbit(kept[0, 1]) and not np.signbit(kept[1, 0])
 
 
 def test_validity_witness_is_one_based():
@@ -105,6 +119,23 @@ def test_induced_matrix_matches_chain_walk_oracle():
         lt = rand_labeled_tree(rng, int(rng.integers(1, 7)), max_leaves=5)
         got = induced_matrix(lt).array
         assert np.array_equal(got, induced_oracle(lt))
+
+
+def test_induced_matrix_keeps_the_sign_of_zero_heights():
+    # labels 1 and 2 meet at -0.0, labels 3 and 4 at +0.0, all four at 1.0
+    lt = LabeledMergeTree(
+        MergeTree(
+            [(0, -1.0), (1, -1.0), (2, -0.0), (3, -1.0), (4, -1.0), (5, 0.0), (6, 1.0)],
+            [(0, 2), (1, 2), (3, 5), (4, 5), (2, 6), (5, 6)],
+        ),
+        {1: 0, 2: 1, 3: 3, 4: 4},
+    )
+    a = induced_matrix(lt).array
+    assert a.tobytes() == induced_rowwise_oracle(lt).tobytes()
+    assert np.signbit(a[0, 1]) and np.signbit(a[1, 0])
+    assert a[2, 3] == 0.0 and not np.signbit(a[2, 3])
+    single = LabeledMergeTree(MergeTree([(0, -0.0)], []), {1: 0})
+    assert induced_matrix(single).array.tobytes() == np.array([[-0.0]]).tobytes()
 
 
 def test_induced_matrices_are_ultra():
@@ -282,6 +313,27 @@ def test_is_ultra_property_means_fixed_by_ultrafy(m):
     check = is_ultra(m)
     assert check.ok == (ultrafy(m) == m)
     assert check.witness == ultra_witness_oracle(m)
+
+
+@st.composite
+def zero_straddling_trees(draw, max_labels=80):
+    """A labeled tree shifted so that some heights are zero, each zero stored
+    as 0.0 or -0.0; labels share vertices and sit on inner ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_labels))
+    lt = rand_labeled_tree(
+        rng, n, max_leaves=draw(st.integers(1, n)), integral=draw(st.booleans())
+    )
+    heights = sorted(lt.tree.height.values())
+    zero = heights[draw(st.integers(0, len(heights) - 1))]
+    return with_heights(
+        lt, lambda h: -0.0 if h == zero and rng.random() < 0.5 else h - zero
+    ).ensure_valid()
+
+
+@given(zero_straddling_trees())
+def test_induced_matrix_property_is_bytewise_the_rowwise_fill(lt):
+    assert induced_matrix(lt).array.tobytes() == induced_rowwise_oracle(lt).tobytes()
 
 
 @given(labeled_trees())

@@ -19,9 +19,29 @@ from mergespace import (
     tree_of_matrix,
     ultrafy,
 )
+from mergespace import matrices, metrics
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
-from util import rand_labeled_pair, rand_ultra_matrix, rand_valid_matrix, with_heights
+from util import (
+    rand_labeled_pair,
+    rand_labeled_tree,
+    rand_ultra_matrix,
+    rand_valid_matrix,
+    with_heights,
+)
+
+
+def _count_induced(monkeypatch) -> list:
+    """Count the induced matrices built, directly or through `ultrafy`."""
+    calls = []
+
+    def counted(lt):
+        calls.append(lt)
+        return induced_matrix(lt)
+
+    monkeypatch.setattr(metrics, "induced_matrix", counted)
+    monkeypatch.setattr(matrices, "induced_matrix", counted)
+    return calls
 
 
 def _two_leaf(merge_h, base=0.0):
@@ -111,6 +131,21 @@ def test_geodesic_length_matches_the_direct_distance():
         assert abs(geodesic_length(a, b, samples=7) - d) <= 1e-9
 
 
+def test_geodesic_length_carries_each_step_matrix(monkeypatch):
+    rng = np.random.default_rng(109)
+    for samples in (1, 4, 10):
+        a, b = rand_labeled_pair(rng, max_leaves=5)
+        # the step sum the way it reads: distances between consecutive trees
+        want = 0.0
+        for k in range(1, samples + 1):
+            prev = geodesic_point(a, b, (k - 1) / samples)
+            want += labeled_interleaving(prev, geodesic_point(a, b, k / samples))
+        calls = _count_induced(monkeypatch)
+        assert geodesic_length(a, b, samples=samples) == want
+        assert len(calls) == samples + 2
+        monkeypatch.undo()
+
+
 def test_one_center_of_three_wyes():
     trees = [_two_leaf(2.0), _two_leaf(4.0), _two_leaf(8.0)]
     center, radius = one_center(trees)
@@ -132,6 +167,21 @@ def test_one_center_radius_is_half_the_worst_entry_range():
         assert abs(radius - expect) <= 1e-12
         for t in trees:
             assert labeled_interleaving(center, t) <= radius + 1e-12
+
+
+def test_one_center_radius_is_the_largest_distance_to_the_center(monkeypatch):
+    rng = np.random.default_rng(113)
+    for k in (1, 2, 5):
+        n = int(rng.integers(1, 40))
+        trees = [
+            rand_labeled_tree(rng, n, max_leaves=n, integral=bool(i % 2))
+            for i in range(k)
+        ]
+        calls = _count_induced(monkeypatch)
+        center, radius = one_center(trees)
+        assert len(calls) == k + 1
+        monkeypatch.undo()
+        assert radius == max(labeled_interleaving(center, t) for t in trees)
 
 
 def test_one_center_of_a_single_tree_is_that_tree():

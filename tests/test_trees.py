@@ -103,6 +103,19 @@ def test_labeled_validation():
     assert any("unknown vertex" in v for v in report.violations)
 
 
+def test_label_walk_lists_labels_with_the_meets_between_neighbours():
+    lt = LabeledMergeTree(
+        MergeTree(
+            [(0, 1.0), (1, 2.0), (2, 3.0), (3, 4.0)],
+            [(0, 3), (1, 2), (2, 3)],
+        ),
+        {1: 0, 2: 0, 3: 2, 4: 1},
+    )
+    walk = lt.label_walk
+    assert walk == ((1, 2, 3, 4), (1.0, 1.0, 3.0, 2.0), (1.0, 4.0, 3.0))
+    assert lt.label_walk is walk  # built once per tree
+
+
 def test_point_at_walks_to_the_highest_anchor_at_or_below():
     t = _wye()
     assert point_at(t, 0, 0.0) == PointOnTree(0, 0.0)

@@ -347,6 +347,39 @@ def induced_oracle(lt: LabeledMergeTree) -> np.ndarray:
     return out
 
 
+def induced_rowwise_oracle(lt: LabeledMergeTree) -> np.ndarray:
+    """Pairwise meet heights filled one row at a time.
+
+    Its own depth-first walk lists the labels and the meets of neighbouring
+    ones; row p of the matrix in walk order is one running maximum over the
+    gaps after position p, and a scatter puts the labels in index order.
+    """
+    t = lt.tree
+    n = lt.n_labels
+    order, own, gaps = [], [], []
+    meet = -INF  # highest vertex on the path since the last label
+    stack = [t.top]
+    while stack:
+        v = stack.pop()
+        if t.parent[v] is not None:
+            meet = max(meet, t.height[t.parent[v]])
+        for i in lt.labels_of[v]:
+            if order:
+                gaps.append(meet)
+            order.append(i - 1)
+            own.append(t.height[v])
+            meet = t.height[v]
+        stack.extend(reversed(t.children[v]))
+    gaps = np.array(gaps, dtype=float)
+    d = np.empty((n, n), dtype=float)
+    for p in range(n - 1):
+        d[p, p + 1 :] = d[p + 1 :, p] = np.maximum.accumulate(gaps[p:])
+    np.fill_diagonal(d, own)
+    a = np.empty_like(d)
+    a[np.ix_(order, order)] = d
+    return a
+
+
 def candidate_shifts_oracle(t1: MergeTree, t2: MergeTree) -> list:
     """`candidate_shifts` by the loop over every pair of distinct heights."""
     heights = sorted(set(t1.height.values()) | set(t2.height.values()))
