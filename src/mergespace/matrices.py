@@ -7,13 +7,14 @@ matrices (diagonal never exceeds its row) are exactly the ones the sublevel
 construction accepts; `ultra` matrices additionally satisfy the relaxed
 ultrametric bound and are exactly the matrices that trees induce.
 
-Both directions cost O(n^2) for n labels, the size of the matrix, plus one
-walk over the tree's vertices.  A matrix's tree is single linkage, which is
-the minimum spanning tree of the complete label graph (Gower & Ross 1969):
-one dense Prim pass finds its n - 1 edges, and only those are merged.  A
-tree's matrix is one running maximum down the columns of a matrix filled
-from the tree's cached depth-first label walk, so it takes a fixed number of
-whole-matrix numpy passes.  `ultrafy` and `is_ultra` go through both.
+Both directions work in whole-matrix numpy passes over the n x n matrix of
+n labels, plus one walk over the tree's vertices.  A matrix's tree is single
+linkage, which is the minimum spanning tree of the complete label graph
+(Gower & Ross 1969): at most ceil(log2 n) Borůvka rounds, each a few O(n^2)
+passes, find its n - 1 edges, and only those are merged.  A tree's matrix is
+one running maximum down the columns of a matrix filled from the tree's
+cached depth-first label walk, so it takes a fixed number of passes.
+`ultrafy` and `is_ultra` go through both.
 
 Labeling every vertex gives a tree's meet table H.  Points p and q meet at
 max(p.height, q.height, H[p.anchor, q.anchor]): one lies on the other's
@@ -87,7 +88,7 @@ class SymMatrix:
         return isinstance(other, np.ndarray) and np.array_equal(self._a, other)
 
     def __hash__(self):
-        return hash((self.n, self._a.tobytes()))
+        return hash((self.n, (self._a + 0.0).tobytes()))  # -0.0 + 0.0 is 0.0
 
     def __repr__(self):
         return f"SymMatrix({self._a.tolist()!r})"
@@ -123,7 +124,7 @@ def is_ultra(m) -> MatrixCheck:
     """Valid plus the relaxed ultrametric bound M_ij <= max(M_ik, M_kj).
 
     A valid matrix is ultra exactly when it equals its `ultrafy`, which costs
-    O(n^2).  An entry equal to its closure U satisfies the bound, since
+    O(n^2 log n) at most.  An entry equal to its closure U satisfies the bound, since
     U_ij <= max(U_ik, U_kj) <= max(M_ik, M_kj); so the search for the first
     offending (i, j, k) visits only the entries the closure lowered, in
     row-major order.
@@ -180,35 +181,52 @@ def _mst_edges(a: np.ndarray) -> list:
 
     Edges are ordered strictly by (h, min(i, j), max(i, j)), which makes the
     tree unique: it is the set of edges on which Kruskal's sweep over that
-    order merges.  Prim's pass finds it in O(n^2).  For a fixed outside
-    vertex w, the key order on edges {u, w} is the order on (h, u), so the
-    best edge into w is kept as its height and its smallest tree endpoint.
-    Returns (h, i, j) triples with i < j, sorted by the key.
+    order merges.  Borůvka's rounds find it in whole-matrix numpy passes.
+    In a round every label takes its cheapest edge into another component:
+    one `argmin` per row, with entries inside a component at +inf.  Among
+    equal heights a row's `argmin` picks the smallest j, which for a fixed i
+    is the key order, so one `lexsort` of the row picks gives each component
+    its best edge.  Each component hooks onto the one at the other end of
+    that edge; a mutual pair shares its edge, records it once and keeps the
+    smaller id as root, and pointer jumping flattens the hooks.  Every
+    component joins another, so there are at most ceil(log2 n) rounds, each
+    O(n^2).  Heights are copied from the entries M_ij with i < j, as in the
+    sweep.  Returns (h, i, j) triples with i < j, sorted by the key.
     """
     n = a.shape[0]
-    free = np.array(a, dtype=float)  # columns of tree vertices become +inf
-    free[:, 0] = np.inf
-    best_h = free[0].copy()
-    best_u = np.zeros(n, dtype=np.intp)
-    edges = []
-    for _ in range(n - 1):
-        v = int(best_h.argmin())
-        h = best_h[v]
-        tied = best_h == h
-        if np.count_nonzero(tied) > 1:
-            w = tied.nonzero()[0]
-            u = best_u[w]
-            v = int(w[(np.minimum(u, w) * n + np.maximum(u, w)).argmin()])
-        u = int(best_u[v])
-        edges.append((float(h), min(u, v), max(u, v)))
-        free[:, v] = best_h[v] = np.inf
-        row = free[v]
-        closer = row < best_h
-        closer |= (row == best_h) & (best_u > v)
-        best_u[closer] = v
-        np.minimum(best_h, row, out=best_h)
-    edges.sort()
-    return edges
+    free = np.array(a, dtype=float)  # entries inside one component become +inf
+    rows = np.arange(n)
+    comp = rows.copy()  # label index -> its component's id, a label index
+    same = np.empty((n, n), dtype=bool)
+    ends = np.empty((2, n - 1), dtype=np.intp)  # (i, j) of the edges found
+    joined = 0
+    while joined < n - 1:
+        np.equal(comp[:, None], comp, out=same)
+        np.putmask(free, same, np.inf)
+        near = free.argmin(axis=1)
+        lo = np.minimum(rows, near)
+        hi = np.maximum(rows, near)
+        by_key = np.lexsort((hi, lo, free[rows, near], comp))
+        c = comp[by_key]
+        best = by_key[np.r_[True, c[1:] != c[:-1]]]  # each component's best row
+        src, dst = comp[best], comp[near[best]]
+        hook = rows.copy()
+        hook[src] = dst
+        root = (hook[dst] == src) & (src < dst)  # the smaller of a mutual pair
+        hook[src[root]] = src[root]
+        best = best[~root]  # a mutual pair's shared edge is recorded once
+        ends[:, joined : joined + best.size] = lo[best], hi[best]
+        joined += best.size
+        while True:
+            up = hook[hook]
+            if np.array_equal(up, hook):
+                break
+            hook = up
+        comp = hook[comp]
+    lo, hi = ends
+    h = a[lo, hi]
+    order = np.lexsort((hi, lo, h))
+    return list(zip(h[order].tolist(), lo[order].tolist(), hi[order].tolist()))
 
 
 def tree_of_matrix(m) -> LabeledMergeTree:
@@ -222,8 +240,9 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     simultaneous merges come out as one vertex of higher degree.
 
     Only the n - 1 edges of the minimum spanning tree under that order ever
-    merge two components (single linkage is the MST), so one O(n^2) Prim
-    pass replaces a sort of all n(n-1)/2 pairs.
+    merge two components (single linkage is the MST), so at most
+    ceil(log2 n) Borůvka rounds of O(n^2) numpy passes replace a sort of all
+    n(n-1)/2 pairs.
     """
     m = as_sym_matrix(m)
     check = is_valid(m)
@@ -283,8 +302,8 @@ def ultrafy(m) -> SymMatrix:
 
     The induced matrix of ``tree_of_matrix(m)``: entry (i, j) is the height
     where labels i and j first connect, which is the minimax path value over
-    the complete graph.  O(n^2) through the minimum spanning tree.  Identity
-    on ultra matrices; entries are copied, never recomputed.
+    the complete graph.  O(n^2 log n) at most through the minimum spanning
+    tree.  Identity on ultra matrices; entries are copied, never recomputed.
     """
     return induced_matrix(tree_of_matrix(m))
 

@@ -68,7 +68,7 @@ class PersistenceDiagram:
             b, d = float(b), float(d)
             if not math.isfinite(b):
                 raise MergespaceError(f"non-finite birth {b}")
-            if d <= b:
+            if not d > b:  # a NaN death fails this too
                 raise MergespaceError(f"point ({b}, {d}) has no persistence")
             norm.append((b, d))
         object.__setattr__(self, "points", tuple(sorted(norm)))

@@ -9,6 +9,7 @@ from mergespace import (
     FormatError,
     LabeledMergeTree,
     MergeTree,
+    MergespaceError,
     PersistenceDiagram,
     VertexMap,
     labeled_trees_equal,
@@ -154,6 +155,12 @@ def test_diagram_parse_errors():
 def test_diagram_rejects_backwards_points():
     with pytest.raises(Exception):
         PersistenceDiagram([(2.0, 1.0)])
+
+
+def test_diagram_rejects_a_nan_death():
+    # NaN is neither <= its birth nor finite, so it would pass as essential
+    with pytest.raises(MergespaceError, match=r"\(0\.0, nan\)"):
+        parse_diagram("0 nan\n1 inf\n")
 
 
 def test_map_round_trip():

@@ -20,10 +20,12 @@ from mergespace import (
     trees_equal,
     ultrafy,
 )
+from mergespace.matrices import _mst_edges
 from util import (
     induced_oracle,
     induced_rowwise_oracle,
     minimax_matrix,
+    mst_sweep_oracle,
     rand_labeled_tree,
     rand_ultra_matrix,
     rand_valid_matrix,
@@ -59,6 +61,19 @@ def test_sym_matrix_keeps_an_exactly_symmetric_matrix_as_given():
     kept = as_sym_matrix(z).array
     assert kept.tobytes() == z.tobytes()
     assert np.signbit(kept[0, 1]) and not np.signbit(kept[1, 0])
+
+
+def test_sym_matrix_hash_agrees_with_equality_on_signed_zeros():
+    a, b = as_sym_matrix([[0.0]]), as_sym_matrix([[-0.0]])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # both labels collapse onto label 1's vertex, so its -0.0 fills the matrix
+    m = as_sym_matrix([[-0.0, 0.0], [0.0, 0.0]])
+    u = ultrafy(m)
+    assert u.array.tobytes() != m.array.tobytes()
+    assert u == m
+    assert hash(u) == hash(m)
 
 
 def test_validity_witness_is_one_based():
@@ -306,6 +321,46 @@ def test_tree_of_matrix_property_matches_the_full_sweep(m):
     # same vertex ids and edges, same labels on the same vertices
     got, want = tree_of_matrix(m), sweep_tree_oracle(m)
     assert (got.tree, got.labels) == (want.tree, want.labels)
+
+
+@st.composite
+def tie_heavy_matrices(draw, max_n=80):
+    """Valid matrices full of ties: diagonal and bumps on the 0-2 grid, a
+    constant matrix, or a grid shifted so that some entries are zero, each
+    zero stored as 0.0 or -0.0 without regard to its mirror entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["grid", "constant", "zeros"]))
+    if kind == "constant":
+        return as_sym_matrix(np.full((n, n), float(rng.integers(-2, 3))))
+    diag = rng.integers(0, 3, size=n).astype(float)
+    a = np.triu(np.maximum.outer(diag, diag) + rng.integers(0, 3, size=(n, n)), 1)
+    a = a + a.T
+    np.fill_diagonal(a, diag)
+    if kind == "zeros":
+        a -= a.flat[int(rng.integers(n * n))]
+        zero = a == 0.0
+        a[zero] = np.where(rng.random(np.count_nonzero(zero)) < 0.5, -0.0, 0.0)
+    return as_sym_matrix(a)
+
+
+def _hex_edges(edges):
+    return [(h.hex(), i, j) for h, i, j in edges]
+
+
+@given(tie_heavy_matrices())
+def test_mst_edges_property_are_bitwise_the_full_sweep(m):
+    assert _hex_edges(_mst_edges(m.array)) == _hex_edges(mst_sweep_oracle(m))
+
+
+@given(tie_heavy_matrices(max_n=30))
+def test_tree_of_matrix_property_matches_the_full_sweep_bitwise(m):
+    # several Borůvka rounds; heights compare by their bits, so a -0.0 merge
+    # height copied from another entry than the sweep's shows up
+    got, want = tree_of_matrix(m), sweep_tree_oracle(m)
+    assert (got.tree, got.labels) == (want.tree, want.labels)
+    hexed = lambda t: {v: h.hex() for v, h in t.tree.height.items()}
+    assert hexed(got) == hexed(want)
 
 
 @given(near_ultra_matrices())

@@ -263,6 +263,30 @@ def minimax_matrix(m: SymMatrix) -> np.ndarray:
     return out
 
 
+def mst_sweep_oracle(m: SymMatrix) -> list:
+    """Minimum spanning tree by Kruskal's sweep over all pairs.
+
+    Sorts every (M_ij, i, j) with i < j and keeps each edge that joins two
+    union-find components: (h, i, j) triples in key order.
+    """
+    a = m.array
+    n = m.n
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    kept = []
+    for h, i, j in sorted((float(a[i, j]), i, j) for i in range(n) for j in range(i + 1, n)):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            kept.append((h, i, j))
+    return kept
+
+
 def sweep_tree_oracle(m: SymMatrix) -> LabeledMergeTree:
     """Tree of a valid matrix by the plain single-linkage sweep over all pairs.
 
