@@ -75,7 +75,6 @@ from .trees import (
     path_metric,
     point_at,
     refine_at,
-    tree_signature,
     trees_equal,
     validate_tree,
     vertex_point,
@@ -139,7 +138,6 @@ __all__ = [
     "point_at",
     "refine_at",
     "tree_of_matrix",
-    "tree_signature",
     "trees_equal",
     "ultrafy",
     "unlabeled_interleaving",

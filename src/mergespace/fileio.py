@@ -81,11 +81,13 @@ def _tree_from_json(obj):
             height = float(entry["height"])
         except (KeyError, TypeError, ValueError):
             vid = None
-        if not isinstance(vid, int):
+        # `type(x) is int` throughout: JSON true and false decode as bools,
+        # which isinstance counts as ints
+        if type(vid) is not int:
             raise FormatError(f"vertex #{k} needs integer 'id' and numeric 'height'")
         vertices.append((vid, height))
         for lab in entry.get("labels", []):
-            if not isinstance(lab, int):
+            if type(lab) is not int:
                 raise FormatError(f"vertex #{k}: label {lab!r} is not an integer")
             if lab in labels:
                 raise FormatError(f"label {lab} appears on two vertices")
@@ -95,7 +97,7 @@ def _tree_from_json(obj):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(isinstance(x, int) for x in entry)
+            or not all(type(x) is int for x in entry)
         ):
             raise FormatError(f"edge #{k} must be a [childId, parentId] pair")
         edges.append((entry[0], entry[1]))
@@ -231,7 +233,7 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
         anchor = edge[0]
     else:
         raise FormatError(f"{what}: point needs 'vertex' or 'edge'")
-    if not isinstance(anchor, int):
+    if type(anchor) is not int:
         raise FormatError(f"{what}: vertex id must be an integer")
     try:
         return as_point(t, PointOnTree(anchor, height))
@@ -301,7 +303,7 @@ def parse_map(text: str) -> VertexMap:
         raise FormatError("'images' must be a list")
     images = {}
     for k, entry in enumerate(obj["images"], start=1):
-        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], int):
+        if not isinstance(entry, list) or len(entry) != 2 or type(entry[0]) is not int:
             raise FormatError(f"image #{k} must be [vertexId, point]")
         images[entry[0]] = _point_from_json(target, entry[1], f"image #{k}")
     return VertexMap(source, target, delta, images)

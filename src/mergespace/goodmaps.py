@@ -5,8 +5,10 @@ edges follow by continuity (the image of an edge is the target path between
 the endpoint images), so the finite data fully encodes a continuous map of
 geometric realizations.  A map is delta-good when it shifts heights by
 exactly delta, merges branches no earlier than 2*delta above them, and
-misses no target branch deeper than 2*delta.  Good maps, optimal label
-pairings, and the conversions between them live here.
+misses no target branch deeper than 2*delta.  Good maps, label pairings,
+and the conversions between them live here: a labeling at distance delta
+gives a delta-good map, and a delta-good map gives a labeling at distance
+at most delta, with one label per source leaf and per missed target leaf.
 
 Every ancestry test reads the meet identity of `matrices.meet_table`, from
 tables a map caches for both trees.  Merge-spread is one comparison over
@@ -24,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Union
 
+import math
+
 import numpy as np
 
 from .errors import MalformedMapError, MergespaceError
@@ -36,6 +40,7 @@ from .trees import (
     as_point,
     height_tol,
     point_at,
+    points_at,
     refine_at,
     vertex_point,
 )
@@ -65,8 +70,8 @@ class VertexMap:
         source.ensure_valid()
         target.ensure_valid()
         delta = float(delta)
-        if delta < 0:
-            raise MalformedMapError(f"negative shift {delta}")
+        if not 0 <= delta < math.inf:
+            raise MalformedMapError(f"shift {delta} is not finite and nonnegative")
         if isinstance(images, Mapping):
             items = images.items()
         else:
@@ -144,22 +149,6 @@ class InfeasibleLabeling:
 # -- point plumbing -------------------------------------------------------
 
 
-def _points_at(t: MergeTree, h: float, tol: float):
-    """All points of the realization at height h, snapped within tol.
-
-    One point per branch: a vertex when its height is within tol of h,
-    otherwise an interior edge (or ray) point.  Sorted by anchor id.
-    """
-    pts = []
-    for v, hv in t.vertices:
-        par = t.parent[v]
-        if abs(hv - h) <= tol:
-            pts.append(vertex_point(t, v))
-        elif hv < h and (par is None or h < t.height[par] and abs(t.height[par] - h) > tol):
-            pts.append(PointOnTree(v, h))
-    return pts
-
-
 def _points_close(meets, a: PointOnTree, b: PointOnTree, tol: float) -> bool:
     """Whether two points coincide up to tol, by their tree's meet table: the
     heights agree and the paths join within tol above the higher one."""
@@ -199,7 +188,7 @@ def preimage_of(vm: VertexMap, p: PointOnTree):
     """All source points mapping to p, one per branch, sorted by anchor."""
     src_h = p.height - vm.delta
     out = []
-    for x in _points_at(vm.source, src_h, vm.tol):
+    for x in points_at(vm.source, src_h, vm.tol):
         if _points_close(vm.meets[1], map_point(vm, x), p, 2 * vm.tol):
             out.append(x)
     return out
@@ -209,20 +198,23 @@ def preimage_of(vm: VertexMap, p: PointOnTree):
 
 
 def _missed_branches(vm: VertexMap, vertices):
-    """(w, attach) for each target vertex w whose branch no leaf image reaches,
-    attach being the lowest meet of w with a leaf image."""
-    t, tol = vm.target, vm.tol
+    """(w, attach, leaf) for each target vertex w whose branch no leaf image
+    reaches: attach is the lowest meet of w with a leaf image, and leaf the
+    first source leaf whose image meets w there."""
+    t, tol, leaves = vm.target, vm.tol, vm.source.leaves
     rows, h = vm.meets[1]
-    images = [vm.image_of[leaf] for leaf in vm.source.leaves]
+    images = [vm.image_of[leaf] for leaf in leaves]
     lh = np.array([p.height for p in images])
     hw = np.array([t.height[w] for w in vertices])[:, None]
     joins = h[np.ix_([rows[w] for w in vertices], [rows[p.anchor] for p in images])]
     up = np.maximum(lh, hw)
     # w is reached when some leaf image lies below it on its path, up to tol
     reached = (lh <= hw + tol) & (up - hw <= tol) & (joins <= up + tol)
-    attach = np.maximum(up, joins).min(axis=1)
+    meet = np.maximum(up, joins)
+    nearest = meet.argmin(axis=1)
     for k in np.flatnonzero(~reached.any(axis=1)):
-        yield vertices[k], point_at(t, vertices[k], attach[k])
+        u = nearest[k]
+        yield vertices[k], point_at(t, vertices[k], meet[k, u]), leaves[u]
 
 
 def _merge_spread(vm: VertexMap):
@@ -249,7 +241,7 @@ def _merge_spread(vm: VertexMap):
     at = np.where(abs(hl - (g - d)) <= tol, hl, g - d)
     bad = sh[np.ix_(sr, sr)] - np.minimum(at, at.T) > 2 * d + tol
     for h in np.unique(g[bad]).tolist():
-        for p in _points_at(t, h, 0.0):
+        for p in points_at(t, h, 0.0):
             pre = preimage_of(vm, p)
             if len(pre) < 2:
                 continue
@@ -301,7 +293,7 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
     if spread is not None:
         return spread
 
-    for w, attach in _missed_branches(vm, sorted(t.height)):
+    for w, attach, _ in _missed_branches(vm, sorted(t.height)):
         gap = attach.height - t.subtree_min[w]
         if gap > 2 * d + tol:
             return GoodMapReport(
@@ -317,31 +309,30 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
 
 
 def labeling_from_map(vm: VertexMap) -> LabelPairing:
-    """Optimal label transfer along a delta-good map.
+    """Label transfer along a delta-good map f, one label per leaf.
 
-    Every source leaf contributes its whole image preimage as pairs; every
-    target leaf the image misses is paired with a deterministic preimage
-    (smallest anchor) of the lowest image point above it.  Labels are the
-    insertion positions.  The applied pairing realizes a labeled distance of
-    at most delta when the map is delta-good.
+    Each source leaf v is paired with f(v).  Each target leaf w that the
+    image misses first meets a leaf image f(u) at some height a; w is paired
+    with the point of u's branch at max(a - delta, h(u)), which f sends to
+    that meeting point.  Labels are the insertion positions.
+
+    On a delta-good map the applied pairing's labeled distance is at most
+    delta, up to the tolerance:
+    - two source leaves meet within delta of where their images meet, by
+      the height-shift and merge-spread conditions;
+    - a missed leaf's own height is within delta of its partner's, since
+      a - h(w) <= 2*delta by missed depth;
+    - a missed leaf meets any other label at max(a, m) in the target and
+      at max(a - delta, m') in the source, where m and m' are that label's
+      meets with f(u) and with u, which agree within delta; max is
+      1-Lipschitz.  The exception, a missed leaf joining w below a, has the
+      same u and a, so both of its meets lie within delta of a - delta.
     """
-    s, t, tol = vm.source, vm.target, vm.tol
-    pairs, seen = [], []
-    for v in s.leaves:
-        w = map_point(vm, v)
-        if any(_points_close(vm.meets[1], w, u, tol) for u in seen):
-            continue
-        seen.append(w)
-        pairs.extend((x, w) for x in preimage_of(vm, w))
-
-    for w, attach in _missed_branches(vm, t.leaves):
-        pre = preimage_of(vm, _snap_point(t, attach, tol))
-        if not pre:
-            raise MalformedMapError(
-                f"no preimage for the image point above target leaf {w}; "
-                f"is the map delta-good?"
-            )
-        pairs.append((pre[0], vertex_point(t, w)))
+    s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
+    pairs = [(vertex_point(s, v), map_point(vm, v)) for v in s.leaves]
+    for w, attach, u in _missed_branches(vm, t.leaves):
+        x = point_at(s, u, max(attach.height - d, s.height[u]))
+        pairs.append((_snap_point(s, x, tol), vertex_point(t, w)))
     return LabelPairing(s, t, tuple(pairs))
 
 
@@ -373,8 +364,8 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
     t1.ensure_valid()
     t2.ensure_valid()
     delta = float(delta)
-    if delta < 0:
-        raise MergespaceError(f"negative shift {delta}")
+    if not 0 <= delta < math.inf:
+        raise MergespaceError(f"shift {delta} is not finite and nonnegative")
     if t1.n_labels != t2.n_labels:
         raise MergespaceError(
             f"label count mismatch: {t1.n_labels} vs {t2.n_labels}"

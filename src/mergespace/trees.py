@@ -357,10 +357,10 @@ def point_at(t: MergeTree, anchor: int, height: float) -> PointOnTree:
     """Canonical point from a below-vertex anchor and a height.
 
     Walks upward so the stored anchor is the highest vertex at or below the
-    point.  The height must be at or above the given anchor vertex.
+    point.  The height must be finite and at or above the anchor vertex.
     """
     h = float(height)
-    if anchor not in t.height or h < t.height[anchor]:
+    if anchor not in t.height or not t.height[anchor] <= h < math.inf:
         raise MergespaceError(
             f"no point at height {h} at or above vertex {anchor}"
         )
@@ -370,6 +370,22 @@ def point_at(t: MergeTree, anchor: int, height: float) -> PointOnTree:
         if p is None or t.height[p] > h:
             return PointOnTree(v, h)
         v = p
+
+
+def points_at(t: MergeTree, h: float, tol: float):
+    """All points of the realization at height h, snapped within tol.
+
+    One point per branch: a vertex when its height is within tol of h,
+    otherwise an interior edge (or ray) point.  Sorted by anchor id.
+    """
+    pts = []
+    for v, hv in t.vertices:
+        par = t.parent[v]
+        if abs(hv - h) <= tol:
+            pts.append(vertex_point(t, v))
+        elif hv < h and (par is None or h < t.height[par] and abs(t.height[par] - h) > tol):
+            pts.append(PointOnTree(v, h))
+    return pts
 
 
 def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
@@ -382,8 +398,8 @@ def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
         if v not in t.height:
             raise MergespaceError(f"point anchored at unknown vertex {v}")
         par = t.parent[v]
-        if p.height < t.height[v]:
-            raise MergespaceError(f"point below its anchor vertex {v}")
+        if not t.height[v] <= p.height < math.inf:
+            raise MergespaceError(f"no point at height {p.height} at or above vertex {v}")
         if p.height == t.height[v]:
             return p
         if par is None:
@@ -505,21 +521,6 @@ def canonicalize(lt: LabeledMergeTree) -> LabeledMergeTree:
         if len(t.children[v]) != 1 or lt.labels_of[v]
     ]
     return LabeledMergeTree(_contract(t, keep), lt.labels)
-
-
-def tree_signature(t: MergeTree, labels_of: Mapping = None):
-    """Canonical nested-tuple invariant of the (optionally labeled) tree.
-
-    Two trees get equal signatures exactly when an isomorphism matches
-    heights, edges, and label placement, ignoring vertex ids.
-    """
-    t.ensure_valid()
-    sig = {}
-    for v in t.postorder:
-        kids = tuple(sorted(sig[c] for c in t.children[v]))
-        lab = tuple(sorted(labels_of[v])) if labels_of else ()
-        sig[v] = (t.height[v], lab, kids)
-    return sig[t.top]
 
 
 def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:

@@ -42,7 +42,7 @@ from typing import Union
 import numpy as np
 
 from .errors import BudgetExceededError, MergespaceError
-from .goodmaps import LabelPairing, _points_at
+from .goodmaps import LabelPairing
 from .matrices import meet_table
 from .persistence import bottleneck_tree_distance
 from .trees import (
@@ -51,6 +51,7 @@ from .trees import (
     _bare,
     canonicalize_tree,
     height_tol,
+    points_at,
     vertex_point,
 )
 
@@ -123,10 +124,10 @@ class _Search:
         pos1 = left + [None] * len(right)
         pos2 = [None] * n1 + right
         cands = [
-            [self._placed(2, q) for q in _points_at(t2, p[0] + delta, tol)]
+            [self._placed(2, q) for q in points_at(t2, p[0] + delta, tol)]
             for p in left
         ] + [
-            [self._placed(1, q) for q in _points_at(t1, p[0] + delta, tol)]
+            [self._placed(1, q) for q in points_at(t1, p[0] + delta, tol)]
             for p in right
         ]
         if not all(cands):

@@ -199,6 +199,22 @@ def test_checkmap_good_and_bad(files, capsys):
     assert "height-shift" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["delta", "image height"])
+def test_checkmap_refuses_a_nan_map(files, capsys, key):
+    t1 = MergeTree([(0, 0.0)], [])
+    obj = json.loads(write_map(VertexMap(t1, t1, 0.0, {0: (0, 0.0)})))
+    if key == "delta":
+        obj["delta"] = float("nan")
+    else:
+        obj["images"][0][1]["height"] = float("nan")
+    nan = files / "nan.map"
+    nan.write_text(json.dumps(obj))
+    assert main(["checkmap", str(nan)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "nan" in out.err
+
+
 def test_missing_file_is_a_domain_error(files, capsys):
     assert main(["induce", str(files / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err

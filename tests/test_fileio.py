@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mergespace import (
     FormatError,
     LabeledMergeTree,
+    MalformedMapError,
     MergeTree,
     MergespaceError,
     PersistenceDiagram,
@@ -79,6 +81,17 @@ def test_tree_writes_are_deterministic():
         ),
         (
             '{"vertices": [{"id": 0, "height": 0}], "edges": [[0]]}',
+            "edge #1",
+        ),
+        # JSON booleans decode as Python bools, which are ints
+        ('{"vertices": [{"id": true, "height": 0}], "edges": []}', "integer 'id'"),
+        (
+            '{"vertices": [{"id": 0, "height": 0, "labels": [true]}], "edges": []}',
+            "label True is not an integer",
+        ),
+        (
+            '{"vertices": [{"id": 0, "height": 0}, {"id": 1, "height": 1}],'
+            ' "edges": [[0, true]]}',
             "edge #1",
         ),
     ],
@@ -181,6 +194,48 @@ def test_pairing_round_trip_including_ray_points():
     pairing = labeling_from_map(vm)
     back = parse_pairing(write_pairing(pairing), t1, t2)
     assert back.pairs == pairing.pairs
+
+
+WYE = MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 2), (1, 2)])
+WYE_UP = MergeTree([(0, 1.0), (1, 2.0), (2, 4.0)], [(0, 2), (1, 2)])
+WYE_MAP = VertexMap(WYE, WYE_UP, 1.0, {0: (0, 1.0), 1: (1, 2.0), 2: (2, 4.0)})
+
+
+def _edited_map(edit) -> str:
+    obj = json.loads(write_map(WYE_MAP))
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _edited_pairing(edit) -> str:
+    obj = json.loads(write_pairing(labeling_from_map(WYE_MAP)))
+    edit(obj)
+    return json.dumps(obj)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+def test_map_and_pairing_parsers_refuse_non_finite_heights(x):
+    # every comparison with NaN is false, so no goodness check could flag it
+    with pytest.raises(MalformedMapError):
+        parse_map(_edited_map(lambda obj: obj.update(delta=x)))
+    with pytest.raises(FormatError):
+        parse_map(_edited_map(lambda obj: obj["images"][0][1].update(height=x)))
+    with pytest.raises(FormatError):
+        parse_pairing(
+            _edited_pairing(lambda obj: obj["pairs"][0][1].update(height=x)), WYE, WYE_UP
+        )
+
+
+def test_parse_pairing_refuses_a_boolean_point_anchor():
+    text = _edited_pairing(lambda obj: obj["pairs"][1][0].update(vertex=True))
+    with pytest.raises(FormatError, match="vertex id must be an integer"):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+def test_parse_map_refuses_a_boolean_image_id():
+    text = _edited_map(lambda obj: obj["images"][1].__setitem__(0, True))
+    with pytest.raises(FormatError, match="image #2"):
+        parse_map(text)
 
 
 def test_map_parse_errors():

@@ -10,6 +10,7 @@ from mergespace import (
     LabeledMergeTree,
     MalformedMapError,
     MergeTree,
+    MergespaceError,
     PointOnTree,
     VertexMap,
     ancestor_at,
@@ -28,6 +29,7 @@ from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
     _label_tree,
+    _missed_oracle,
     labeling_from_map_oracle,
     rand_grown_tree,
     rand_labeled_pair,
@@ -42,8 +44,11 @@ SHIFT_IMAGES = {0: (0, 1.0), 1: (1, 2.0), 2: (2, 4.0)}
 
 
 def test_vertex_map_rejects_bad_inputs():
+    for delta in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(MalformedMapError):
+            VertexMap(WYE, WYE_UP, delta, SHIFT_IMAGES)
     with pytest.raises(MalformedMapError):
-        VertexMap(WYE, WYE_UP, -0.5, SHIFT_IMAGES)
+        VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 0: (0, float("nan"))})
     with pytest.raises(MalformedMapError):
         VertexMap(WYE, WYE_UP, 1.0, {0: (0, 1.0), 1: (1, 2.0)})
     with pytest.raises(MalformedMapError):
@@ -143,6 +148,12 @@ def test_map_from_labeling_round_trip_on_the_seven_label_pair():
     pairing = labeling_from_map(vm)
     lt1, lt2 = apply_pairing(pairing)
     assert labeled_interleaving(lt1, lt2) <= SEVEN_DISTANCE + 1e-12
+
+
+def test_map_from_labeling_refuses_a_shift_that_is_not_finite():
+    for delta in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(MergespaceError):
+            map_from_labeling(SEVEN_A, SEVEN_B, delta)
 
 
 def test_map_from_labeling_reports_the_blocking_entry():
@@ -281,14 +292,6 @@ def test_map_layer_property_integer_translation_changes_nothing(seed, frac, shif
     assert geodesic_length(ma, mb, samples=8) == geodesic_length(a, b, samples=8)
 
 
-def _outcome(transfer, vm):
-    """The pairs a label transfer returns, or the error it raises."""
-    try:
-        return transfer(vm).pairs
-    except MalformedMapError as exc:
-        return str(exc)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     labeled_pairs,
@@ -314,7 +317,35 @@ def test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle(pair, fr
     ]
     for vm in maps:
         assert verify_delta_good(vm) == verify_delta_good_oracle(vm)
-        assert _outcome(labeling_from_map, vm) == _outcome(labeling_from_map_oracle, vm)
+        assert labeling_from_map(vm).pairs == labeling_from_map_oracle(vm).pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    labeled_pairs,
+    fractions,
+    st.sampled_from([
+        lambda h: h, lambda h: h * 2.0**40, lambda h: h * 2.0**-40, lambda h: h + 2.0**40,
+    ]),
+    st.integers(0, 2**32 - 1),
+)
+def test_map_layer_property_good_maps_transfer_one_label_per_leaf_within_the_shift(
+    pair, frac, f, seed
+):
+    a, b = (with_heights(t, f) for t in pair)
+    d = labeled_interleaving(a, b)
+    span = max(b.tree.height.values()) - min(a.tree.height.values())
+    rng = np.random.default_rng(seed)
+    maps = [map_from_labeling(a, b, d), map_from_labeling(a, b, d * (1 + frac))]
+    maps += [rand_leaf_up_map(rng, a.tree, b.tree, max(0.0, span) * x) for x in (0.5, 1.0, 2.0)]
+    for vm in maps:
+        if not isinstance(vm, VertexMap) or not verify_delta_good(vm):
+            continue
+        pairing = labeling_from_map(vm)
+        missed = len(list(_missed_oracle(vm, vm.target.leaves)))
+        assert pairing.n_labels == len(vm.source.leaves) + missed
+        lt1, lt2 = apply_pairing(pairing)
+        assert labeled_interleaving(lt1, lt2) <= vm.delta + height_tol(vm.source, vm.target)
 
 
 def test_a_300_leaf_map_at_the_distance_verifies_good():
@@ -327,6 +358,20 @@ def test_a_300_leaf_map_at_the_distance_verifies_good():
     vm = map_from_labeling(a, b, d)
     assert verify_delta_good(vm).good
     lt1, lt2 = apply_pairing(labeling_from_map(vm))
+    assert labeled_interleaving(lt1, lt2) <= d + height_tol(a, b)
+
+
+def test_a_300_leaf_independent_pair_transfers_one_label_per_leaf():
+    # the map collapses much of the source, and a label per preimage point
+    # made 38,470 labels here, too many for a labeled distance
+    rng = np.random.default_rng(300)
+    a = _label_tree(rng, rand_grown_tree(rng, 300), 300)
+    b = _label_tree(rng, rand_grown_tree(rng, 300), 300)
+    d = labeled_interleaving(a, b)
+    vm = map_from_labeling(a, b, d)
+    pairing = labeling_from_map(vm)
+    assert pairing.n_labels == 600
+    lt1, lt2 = apply_pairing(pairing)
     assert labeled_interleaving(lt1, lt2) <= d + height_tol(a, b)
 
 

@@ -22,7 +22,6 @@ from mergespace import (
     path_metric,
     point_at,
     refine_at,
-    tree_signature,
     trees_equal,
     validate_tree,
     vertex_point,
@@ -37,7 +36,7 @@ from mergespace.trees import (
     is_vertex_point,
     on_root_ray,
 )
-from util import lca_oracle, rand_labeled_tree, rand_merge_tree, rand_point
+from util import lca_oracle, rand_labeled_tree, rand_merge_tree, rand_point, tree_signature
 
 
 def _wye():
@@ -312,6 +311,12 @@ def test_no_public_callable_takes_a_tolerance():
             continue
         assert "tol" not in params, name
     assert "height_tol" not in mergespace.__all__
+
+
+def test_nested_tree_signatures_are_not_in_the_package():
+    # comparing them recurses as deep as the tree; equality uses flat ids
+    assert not hasattr(mergespace, "tree_signature")
+    assert not hasattr(mergespace.trees, "tree_signature")
 
 
 @given(st.integers(0, 2**32 - 1), st.booleans())

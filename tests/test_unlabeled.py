@@ -19,8 +19,7 @@ from mergespace import (
     vertex_point,
 )
 from mergespace import trees
-from mergespace.goodmaps import _points_at
-from mergespace.trees import height_tol
+from mergespace.trees import height_tol, points_at
 from mergespace.matrices import meet_table
 from mergespace.unlabeled import _Search
 from util import (
@@ -275,7 +274,7 @@ def test_meet_table_matches_lca():
             rows, meets = meet_table(t)
             heights = sorted(set(t.height.values()))
             probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
-            points = {p for h in probes + [heights[-1] + 1.0] for p in _points_at(t, h, 0.0)}
+            points = {p for h in probes + [heights[-1] + 1.0] for p in points_at(t, h, 0.0)}
             for p in points:
                 for q in points:
                     got = max(p.height, q.height, meets[rows[p.anchor]][rows[q.anchor]])

@@ -1,11 +1,12 @@
 """Shared generators and brute-force oracles for the test suite.
 
 The oracles deliberately take different routes than the library code:
-minimax values come from enumerating simple paths, bottleneck cost from
-enumerating matchings (or, for larger diagrams, from scipy's Hopcroft-Karp),
-induced entries and meets from walking ancestor chains, unlabeled distances
-from an ascending scan over every candidate shift with those meets, map
-verdicts and label transfers from a sweep over every critical height.
+minimax values come from enumerating simple paths, tree equality from
+nested signatures, bottleneck cost from enumerating matchings (or, for
+larger diagrams, from scipy's Hopcroft-Karp), induced entries and meets
+from walking ancestor chains, unlabeled distances from an ascending scan
+over every candidate shift with those meets, map verdicts from a sweep
+over every critical height, and label transfers from ancestor chains.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from mergespace import (
     GoodMapReport,
     LabelPairing,
     LabeledMergeTree,
-    MalformedMapError,
     MergeTree,
     MergespaceError,
     PersistenceDiagram,
@@ -31,8 +31,15 @@ from mergespace import (
     map_point,
     ultrafy,
 )
-from mergespace.goodmaps import _points_at, _snap_point
-from mergespace.trees import _bare, as_point, height_tol, is_vertex_point, vertex_point
+from mergespace.goodmaps import _snap_point
+from mergespace.trees import (
+    _bare,
+    as_point,
+    height_tol,
+    is_vertex_point,
+    points_at,
+    vertex_point,
+)
 
 INF = float("inf")
 
@@ -201,7 +208,7 @@ def rand_leaf_up_map(rng, s: MergeTree, t: MergeTree, delta: float):
             base = images[kids[int(rng.integers(len(kids)))]]
             images[v] = ancestor_at(t, base, max(h, base.height))
         else:
-            pts = _points_at(t, max(h, min(t.height.values())), 0.0)
+            pts = points_at(t, max(h, min(t.height.values())), 0.0)
             images[v] = pts[int(rng.integers(len(pts)))]
     return VertexMap(s, t, delta, images)
 
@@ -239,6 +246,22 @@ def rand_diagram(rng, max_pts: int = 5) -> PersistenceDiagram:
 
 
 # -- oracles --------------------------------------------------------------
+
+
+def tree_signature(t: MergeTree, labels_of=None):
+    """Canonical nested-tuple invariant of the (optionally labeled) tree.
+
+    Two trees get equal signatures exactly when an isomorphism matches
+    heights, edges, and label placement, ignoring vertex ids.  Comparing
+    signatures recurses as deep as the tree, so keep the trees small.
+    """
+    t.ensure_valid()
+    sig = {}
+    for v in t.postorder:
+        kids = tuple(sorted(sig[c] for c in t.children[v]))
+        lab = tuple(sorted(labels_of[v])) if labels_of else ()
+        sig[v] = (t.height[v], lab, kids)
+    return sig[t.top]
 
 
 def minimax_value(m: SymMatrix, i: int, j: int) -> float:
@@ -461,19 +484,24 @@ def _is_ancestor_close_oracle(t: MergeTree, below, above, tol: float) -> bool:
 
 def _preimage_oracle(vm, p):
     out = []
-    for x in _points_at(vm.source, p.height - vm.delta, vm.tol):
+    for x in points_at(vm.source, p.height - vm.delta, vm.tol):
         if _points_close_oracle(vm.target, map_point(vm, x), p, 2 * vm.tol):
             out.append(x)
     return out
 
 
 def _missed_oracle(vm, vertices):
+    """(w, attach, leaf) for each target vertex no leaf image reaches: the
+    lowest `lca_oracle` of w with a leaf image, and the first leaf there."""
     t = vm.target
-    leaf_images = [vm.image_of[leaf] for leaf in vm.source.leaves]
+    leaves = vm.source.leaves
+    leaf_images = [vm.image_of[leaf] for leaf in leaves]
     for w in vertices:
         wp = vertex_point(t, w)
         if not any(_is_ancestor_close_oracle(t, li, wp, vm.tol) for li in leaf_images):
-            yield w, min((lca_oracle(t, wp, li) for li in leaf_images), key=lambda p: p.height)
+            meets = [(lca_oracle(t, wp, li), u) for u, li in zip(leaves, leaf_images)]
+            attach, leaf = min(meets, key=lambda m: m[0].height)
+            yield w, attach, leaf
 
 
 def verify_delta_good_oracle(vm) -> GoodMapReport:
@@ -500,7 +528,7 @@ def verify_delta_good_oracle(vm) -> GoodMapReport:
     for g in crit:
         if g - d < min(s.subtree_min.values()) - tol:
             continue
-        for p in _points_at(t, g, 0.0):
+        for p in points_at(t, g, 0.0):
             pre = _preimage_oracle(vm, p)
             if len(pre) < 2:
                 continue
@@ -514,7 +542,7 @@ def verify_delta_good_oracle(vm) -> GoodMapReport:
                     f"branches merging at {meet.height} share the image point "
                     f"({p.anchor}, {p.height}) but lie {spread} below it",
                 )
-    for w, attach in _missed_oracle(vm, sorted(t.height)):
+    for w, attach, _ in _missed_oracle(vm, sorted(t.height)):
         gap = attach.height - t.subtree_min[w]
         if gap > 2 * d + tol:
             return GoodMapReport(
@@ -526,24 +554,14 @@ def verify_delta_good_oracle(vm) -> GoodMapReport:
 
 
 def labeling_from_map_oracle(vm) -> LabelPairing:
-    """`labeling_from_map` with the oracle's closeness, preimages and misses."""
+    """`labeling_from_map` with the oracle's misses: each source leaf paired
+    with its image, each missed target leaf with the point delta below its
+    attach point on the ancestor chain of the leaf whose image it meets."""
     s, t, tol = vm.source, vm.target, vm.tol
-    pairs = []
-    seen = []
-    for v in s.leaves:
-        w = map_point(vm, v)
-        if any(_points_close_oracle(t, w, u, tol) for u in seen):
-            continue
-        seen.append(w)
-        pairs.extend((x, w) for x in _preimage_oracle(vm, w))
-    for w, attach in _missed_oracle(vm, t.leaves):
-        pre = _preimage_oracle(vm, _snap_point(t, attach, tol))
-        if not pre:
-            raise MalformedMapError(
-                f"no preimage for the image point above target leaf {w}; "
-                f"is the map delta-good?"
-            )
-        pairs.append((pre[0], vertex_point(t, w)))
+    pairs = [(vertex_point(s, v), map_point(vm, v)) for v in s.leaves]
+    for w, attach, u in _missed_oracle(vm, t.leaves):
+        x = ancestor_at(s, u, max(attach.height - vm.delta, s.height[u]))
+        pairs.append((_snap_point(s, x, tol), vertex_point(t, w)))
     return LabelPairing(s, t, tuple(pairs))
 
 
@@ -555,8 +573,8 @@ def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
     labels = list(range(n1 + len(right)))
     pos1 = dict(enumerate(left))
     pos2 = {n1 + k: p for k, p in enumerate(right)}
-    cands = [_points_at(t2, p.height + delta, tol) for p in left]
-    cands += [_points_at(t1, p.height + delta, tol) for p in right]
+    cands = [points_at(t2, p.height + delta, tol) for p in left]
+    cands += [points_at(t1, p.height + delta, tol) for p in right]
     if not all(cands):
         return None
     order = sorted(labels, key=lambda k: (len(cands[k]), k))
