@@ -50,6 +50,14 @@ def _jsonable_num(x: float):
     return x
 
 
+def _number(x) -> float:
+    """A JSON number as a float.  Booleans raise TypeError: JSON true and
+    false decode as bools, which float() reads as 1.0 and 0.0."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 # -- tree JSON ------------------------------------------------------------
 
 
@@ -78,7 +86,7 @@ def _tree_from_json(obj):
             raise FormatError(f"vertex #{k} is not an object")
         vid = entry.get("id")
         try:
-            height = float(entry["height"])
+            height = _number(entry["height"])
         except (KeyError, TypeError, ValueError):
             vid = None
         # `type(x) is int` throughout: JSON true and false decode as bools,
@@ -221,7 +229,7 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
     if not isinstance(obj, dict) or "height" not in obj:
         raise FormatError(f"{what}: point needs a 'height'")
     try:
-        height = float(obj["height"])
+        height = _number(obj["height"])
     except (TypeError, ValueError):
         raise FormatError(f"{what}: non-numeric height")
     if "vertex" in obj:
@@ -236,9 +244,15 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
     if type(anchor) is not int:
         raise FormatError(f"{what}: vertex id must be an integer")
     try:
-        return as_point(t, PointOnTree(anchor, height))
+        point = as_point(t, PointOnTree(anchor, height))
     except Exception as exc:
         raise FormatError(f"{what}: {exc}")
+    if "edge" in obj:
+        parent = t.parent[anchor]
+        # null on the top's ray; types compare too, since JSON true == 1
+        if (type(edge[1]), edge[1]) != (type(parent), parent):
+            raise FormatError(f"{what}: {edge} is not an edge [childId, parentId] of the tree")
+    return point
 
 
 # -- pairing JSON ---------------------------------------------------------
@@ -296,7 +310,7 @@ def parse_map(text: str) -> VertexMap:
     source.ensure_valid()
     target.ensure_valid()
     try:
-        delta = float(obj["delta"])
+        delta = _number(obj["delta"])
     except (TypeError, ValueError):
         raise FormatError("non-numeric delta")
     if not isinstance(obj["images"], list):

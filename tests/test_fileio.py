@@ -8,11 +8,13 @@ import pytest
 
 from mergespace import (
     FormatError,
+    LabelPairing,
     LabeledMergeTree,
     MalformedMapError,
     MergeTree,
     MergespaceError,
     PersistenceDiagram,
+    PointOnTree,
     VertexMap,
     labeled_trees_equal,
     labeling_from_map,
@@ -236,6 +238,50 @@ def test_parse_map_refuses_a_boolean_image_id():
     text = _edited_map(lambda obj: obj["images"][1].__setitem__(0, True))
     with pytest.raises(FormatError, match="image #2"):
         parse_map(text)
+
+
+def _pairing_with_point(point: dict) -> str:
+    """The WYE pairing with its second pair's first point replaced."""
+    return _edited_pairing(lambda obj: obj["pairs"][1].__setitem__(0, {"tree": 1, **point}))
+
+
+def test_edge_and_ray_points_round_trip_with_their_parent_ids():
+    # vertex 0 of WYE hangs from vertex 2, and vertex 2 is the top
+    inner, ray = PointOnTree(0, 0.5), PointOnTree(2, 4.0)
+    pairing = LabelPairing(WYE, WYE_UP, ((inner, PointOnTree(1, 2.0)), (ray, PointOnTree(2, 5.0))))
+    text = write_pairing(pairing)
+    edges = [pair[0]["edge"] for pair in json.loads(text)["pairs"]]
+    assert edges == [[0, 2], [2, None]]
+    assert parse_pairing(text, WYE, WYE_UP).pairs == pairing.pairs
+
+
+@pytest.mark.parametrize(
+    "edge",
+    [[0, "zz"], [0, 1], [0, None], [0, True], [0, 2.0], [2, 0], [2, False]],
+    ids=["bad-id", "wrong-parent", "null-below-the-top", "true", "float", "top-to-child", "false-on-the-ray"],
+)
+def test_parse_pairing_refuses_an_edge_whose_second_id_is_not_the_parent(edge):
+    text = _pairing_with_point({"edge": edge, "height": 0.5 if edge[0] == 0 else 4})
+    with pytest.raises(FormatError, match=r"pair #2 first point: .* is not an edge"):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+def test_parse_tree_refuses_a_boolean_height():
+    with pytest.raises(FormatError, match="numeric 'height'"):
+        parse_tree('{"vertices": [{"id": 0, "height": true}], "edges": []}')
+
+
+def test_parse_pairing_refuses_a_boolean_point_height():
+    text = _pairing_with_point({"vertex": 1, "height": True})
+    with pytest.raises(FormatError, match="non-numeric height"):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+def test_parse_map_refuses_a_boolean_delta():
+    with pytest.raises(FormatError, match="non-numeric delta"):
+        parse_map(_edited_map(lambda obj: obj.update(delta=True)))
+    with pytest.raises(FormatError, match="image #1: non-numeric height"):
+        parse_map(_edited_map(lambda obj: obj["images"][0][1].update(height=False)))
 
 
 def test_map_parse_errors():

@@ -15,10 +15,14 @@ from mergespace import (
     persistence_diagram,
 )
 from util import (
+    _diag_cost,
+    _pair_cost,
     bottleneck_covering_reference,
     bottleneck_oracle,
     bottleneck_reference,
+    diagram_oracle,
     rand_diagram,
+    rand_grown_tree,
     rand_merge_tree,
 )
 
@@ -72,6 +76,29 @@ def test_subdivision_vertices_do_not_add_points():
     )
     d = persistence_diagram(t)
     assert d.points == ((0.0, INF), (1.0, 3.0))
+
+
+def test_ties_multiway_merges_and_subdivisions_follow_the_elder_rule():
+    # leaves 0, 1 and 4 tie at 0; 0 and 1 meet 3 in a three-way merge at 2,
+    # through subdivision vertex 9 above leaf 1; 4 joins at 5 under 6
+    t = MergeTree(
+        [(0, 0.0), (1, 0.0), (3, 1.0), (9, 1.0), (2, 2.0), (4, 0.0), (5, 5.0), (6, 7.0)],
+        [(0, 2), (1, 9), (9, 2), (3, 2), (2, 5), (4, 5), (5, 6)],
+    )
+    want = ((0.0, 2.0), (0.0, 5.0), (0.0, INF), (1.0, 2.0))
+    assert persistence_diagram(t).points == diagram_oracle(t).points == want
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "integral", "grown", "grown-integral"]))
+def test_diagram_property_matches_the_ancestor_chain_oracle(seed, kind):
+    # integral heights tie; both generators merge three ways one time in five,
+    # and rand_merge_tree adds subdivision vertices, above the top too
+    rng = np.random.default_rng(seed)
+    if kind.startswith("grown"):
+        t = rand_grown_tree(rng, int(rng.integers(1, 41)), integral=kind.endswith("integral"))
+    else:
+        t = rand_merge_tree(rng, max_leaves=8, integral=kind == "integral")
+    assert persistence_diagram(t).points == diagram_oracle(t).points
 
 
 def test_single_vertex_diagram():
@@ -267,3 +294,52 @@ def test_bottleneck_small_path_covers_the_tiny_cases():
     for a, b, want in [(empty, empty, 0.0), (lone, lone, 0.0), (pair, lone, 1.0),
                        (lone, pair, 1.0), (pair, pair, 0.0), (empty, lone, INF)]:
         assert _on_path(True, a, b) == _on_path(False, a, b) == want
+
+
+def _cheapest_fate_bound(a: PersistenceDiagram, b: PersistenceDiagram) -> float:
+    """The essential floor, and each finite point's cheapest partner or the
+    diagonal: no matching costs less than the largest of these."""
+    inf_a, inf_b = sorted(p[0] for p in a.infinite), sorted(p[0] for p in b.infinite)
+    fates = [abs(x - y) for x, y in zip(inf_a, inf_b)]
+    for mine, theirs in ((a.finite, b.finite), (b.finite, a.finite)):
+        fates += [min([_diag_cost(p), *(_pair_cost(p, q) for q in theirs)]) for p in mine]
+    return max(fates, default=0.0)
+
+
+def _diagram(*points) -> PersistenceDiagram:
+    return PersistenceDiagram([(0.0, INF), *points])
+
+
+# the bound is the value: the first probe succeeds, or nothing is left to probe
+BOUND_IS_THE_VALUE = [
+    (_diagram((0.0, 4.0)), _diagram((1.0, 4.0))),  # one pair within 1
+    (_diagram((0.0, 2.0), (5.0, 5.5)), _diagram()),  # all to the diagonal
+    (_diagram(), _diagram((1.0, 2.0), (1.0, 3.0))),  # empty left side
+    (PersistenceDiagram([(0.0, INF), (1.0, 2.0)]), PersistenceDiagram([(3.0, INF), (1.0, 2.0)])),
+    (_diagram((0.0, 3.0), (2.0, 6.0), (4.0, 5.0)), _diagram((0.5, 3.0), (2.0, 6.5), (4.0, 5.25))),
+]
+# the first probe, at the bound, is refuted and the search bisects above it
+FIRST_PROBE_REFUTED = [
+    # both left points want the one right point; the loser retires at 1.75
+    (_diagram((0.0, 4.0), (0.5, 4.0)), _diagram((0.0, 4.0))),
+    # three left points crowd two right points
+    (_diagram((0.0, 6.0), (0.25, 6.0), (0.5, 6.0)), _diagram((0.0, 6.0), (0.5, 6.0))),
+    # a chain: each nearest partner is taken by the neighbour's nearest
+    (_diagram((0.0, 8.0), (1.0, 9.0), (2.0, 10.0)), _diagram((0.5, 8.5), (1.5, 9.5), (9.0, 9.25))),
+]
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    BOUND_IS_THE_VALUE + FIRST_PROBE_REFUTED,
+    ids=[f"bound-is-the-value-{k}" for k in range(len(BOUND_IS_THE_VALUE))]
+    + [f"first-probe-refuted-{k}" for k in range(len(FIRST_PROBE_REFUTED))],
+)
+def test_bottleneck_search_from_the_bound_on_both_paths(a, b):
+    want = bottleneck_oracle(a, b)
+    bound = _cheapest_fate_bound(a, b)
+    assert (bound == want) == ((a, b) in BOUND_IS_THE_VALUE)
+    assert bound <= want
+    for x, y in ((a, b), (b, a)):
+        small, dense = _on_path(True, x, y), _on_path(False, x, y)
+        assert small.hex() == dense.hex() == want.hex()

@@ -2,11 +2,12 @@
 
 The oracles deliberately take different routes than the library code:
 minimax values come from enumerating simple paths, tree equality from
-nested signatures, bottleneck cost from enumerating matchings (or, for
-larger diagrams, from scipy's Hopcroft-Karp), induced entries and meets
-from walking ancestor chains, unlabeled distances from an ascending scan
-over every candidate shift with those meets, map verdicts from a sweep
-over every critical height, and label transfers from ancestor chains.
+nested signatures, diagrams from ancestor chains, bottleneck cost from
+enumerating matchings (or, for larger diagrams, from scipy's
+Hopcroft-Karp), induced entries and meets from walking ancestor chains,
+unlabeled distances from an ascending scan over every candidate shift
+with those meets, map verdicts from a sweep over every critical height,
+and label transfers from ancestor chains.
 """
 
 from __future__ import annotations
@@ -123,18 +124,22 @@ def rand_merge_tree(rng, max_leaves: int = 5, integral: bool = False) -> MergeTr
     return MergeTree(vertices, edges).ensure_valid()
 
 
-def rand_grown_tree(rng, n_leaves: int) -> MergeTree:
+def rand_grown_tree(rng, n_leaves: int, integral: bool = False) -> MergeTree:
     """Tree on exactly n_leaves leaves, grown as the benchmark grows its
     trees: leaves born in [0, 4], each merge 0.05 to 1.5 above its highest
-    child, one merge in five ternary."""
-    vertices = [(v, float(rng.uniform(0.0, 4.0))) for v in range(n_leaves)]
+    child, one merge in five ternary.  `integral` puts the leaves on the
+    integers 0..4 and each merge 1 or 2 above, so heights tie often."""
+    def pick(low, high):
+        return float(rng.integers(low, high + 1) if integral else rng.uniform(low, high))
+
+    vertices = [(v, pick(0, 4)) for v in range(n_leaves)]
     height = dict(vertices)
     active, edges = list(range(n_leaves)), []
     while len(active) > 1:
         size = 3 if len(active) > 2 and rng.random() < 0.2 else 2
         kids = [active.pop(int(rng.integers(len(active)))) for _ in range(size)]
         v = len(vertices)
-        height[v] = max(height[c] for c in kids) + float(rng.uniform(0.05, 1.5))
+        height[v] = max(height[c] for c in kids) + (pick(1, 2) if integral else pick(0.05, 1.5))
         vertices.append((v, height[v]))
         edges += [(c, v) for c in kids]
         active.append(v)
@@ -631,6 +636,30 @@ def unlabeled_scan_oracle(t1, t2):
         recheck = _scan_probe(a, b, delta - 1e-6 * delta, tol)
         return delta, recheck is None, refuted, witness
     raise AssertionError("no feasible candidate shift")
+
+
+def diagram_oracle(t) -> PersistenceDiagram:
+    """Elder rule leaf by leaf, from the raw vertices and edges: a leaf dies
+    at the first vertex up its ancestor chain whose subtree holds an elder
+    leaf (smaller (height, id)); the eldest leaf never dies."""
+    t = _bare(t)
+    height = dict(t.vertices)
+    parent = dict.fromkeys(height)
+    parent.update(t.edges)
+    leaves = sorted(set(height) - set(parent.values()))
+    below = {v: [] for v in height}
+    for leaf in leaves:
+        u = leaf
+        while u is not None:
+            below[u].append((height[leaf], leaf))
+            u = parent[u]
+    points = []
+    for leaf in leaves:
+        u = parent[leaf]
+        while u is not None and min(below[u]) == (height[leaf], leaf):
+            u = parent[u]
+        points.append((height[leaf], INF if u is None else height[u]))
+    return PersistenceDiagram(points)
 
 
 def _pair_cost(p, q) -> float:
