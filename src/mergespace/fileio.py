@@ -51,9 +51,9 @@ def _jsonable_num(x: float):
 
 
 def _number(x) -> float:
-    """A JSON number as a float.  Booleans raise TypeError: JSON true and
-    false decode as bools, which float() reads as 1.0 and 0.0."""
-    if isinstance(x, bool):
+    """A JSON number as a float.  Strings and booleans raise TypeError:
+    float() would read "1.5" as 1.5 and JSON true as 1.0."""
+    if type(x) not in (int, float):
         raise TypeError(f"{x!r} is not a number")
     return float(x)
 

@@ -36,7 +36,6 @@ from .trees import (
     LabeledMergeTree,
     MergeTree,
     PointOnTree,
-    ancestor_at,
     as_point,
     height_tol,
     point_at,
@@ -181,7 +180,7 @@ def map_point(vm: VertexMap, x: Union[PointOnTree, int]) -> PointOnTree:
     if h < base.height:
         # sub-tolerance shift wobble; never more once the map verifies
         h = base.height
-    return _snap_point(vm.target, ancestor_at(vm.target, base, h), vm.tol)
+    return _snap_point(vm.target, point_at(vm.target, base.anchor, h), vm.tol)
 
 
 def preimage_of(vm: VertexMap, p: PointOnTree):

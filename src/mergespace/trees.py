@@ -5,6 +5,7 @@ heights, and child->parent edges where the parent is strictly higher.  The
 single vertex without a parent (the top vertex) is joined to an implicit
 root at +infinity by a ray, so the geometric realization of a tree always
 extends upward without bound.  Leaves are the vertices without children.
+Edges climb and no vertex has two parents, so a valid tree has no cycle.
 
 Labeled trees attach label indices 1..n to vertices.  Several labels may sit
 on one vertex, labels may sit on internal vertices, and every leaf must
@@ -16,7 +17,7 @@ vertex exactly when its height equals the anchor's height, an interior edge
 point when it lies strictly between the anchor and the anchor's parent, and
 a ray point when the anchor is the top vertex and the height exceeds it.
 That addressing is canonical, which makes point equality plain field
-equality.
+equality.  Every coercion to a point goes through :func:`point_at`.
 
 Vertex ids are opaque nonnegative integers and survive canonicalization, so
 references held by callers stay meaningful.
@@ -121,19 +122,16 @@ class MergeTree:
         ch = {v: [] for v, _ in self.vertices}
         for c, p in self.edges:
             ch[p].append(c)
-        return {v: tuple(sorted(c)) for v, c in ch.items()}
+        return {v: tuple(c) for v, c in ch.items()}
 
     @cached_property
     def top(self) -> int:
         """The unique vertex without a finite parent."""
-        for v, p in self.parent.items():
-            if p is None:
-                return v
-        raise MergespaceError("tree has no top vertex")
+        return next(v for v, p in self.parent.items() if p is None)
 
     @cached_property
     def leaves(self) -> tuple:
-        return tuple(v for v in sorted(self.height) if not self.children[v])
+        return tuple(v for v, _ in self.vertices if not self.children[v])
 
     @cached_property
     def postorder(self) -> tuple:
@@ -157,10 +155,6 @@ class MergeTree:
         for v in self.postorder:
             low[v] = min([self.height[v]] + [low[c] for c in self.children[v]])
         return low
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -195,7 +189,7 @@ class LabeledMergeTree:
         for i, v in self.labels:
             if v in out:
                 out[v].append(i)
-        return {v: tuple(sorted(l)) for v, l in out.items()}
+        return {v: tuple(l) for v, l in out.items()}
 
     @cached_property
     def label_walk(self) -> tuple:
@@ -294,30 +288,13 @@ def _validate(t: MergeTree) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
+    # every edge climbs strictly and no vertex has two parents: parent chains
+    # end, so there is no cycle and the highest vertex is a top
     tops = [v for v in heights if v not in parents]
-    if not tops:
-        problems.append("no top vertex: the parent relation contains a cycle")
-    elif len(tops) > 1:
+    if len(tops) > 1:
         problems.append(
             "disconnected: multiple top vertices " + str(tuple(sorted(tops)))
         )
-
-    # walk the parent chain from every vertex; a cycle revisits a vertex
-    state = {}
-    for v in heights:
-        path = []
-        u = v
-        while u is not None and state.get(u) is None:
-            state[u] = "open"
-            path.append(u)
-            u = parents.get(u)
-        if u is not None and state[u] == "open":
-            problems.append(f"cycle in ancestry through vertex {u}")
-        for w in path:
-            state[w] = "closed"
-        if problems:
-            break
-
     return ValidationReport(tuple(problems))
 
 
@@ -350,6 +327,7 @@ def validate_tree(t: Union[MergeTree, LabeledMergeTree]) -> ValidationReport:
 
 
 def vertex_point(t: MergeTree, v: int) -> PointOnTree:
+    """The vertex v as a point; v must be a vertex of t (unchecked)."""
     return PointOnTree(v, t.height[v])
 
 
@@ -357,10 +335,13 @@ def point_at(t: MergeTree, anchor: int, height: float) -> PointOnTree:
     """Canonical point from a below-vertex anchor and a height.
 
     Walks upward so the stored anchor is the highest vertex at or below the
-    point.  The height must be finite and at or above the anchor vertex.
+    point.  The anchor must be a vertex of t and the height finite and at or
+    above it, or MergespaceError is raised.
     """
     h = float(height)
-    if anchor not in t.height or not t.height[anchor] <= h < math.inf:
+    if anchor not in t.height:
+        raise MergespaceError(f"unknown vertex {anchor}")
+    if not t.height[anchor] <= h < math.inf:
         raise MergespaceError(
             f"no point at height {h} at or above vertex {anchor}"
         )
@@ -389,26 +370,15 @@ def points_at(t: MergeTree, h: float, tol: float):
 
 
 def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
-    """Coerce a vertex id, (anchor, height) pair, or point to canonical form."""
-    if isinstance(p, tuple) and not isinstance(p, PointOnTree):
+    """Coerce a vertex id, (anchor, height) pair, or point to canonical form;
+    an unknown vertex or a height off the tree raises MergespaceError."""
+    if isinstance(p, (PointOnTree, tuple)):
         anchor, height = p
-        return point_at(t, int(anchor), float(height))
-    if isinstance(p, PointOnTree):
-        v = p.anchor
-        if v not in t.height:
-            raise MergespaceError(f"point anchored at unknown vertex {v}")
-        par = t.parent[v]
-        if not t.height[v] <= p.height < math.inf:
-            raise MergespaceError(f"no point at height {p.height} at or above vertex {v}")
-        if p.height == t.height[v]:
-            return p
-        if par is None:
-            return p
-        if p.height >= t.height[par]:
-            # non-canonical anchor; renormalize
-            return point_at(t, v, p.height)
-        return p
-    return vertex_point(t, int(p))
+        return point_at(t, anchor, height)
+    v = int(p)
+    if v not in t.height:
+        raise MergespaceError(f"unknown vertex {v}")
+    return vertex_point(t, v)
 
 
 def is_vertex_point(t: MergeTree, p: PointOnTree) -> bool:
@@ -535,7 +505,7 @@ def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:
     for v in t.postorder:
         key = (
             t.height[v],
-            tuple(sorted(labels_of[v])) if labels_of else (),
+            labels_of[v] if labels_of else (),
             tuple(sorted(ids[c] for c in t.children[v])),
         )
         ids[v] = table.setdefault(key, len(table))

@@ -284,6 +284,24 @@ def test_parse_map_refuses_a_boolean_delta():
         parse_map(_edited_map(lambda obj: obj["images"][0][1].update(height=False)))
 
 
+@pytest.mark.parametrize("height", ["1.5", " 2e0 "])
+def test_parse_tree_refuses_a_string_height(height):
+    text = json.dumps({"vertices": [{"id": 0, "height": height, "labels": [1]}], "edges": []})
+    with pytest.raises(FormatError, match="numeric 'height'"):
+        parse_tree(text)
+
+
+def test_parse_pairing_refuses_a_string_point_height():
+    text = _pairing_with_point({"vertex": 1, "height": "1"})
+    with pytest.raises(FormatError, match="non-numeric height"):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+def test_parse_map_refuses_a_string_delta():
+    with pytest.raises(FormatError, match="non-numeric delta"):
+        parse_map(_edited_map(lambda obj: obj.update(delta="1.0")))
+
+
 def test_map_parse_errors():
     with pytest.raises(FormatError) as err:
         parse_map('{"source": {}, "target": {}}')

@@ -53,6 +53,8 @@ def test_vertex_map_rejects_bad_inputs():
         VertexMap(WYE, WYE_UP, 1.0, {0: (0, 1.0), 1: (1, 2.0)})
     with pytest.raises(MalformedMapError):
         VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 2: (99, 4.0)})
+    with pytest.raises(MalformedMapError):
+        VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 2: 99})
 
 
 def test_unit_shift_map_is_good_at_one():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergespace import (
@@ -36,7 +36,14 @@ from mergespace.trees import (
     is_vertex_point,
     on_root_ray,
 )
-from util import lca_oracle, rand_labeled_tree, rand_merge_tree, rand_point, tree_signature
+from util import (
+    lca_oracle,
+    rand_labeled_tree,
+    rand_merge_tree,
+    rand_point,
+    tree_signature,
+    validate_oracle,
+)
 
 
 def _wye():
@@ -83,6 +90,82 @@ def test_validation_flags_each_defect(vertices, edges, needle):
     report = validate_tree(MergeTree(vertices, edges))
     assert not report.ok
     assert any(needle in v for v in report.violations)
+
+
+_DEFECTS = (
+    "duplicate id",
+    "nan height",
+    "inf height",
+    "tied height",
+    "self loop",
+    "unknown id",
+    "duplicate edge",
+    "two-cycle",
+    "three-cycle",
+    "forest",
+    "any edge",
+)
+
+
+@st.composite
+def raw_tree_parts(draw):
+    """Vertex and edge lists of 0-8 vertices: a tree whose edges climb to a
+    strictly higher vertex where there is one, then up to three defects."""
+    n = draw(st.integers(0, 8))
+    ids = draw(st.permutations(range(10)))[:n]
+    heights = draw(st.lists(st.integers(0, 5).map(float), min_size=n, max_size=n))
+    vertices = list(zip(ids, heights))
+    edges = []
+    for v, h in vertices:
+        higher = [u for u, g in vertices if g > h]
+        if higher:
+            edges.append((v, draw(st.sampled_from(higher))))
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=3)):
+        if not vertices:
+            break
+        k = draw(st.integers(0, len(vertices) - 1))
+        v, h = vertices[k]
+        u = draw(st.sampled_from(vertices))[0]
+        w = draw(st.sampled_from(vertices))[0]
+        if defect == "duplicate id":
+            vertices.append((v, h + 1.0))
+        elif defect == "nan height":
+            vertices[k] = (v, math.nan)
+        elif defect == "inf height":
+            vertices[k] = (v, draw(st.sampled_from([math.inf, -math.inf])))
+        elif defect == "self loop":
+            edges.append((v, v))
+        elif defect == "unknown id":
+            edges.append(draw(st.sampled_from([(v, 99), (99, v)])))
+        elif defect == "any edge":
+            edges.append((v, u))
+        elif not edges:
+            continue
+        elif defect == "tied height":
+            c, p = draw(st.sampled_from(edges))
+            tie = dict(vertices).get(p, h)
+            vertices = [(x, tie if x == c else g) for x, g in vertices]
+        elif defect == "duplicate edge":
+            edges.append(draw(st.sampled_from(edges)))
+        elif defect == "two-cycle":
+            c, p = draw(st.sampled_from(edges))
+            edges.append((p, c))
+        elif defect == "three-cycle":
+            edges.extend([(v, u), (u, w), (w, v)])
+        elif defect == "forest":
+            edges.remove(draw(st.sampled_from(edges)))
+    return vertices, edges
+
+
+@settings(max_examples=400)
+@given(raw_tree_parts())
+def test_validation_property_equals_the_ancestry_walk_oracle(parts):
+    t = MergeTree(*parts)
+    report = validate_tree(t)
+    assert report.violations == validate_oracle(t).violations
+    if report.ok:
+        assert [v for v, p in t.parent.items() if p is None] == [t.top]
+        assert all(h < t.height[t.top] for v, h in t.vertices if v != t.top)
 
 
 def test_ensure_valid_raises_with_the_violations():
@@ -134,6 +217,24 @@ def test_as_point_accepts_ids_tuples_and_renormalizes():
     assert as_point(t, PointOnTree(0, 3.0)) == PointOnTree(2, 3.0)
     with pytest.raises(MergespaceError):
         as_point(t, PointOnTree(1, 0.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: as_point(t, 99),
+        lambda t: as_point(t, PointOnTree(99, 1.0)),
+        lambda t: lca(t, 0, 99),
+        lambda t: depth(t, 99),
+        lambda t: path_metric(t, 99, 0),
+        lambda t: ancestor_at(t, 99, 5.0),
+        lambda t: refine_at(t, [99]),
+    ],
+    ids=["as_point", "as_point-anchor", "lca", "depth", "path_metric", "ancestor_at", "refine_at"],
+)
+def test_point_helpers_refuse_an_unknown_vertex_id(call):
+    with pytest.raises(MergespaceError, match="unknown vertex 99"):
+        call(_wye())
 
 
 def test_point_predicates():

@@ -7,7 +7,8 @@ enumerating matchings (or, for larger diagrams, from scipy's
 Hopcroft-Karp), induced entries and meets from walking ancestor chains,
 unlabeled distances from an ascending scan over every candidate shift
 with those meets, map verdicts from a sweep over every critical height,
-and label transfers from ancestor chains.
+label transfers from ancestor chains, and tree validation from a walk up
+every parent chain.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from mergespace import (
 )
 from mergespace.goodmaps import _snap_point
 from mergespace.trees import (
+    ValidationReport,
     _bare,
     as_point,
     height_tol,
@@ -660,6 +662,75 @@ def diagram_oracle(t) -> PersistenceDiagram:
             u = parent[u]
         points.append((height[leaf], INF if u is None else height[u]))
     return PersistenceDiagram(points)
+
+
+def validate_oracle(t: MergeTree) -> ValidationReport:
+    """Every structural check in the library's order, plus a walk up every
+    parent chain that reports a missing top or a cycle; the library proves
+    both impossible once the edge checks pass, so it skips them."""
+    problems = []
+    if not t.vertices:
+        return ValidationReport(("tree has no vertices",))
+
+    heights = {}
+    for v, h in t.vertices:
+        if v in heights:
+            problems.append(f"duplicate vertex id {v}")
+        if not math.isfinite(h):
+            problems.append(f"vertex {v} has non-finite height {h}")
+        heights[v] = h
+    if problems:
+        return ValidationReport(tuple(problems))
+
+    parents = {}
+    seen_edges = set()
+    for c, p in t.edges:
+        if (c, p) in seen_edges:
+            problems.append(f"duplicate edge ({c}, {p})")
+            continue
+        seen_edges.add((c, p))
+        if c not in heights or p not in heights:
+            problems.append(f"edge ({c}, {p}) references an unknown vertex")
+            continue
+        if c == p:
+            problems.append(f"edge ({c}, {p}) is a self loop")
+            continue
+        if heights[c] == heights[p]:
+            problems.append(f"edge ({c}, {p}) has equal function value on both ends")
+        elif heights[c] > heights[p]:
+            problems.append(f"edge ({c}, {p}) runs downward: child above parent")
+        if c in parents:
+            problems.append(f"vertex {c} has multiple ancestors ({parents[c]} and {p})")
+        else:
+            parents[c] = p
+    if problems:
+        return ValidationReport(tuple(problems))
+
+    tops = [v for v in heights if v not in parents]
+    if not tops:
+        problems.append("no top vertex: the parent relation contains a cycle")
+    elif len(tops) > 1:
+        problems.append(
+            "disconnected: multiple top vertices " + str(tuple(sorted(tops)))
+        )
+
+    # walk the parent chain from every vertex; a cycle revisits a vertex
+    state = {}
+    for v in heights:
+        path = []
+        u = v
+        while u is not None and state.get(u) is None:
+            state[u] = "open"
+            path.append(u)
+            u = parents.get(u)
+        if u is not None and state[u] == "open":
+            problems.append(f"cycle in ancestry through vertex {u}")
+        for w in path:
+            state[w] = "closed"
+        if problems:
+            break
+
+    return ValidationReport(tuple(problems))
 
 
 def _pair_cost(p, q) -> float:
