@@ -55,7 +55,10 @@ def _number(x) -> float:
     float() would read "1.5" as 1.5 and JSON true as 1.0."""
     if type(x) not in (int, float):
         raise TypeError(f"{x!r} is not a number")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("integer too large for a float") from None
 
 
 # -- tree JSON ------------------------------------------------------------

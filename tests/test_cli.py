@@ -237,3 +237,11 @@ def test_malformed_tree_file_is_a_domain_error(files, capsys):
     bad.write_text("{")
     assert main(["validate", str(bad)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+def test_height_too_large_for_a_float_is_a_domain_error(files, capsys):
+    huge = files / "huge.json"
+    huge.write_text(json.dumps({"vertices": [{"id": 0, "height": 10**400, "labels": [1]}],
+                                "edges": []}))
+    assert main(["induce", str(huge)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -302,6 +302,27 @@ def test_parse_map_refuses_a_string_delta():
         parse_map(_edited_map(lambda obj: obj.update(delta="1.0")))
 
 
+# a JSON integer of 401 digits: float() overflows on it
+HUGE = 10**400
+
+
+def test_parse_tree_refuses_a_height_too_large_for_a_float():
+    text = json.dumps({"vertices": [{"id": 0, "height": HUGE, "labels": [1]}], "edges": []})
+    with pytest.raises(FormatError, match="numeric 'height'"):
+        parse_tree(text)
+
+
+def test_parse_pairing_refuses_a_point_height_too_large_for_a_float():
+    text = _pairing_with_point({"vertex": 1, "height": HUGE})
+    with pytest.raises(FormatError, match="non-numeric height"):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+def test_parse_map_refuses_a_delta_too_large_for_a_float():
+    with pytest.raises(FormatError, match="non-numeric delta"):
+        parse_map(_edited_map(lambda obj: obj.update(delta=HUGE)))
+
+
 def test_map_parse_errors():
     with pytest.raises(FormatError) as err:
         parse_map('{"source": {}, "target": {}}')

@@ -13,6 +13,11 @@ and the `--witness` file of `dist unlabeled` as printed by the ascending
 scan over candidate shifts, before the search was bisected.  A change to
 the value, the witness placement or its order shows up here.
 
+Finally it holds the stdout of `pd` and `dist bottleneck` as printed while
+the bottleneck matchings were grown by Hopcroft-Karp.  The 120-vertex
+trees take the numpy path of `bottleneck_distance`, the unlabeled pairs the
+plain-list path for small diagrams.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -54,6 +59,31 @@ def test_dist_unlabeled_matches_golden(kind, leaves, tmp_path):
             "--witness", str(witness)]
     assert _stdout(argv) == (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").read_text()
     assert witness.read_text() == Path(f"{stem}.witness.json").read_text()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pd_matches_golden(kind):
+    want = (GOLDEN / f"pd-{kind}-120.out").read_text()
+    assert _stdout(["pd", str(GOLDEN / f"{kind}-120.tree.json")]) == want
+
+
+BOTTLENECK = {
+    "real-120-grid-120": (GOLDEN / "real-120.tree.json", GOLDEN / "grid-120.tree.json"),
+    **{
+        f"unlabeled-{kind}-{leaves}": (
+            GOLDEN / f"unlabeled-{kind}-{leaves}.a.tree.json",
+            GOLDEN / f"unlabeled-{kind}-{leaves}.b.tree.json",
+        )
+        for kind, leaves in UNLABELED
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOTTLENECK))
+def test_dist_bottleneck_matches_golden(name):
+    a, b = BOTTLENECK[name]
+    want = (GOLDEN / f"dist-bottleneck-{name}.out").read_text()
+    assert _stdout(["dist", "bottleneck", str(a), str(b)]) == want
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -107,3 +137,9 @@ if __name__ == "__main__":
         out = _stdout(["dist", "unlabeled", f"{stem}.a.tree.json",
                        f"{stem}.b.tree.json", "--witness", f"{stem}.witness.json"])
         (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").write_text(out)
+    for kind in KINDS:
+        out = _stdout(["pd", str(GOLDEN / f"{kind}-120.tree.json")])
+        (GOLDEN / f"pd-{kind}-120.out").write_text(out)
+    for name, (a, b) in BOTTLENECK.items():
+        out = _stdout(["dist", "bottleneck", str(a), str(b)])
+        (GOLDEN / f"dist-bottleneck-{name}.out").write_text(out)

@@ -343,3 +343,65 @@ def test_bottleneck_search_from_the_bound_on_both_paths(a, b):
     for x, y in ((a, b), (b, a)):
         small, dense = _on_path(True, x, y), _on_path(False, x, y)
         assert small.hex() == dense.hex() == want.hex()
+
+
+# -- the matching ---------------------------------------------------------
+
+
+@st.composite
+def warm_graphs(draw):
+    """A bipartite graph of 0-8 rows and columns, the rows that must be
+    covered, and a warm matching along its edges that may hold rows outside
+    the must-cover set."""
+    n_rows, n_cols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    cols = st.lists(st.integers(0, n_cols - 1), unique=True) if n_cols else st.just([])
+    edges = [sorted(draw(cols)) for _ in range(n_rows)]
+    must = draw(st.sets(st.integers(0, n_rows - 1))) if n_rows else set()
+    adj = {r: edges[r] for r in sorted(must)}
+    match_row, match_col = [-1] * n_rows, [-1] * n_cols
+    pairs = [(r, j) for r in range(n_rows) for j in edges[r]]
+    for r, j in draw(st.permutations(pairs)) if pairs else ():
+        if match_row[r] < 0 and match_col[j] < 0 and draw(st.booleans()):
+            match_row[r], match_col[j] = j, r
+    return adj, n_cols, match_row, match_col
+
+
+@settings(max_examples=400)
+@given(warm_graphs())
+def test_covers_property_agrees_with_scipy_matching(graph):
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    adj, n_cols, match_row, match_col = graph
+    rows = list(adj)
+    if not rows:
+        want = True
+    elif not n_cols:
+        want = False
+    else:
+        biadjacency = np.zeros((len(rows), n_cols), dtype=np.int8)
+        for k, r in enumerate(rows):
+            biadjacency[k, adj[r]] = 1
+        best = csgraph.maximum_bipartite_matching(sparse.csr_matrix(biadjacency), perm_type="column")
+        want = bool((best >= 0).all())
+    got = persistence._covers(adj, match_row, match_col)
+    assert got is want
+    # the matching stays consistent whatever the verdict
+    for r, j in enumerate(match_row):
+        assert j < 0 or (r in adj and j in adj[r] and match_col[j] == r)
+    for j, r in enumerate(match_col):
+        assert r < 0 or match_row[r] == j
+    if got:
+        assert all(match_row[r] >= 0 for r in adj)
+
+
+def test_covers_follows_one_augmenting_path_through_a_staircase():
+    # row r reaches columns r and r + 1 and holds r + 1, and the free last
+    # row reaches only the column its neighbour holds: the one augmenting
+    # path shifts every row down one column
+    n = 10**5
+    adj = {r: [r, r + 1] for r in range(n - 1)}
+    adj[n - 1] = [n - 1]
+    match_row = [r + 1 for r in range(n - 1)] + [-1]
+    match_col = [-1] + list(range(n - 1))
+    assert persistence._covers(adj, match_row, match_col)
+    assert match_row == match_col == list(range(n))
