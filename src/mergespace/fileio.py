@@ -97,7 +97,10 @@ def _tree_from_json(obj):
         if type(vid) is not int:
             raise FormatError(f"vertex #{k} needs integer 'id' and numeric 'height'")
         vertices.append((vid, height))
-        for lab in entry.get("labels", []):
+        labs = entry.get("labels", [])
+        if not isinstance(labs, list):
+            raise FormatError(f"vertex #{k}: 'labels' must be a list")
+        for lab in labs:
             if type(lab) is not int:
                 raise FormatError(f"vertex #{k}: label {lab!r} is not an integer")
             if lab in labels:
@@ -147,7 +150,8 @@ def _tree_to_json(t: Union[MergeTree, LabeledMergeTree]) -> dict:
 
 
 def parse_matrix(text: str) -> SymMatrix:
-    """First line is n, then n rows of n numbers; rounding asymmetry is averaged."""
+    """First line is n, then n rows of n numbers and nothing after them but
+    blank lines; rounding asymmetry is averaged."""
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty matrix file")
@@ -173,6 +177,9 @@ def parse_matrix(text: str) -> SymMatrix:
         if not all(math.isfinite(x) for x in row):
             raise FormatError("entries must be finite", line=k + 1)
         rows.append(row)
+    for k in range(n + 1, len(lines)):
+        if lines[k].strip():
+            raise FormatError(f"data after the {n} rows", line=k + 1)
     return SymMatrix(rows)
 
 
@@ -322,5 +329,7 @@ def parse_map(text: str) -> VertexMap:
     for k, entry in enumerate(obj["images"], start=1):
         if not isinstance(entry, list) or len(entry) != 2 or type(entry[0]) is not int:
             raise FormatError(f"image #{k} must be [vertexId, point]")
+        if entry[0] in images:
+            raise FormatError(f"image #{k}: vertex {entry[0]} already has an image")
         images[entry[0]] = _point_from_json(target, entry[1], f"image #{k}")
     return VertexMap(source, target, delta, images)

@@ -123,12 +123,10 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
 
 def _numpy_adjacency(cost, half, c):
     """Rows that must be covered at c (half-persistence above c) -> their
-    columns within c, from one numpy comparison; None when a row has none."""
+    columns within c, from one numpy comparison."""
     must = np.flatnonzero(half > c)
     within = cost[must] <= c
     deg = np.count_nonzero(within, axis=1)
-    if not deg.all():
-        return None
     cols = np.nonzero(within)[1].tolist()
     adj, start = {}, 0
     for r, end in zip(must.tolist(), np.cumsum(deg).tolist()):
@@ -139,14 +137,11 @@ def _numpy_adjacency(cost, half, c):
 
 def _small_adjacency(cost, half, c):
     """The same adjacency from lists, for diagrams too small for numpy."""
-    adj = {}
-    for r, h in enumerate(half):
-        if h > c:
-            cols = [j for j, x in enumerate(cost[r]) if x <= c]
-            if not cols:
-                return None
-            adj[r] = cols
-    return adj
+    return {
+        r: [j for j, x in enumerate(cost[r]) if x <= c]
+        for r, h in enumerate(half)
+        if h > c
+    }
 
 
 def _covers(adj, match_row: list, match_col: list) -> bool:
@@ -162,9 +157,12 @@ def _covers(adj, match_row: list, match_col: list) -> bool:
     Berge's exchange argument no matching covers the rows of `adj`.  After
     an augmentation the marks may be stale, so a failed search does not
     end the phase, and the next phase starts with fresh marks.
+
+    A row with no columns is never covered, and the phases answer False for
+    it.  `bottleneck_distance` never probes such a row: it probes only at or
+    above every point's cheapest fate, so a row that cannot retire has a
+    partner within the probe's cost.
     """
-    if adj is None:
-        return False
     for r, j in enumerate(match_row):
         if j >= 0 and r not in adj:
             match_row[r] = match_col[j] = -1

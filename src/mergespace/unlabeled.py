@@ -5,9 +5,11 @@ shared labeling brings the two induced matrices within that shift of each
 other.  The search space is finite: candidate shifts come from pairwise
 height differences (and their halves), and for a given shift each tree's
 leaves only need placements at leaf height + shift in the opposite tree,
-one per crossing branch.  A pruned exhaustive search over those placements
-decides feasibility per candidate, depth-first on an explicit stack, so no
-leaf count meets the recursion limit.
+one per crossing branch.  So each leaf of either tree carries one label,
+whose options are those placements.  A pruned exhaustive search picks one
+option per label, fewest options first, and checks each against the options
+already chosen; it runs depth-first on an explicit stack, so no leaf count
+meets the recursion limit.
 
 The search starts from a lower bound.  The bottleneck distance between the
 trees' persistence diagrams never exceeds the interleaving distance, and
@@ -113,72 +115,50 @@ class _Search:
     def feasible(self, delta: float):
         """A witness pairing at this shift, or None when none exists."""
         self.probes += 1
-        t1, t2, tol, budget = self.t1, self.t2, self.tol, self.budget
-        left = [self._placed(1, vertex_point(t1, v)) for v in t1.leaves]
-        right = [self._placed(2, vertex_point(t2, v)) for v in t2.leaves]
-        n1 = len(left)
-        labels = range(n1 + len(right))
-
-        # labels below n1 sit on the leaves of t1 and are placed in t2; the
-        # rest sit on the leaves of t2 and are placed in t1
-        pos1 = left + [None] * len(right)
-        pos2 = [None] * n1 + right
-        cands = [
-            [self._placed(2, q) for q in points_at(t2, p[0] + delta, tol)]
-            for p in left
+        t1, t2, tol = self.t1, self.t2, self.tol
+        # one label per leaf of either tree; its options pair that leaf with
+        # each point at leaf height + delta in the other tree, as (t1, t2)
+        options = [
+            [(p, self._placed(2, q)) for q in points_at(t2, p[0] + delta, tol)]
+            for p in (self._placed(1, vertex_point(t1, v)) for v in t1.leaves)
         ] + [
-            [self._placed(1, q) for q in points_at(t1, p[0] + delta, tol)]
-            for p in right
+            [(self._placed(1, q), p) for q in points_at(t1, p[0] + delta, tol)]
+            for p in (self._placed(2, vertex_point(t2, v)) for v in t2.leaves)
         ]
-        if not all(cands):
+        if not all(options):
             return None
 
-        order = sorted(labels, key=lambda k: (len(cands[k]), k))
+        # fewest options first, ties by label index (the sort is stable)
+        order = sorted(range(len(options)), key=lambda k: len(options[k]))
         limit = delta + tol
-        assigned = []
         states = 0
-
-        def fits(x: int) -> bool:
-            a, c = pos1[x], pos2[x]
-            for y in assigned:
-                b, e = pos1[y], pos2[y]
-                gap = max(a[0], b[0], a[2][b[1]]) - max(c[0], e[0], c[2][e[1]])
-                if abs(gap) > limit:
-                    return False
-            return True
-
-        # depth-first over `order` with an explicit stack: tried[i] counts
-        # the candidates tried for label order[i], and assigned == order[:i]
-        tried = [0] * len(order)
-        i = 0
-        while 0 <= i < len(order):
-            k = order[i]
-            store = pos2 if k < n1 else pos1
-            options = cands[k]
-            j = tried[i]
-            while j < len(options):
+        # depth-first with an explicit stack: chosen[i] is the option kept
+        # for label order[i], and stack[i] iterates over that label's options
+        chosen = []
+        stack = [iter(options[order[0]])]
+        while stack:
+            for a, c in stack[-1]:
                 states += 1
-                if states > budget:
-                    raise BudgetExceededError(budget)
-                store[k] = options[j]
-                j += 1
-                if fits(k):
+                if states > self.budget:
+                    raise BudgetExceededError(self.budget)
+                for b, e in chosen:
+                    gap = max(a[0], b[0], a[2][b[1]]) - max(c[0], e[0], c[2][e[1]])
+                    if abs(gap) > limit:
+                        break
+                else:
                     break
             else:
                 # exhausted: back up and move the previous label on
-                tried[i] = 0
-                i -= 1
-                if i >= 0:
-                    assigned.pop()
+                stack.pop()
+                if stack:
+                    chosen.pop()
                 continue
-            tried[i] = j
-            assigned.append(k)
-            i += 1
-
-        if i < 0:
-            return None
-        pairs = tuple((pos1[k][3], pos2[k][3]) for k in labels)
-        return LabelPairing(t1, t2, pairs)
+            chosen.append((a, c))
+            if len(chosen) == len(order):
+                pairs = tuple((a[3], c[3]) for _, (a, c) in sorted(zip(order, chosen)))
+                return LabelPairing(t1, t2, pairs)
+            stack.append(iter(options[order[len(chosen)]]))
+        return None
 
 
 def unlabeled_interleaving(

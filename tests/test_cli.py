@@ -245,3 +245,25 @@ def test_height_too_large_for_a_float_is_a_domain_error(files, capsys):
                                 "edges": []}))
     assert main(["induce", str(huge)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_induce_refuses_a_bare_tree(files, capsys):
+    bare = files / "bare.json"
+    bare.write_text(write_tree(MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 2), (1, 2)])))
+    assert main(["induce", str(bare)]) == 2
+    assert capsys.readouterr().err == f"error: {bare}: tree carries no labels\n"
+
+
+def test_dist_unlabeled_warns_when_uncertified(files, capsys):
+    # at a 2**40 offset the re-test shift 1 - 1e-6 lies within the tolerance
+    # of 1, so the re-test finds a placement and the value stays uncertified
+    off = 2.0**40
+    for name, heights in (("a", (0.0, 1.0, 3.0)), ("b", (0.0, 2.0, 3.5))):
+        tree = MergeTree([(v, off + h) for v, h in enumerate(heights)], [(0, 2), (1, 2)])
+        (files / f"{name}.json").write_text(write_tree(tree))
+    out = files / "w.json"
+    argv = ["dist", "unlabeled", str(files / "a.json"), str(files / "b.json"), "--witness", str(out)]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "1\n"
+    assert captured.err == "warning: uncertified; the distance lies in (0.75, 1]\n"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -96,6 +97,14 @@ def test_tree_writes_are_deterministic():
             ' "edges": [[0, true]]}',
             "edge #1",
         ),
+        (
+            '{"vertices": [{"id": 0, "height": 0, "labels": null}], "edges": []}',
+            "vertex #1: 'labels' must be a list",
+        ),
+        (
+            '{"vertices": [{"id": 0, "height": 0, "labels": 5}], "edges": []}',
+            "vertex #1: 'labels' must be a list",
+        ),
     ],
 )
 def test_tree_parse_errors(text, needle):
@@ -145,12 +154,19 @@ def test_matrix_rejects_real_asymmetry():
         ("2\n0 1\n", "expected 2 rows"),
         ("2\n0 1\n1\n", "line 3"),
         ("1\ninf\n", "finite"),
+        ("2\n0 x\n1 0\n", "line 2: could not convert"),
+        ("2\n0 1\n1 0\n5 5 7\n", "line 4: data after the 2 rows"),
+        ("2\n0 1\n1 0\n\n \n7\n", "line 6: data after the 2 rows"),
     ],
 )
 def test_matrix_parse_errors(text, needle):
     with pytest.raises(FormatError) as err:
         parse_matrix(text)
     assert needle in str(err.value)
+
+
+def test_matrix_accepts_trailing_blank_lines():
+    assert parse_matrix("2\n0 1\n1 0\n\n  \n") == parse_matrix("2\n0 1\n1 0\n")
 
 
 def test_diagram_round_trip_with_infinite_deaths():
@@ -165,6 +181,8 @@ def test_diagram_parse_errors():
     with pytest.raises(FormatError) as err:
         parse_diagram("1 2\n3\n")
     assert "line 2" in str(err.value)
+    with pytest.raises(FormatError, match="line 1: could not convert"):
+        parse_diagram("1 x\n")
 
 
 def test_diagram_rejects_backwards_points():
@@ -327,6 +345,43 @@ def test_map_parse_errors():
     with pytest.raises(FormatError) as err:
         parse_map('{"source": {}, "target": {}}')
     assert "missing" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        (_edited_pairing(lambda obj: obj.update(pairs=5)), "expected an object with a 'pairs' list"),
+        (_edited_pairing(lambda obj: obj["pairs"].append(5)), "pair #3 must be a two-point list"),
+        (_edited_pairing(lambda obj: obj["pairs"][1].__setitem__(0, 5)), "pair #2 first point: point needs a 'height'"),
+        (_pairing_with_point({"vertex": 1}), "pair #2 first point: point needs a 'height'"),
+        (_pairing_with_point({"height": 1}), "pair #2 first point: point needs 'vertex' or 'edge'"),
+        (_pairing_with_point({"edge": 0, "height": 0.5}), "pair #2 first point: 'edge' must be [childId, parentId]"),
+        (_pairing_with_point({"edge": [0], "height": 0.5}), "pair #2 first point: 'edge' must be [childId, parentId]"),
+    ],
+    ids=["pairs-not-a-list", "pair-not-a-list", "point-not-an-object", "no-height", "no-anchor", "edge-not-a-list", "edge-of-one-id"],
+)
+def test_pairing_structure_errors(text, needle):
+    with pytest.raises(FormatError, match=re.escape(needle)):
+        parse_pairing(text, WYE, WYE_UP)
+
+
+@pytest.mark.parametrize(
+    "text,needle",
+    [
+        ("[]", "top level must be an object"),
+        (_edited_map(lambda obj: obj.update(images=5)), "'images' must be a list"),
+        (_edited_map(lambda obj: obj["images"].append([2])), "image #4 must be [vertexId, point]"),
+        # a second image of vertex 0 would silently replace the first
+        (
+            _edited_map(lambda obj: obj["images"].append([0, {"vertex": 0, "height": 1.5}])),
+            "image #4: vertex 0 already has an image",
+        ),
+    ],
+    ids=["top-level", "images-not-a-list", "image-not-a-pair", "image-listed-twice"],
+)
+def test_map_structure_errors(text, needle):
+    with pytest.raises(FormatError, match=re.escape(needle)):
+        parse_map(text)
 
 
 def test_write_diagram_uses_inf_for_essential_points():

@@ -205,6 +205,13 @@ def test_budget_errors_carry_the_bracket():
     assert {(True, True), (False, True), (False, False)} <= seen
 
 
+def test_the_budget_counts_every_option_tried():
+    # one label per leaf of either tree, each with one option: two states
+    assert unlabeled_interleaving(SINGLE, SINGLE, budget=2).value == 0.0
+    with pytest.raises(BudgetExceededError):
+        unlabeled_interleaving(SINGLE, SINGLE, budget=1)
+
+
 def _pairs(seed, count, max_leaves, grid=None):
     """Seeded tree pairs; by default every other one on the integer grid."""
     rng = np.random.default_rng(seed)
