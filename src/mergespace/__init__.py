@@ -66,17 +66,13 @@ from .trees import (
     MergeTree,
     PointOnTree,
     ValidationReport,
-    ancestor_at,
     canonicalize,
     canonicalize_tree,
-    depth,
     labeled_trees_equal,
     lca,
-    path_metric,
     point_at,
     refine_at,
     trees_equal,
-    validate_tree,
     vertex_point,
 )
 from .unlabeled import (
@@ -106,7 +102,6 @@ __all__ = [
     "UnlabeledDistance",
     "ValidationReport",
     "VertexMap",
-    "ancestor_at",
     "apply_pairing",
     "as_sym_matrix",
     "bottleneck_distance",
@@ -114,7 +109,6 @@ __all__ = [
     "candidate_shifts",
     "canonicalize",
     "canonicalize_tree",
-    "depth",
     "geodesic_length",
     "geodesic_point",
     "induced_matrix",
@@ -133,7 +127,6 @@ __all__ = [
     "parse_matrix",
     "parse_pairing",
     "parse_tree",
-    "path_metric",
     "persistence_diagram",
     "point_at",
     "refine_at",
@@ -141,7 +134,6 @@ __all__ = [
     "trees_equal",
     "ultrafy",
     "unlabeled_interleaving",
-    "validate_tree",
     "vertex_point",
     "verify_delta_good",
     "write_diagram",

@@ -29,7 +29,7 @@ from .goodmaps import verify_delta_good
 from .matrices import induced_matrix, tree_of_matrix, ultrafy
 from .metrics import geodesic_point, labeled_interleaving, one_center
 from .persistence import bottleneck_tree_distance, persistence_diagram
-from .trees import LabeledMergeTree, validate_tree
+from .trees import LabeledMergeTree
 from .unlabeled import DEFAULT_BUDGET, unlabeled_interleaving
 
 
@@ -58,9 +58,7 @@ def _labeled(path: str) -> LabeledMergeTree:
 
 def _cmd_validate(ns) -> int:
     tree, labels = parse_tree_raw(_read(ns.tree))
-    report = validate_tree(
-        LabeledMergeTree(tree, labels) if labels else tree
-    )
+    report = (LabeledMergeTree(tree, labels) if labels else tree).validation
     if report.ok:
         print("ok")
         return 0

@@ -50,15 +50,16 @@ def _jsonable_num(x: float):
     return x
 
 
-def _number(x) -> float:
+def _number(x, name: str) -> float:
     """A JSON number as a float.  Strings and booleans raise TypeError:
-    float() would read "1.5" as 1.5 and JSON true as 1.0."""
+    float() would read "1.5" as 1.5 and JSON true as 1.0.  An integer too
+    large for a float raises ValueError.  Both messages say which `name`."""
     if type(x) not in (int, float):
-        raise TypeError(f"{x!r} is not a number")
+        raise TypeError(f"non-numeric {name}")
     try:
         return float(x)
     except OverflowError:
-        raise ValueError("integer too large for a float") from None
+        raise ValueError(f"{name} is too large for a float") from None
 
 
 # -- tree JSON ------------------------------------------------------------
@@ -89,9 +90,11 @@ def _tree_from_json(obj):
             raise FormatError(f"vertex #{k} is not an object")
         vid = entry.get("id")
         try:
-            height = _number(entry["height"])
-        except (KeyError, TypeError, ValueError):
+            height = _number(entry["height"], "'height'")
+        except (KeyError, TypeError):
             vid = None
+        except ValueError as exc:
+            raise FormatError(f"vertex #{k}: {exc}")
         # `type(x) is int` throughout: JSON true and false decode as bools,
         # which isinstance counts as ints
         if type(vid) is not int:
@@ -239,9 +242,9 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
     if not isinstance(obj, dict) or "height" not in obj:
         raise FormatError(f"{what}: point needs a 'height'")
     try:
-        height = _number(obj["height"])
-    except (TypeError, ValueError):
-        raise FormatError(f"{what}: non-numeric height")
+        height = _number(obj["height"], "height")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: {exc}")
     if "vertex" in obj:
         anchor = obj["vertex"]
     elif "edge" in obj:
@@ -320,9 +323,9 @@ def parse_map(text: str) -> VertexMap:
     source.ensure_valid()
     target.ensure_valid()
     try:
-        delta = _number(obj["delta"])
-    except (TypeError, ValueError):
-        raise FormatError("non-numeric delta")
+        delta = _number(obj["delta"], "delta")
+    except (TypeError, ValueError) as exc:
+        raise FormatError(str(exc))
     if not isinstance(obj["images"], list):
         raise FormatError("'images' must be a list")
     images = {}

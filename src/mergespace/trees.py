@@ -74,8 +74,8 @@ def _normalize_edges(edges) -> tuple:
 class MergeTree:
     """Finite part of a merge tree: (id, height) vertices and child->parent edges.
 
-    Construction never validates; :func:`validate_tree` reports violations as
-    data and operations raise :class:`InvalidTreeError` lazily on first use.
+    Construction never validates; the `validation` property reports violations
+    as data and operations raise :class:`InvalidTreeError` lazily on first use.
     That split lets tools load a broken tree and describe what is wrong with
     it instead of refusing to look.
     """
@@ -318,11 +318,6 @@ def height_tol(*trees) -> float:
     return slack_of([h for t in trees for _, h in _bare(t).vertices])
 
 
-def validate_tree(t: Union[MergeTree, LabeledMergeTree]) -> ValidationReport:
-    """Structural validation as data; never raises on a broken tree."""
-    return t.validation
-
-
 # -- points ---------------------------------------------------------------
 
 
@@ -385,28 +380,6 @@ def is_vertex_point(t: MergeTree, p: PointOnTree) -> bool:
     return p.height == t.height[p.anchor]
 
 
-def on_root_ray(t: MergeTree, p: PointOnTree) -> bool:
-    """True for points strictly above the top vertex."""
-    return p.anchor == t.top and p.height > t.height[t.top]
-
-
-def ancestor_at(t: MergeTree, p: Union[PointOnTree, int], height: float) -> PointOnTree:
-    """The unique point at the given height on the upward path from p."""
-    p = as_point(t, p)
-    if height < p.height:
-        raise MergespaceError(
-            f"ancestor height {height} is below the point at {p.height}"
-        )
-    return point_at(t, p.anchor, height)
-
-
-def is_ancestor_point(t: MergeTree, below: PointOnTree, above: PointOnTree) -> bool:
-    """True when `above` lies on the upward path from `below` (or equals it)."""
-    if above.height < below.height:
-        return False
-    return ancestor_at(t, below, above.height) == above
-
-
 def lca(
     t: MergeTree, a: Union[PointOnTree, int], b: Union[PointOnTree, int]
 ) -> PointOnTree:
@@ -424,26 +397,6 @@ def lca(
         else:
             v = t.parent[v]
     return point_at(t, u, max(a.height, b.height, t.height[u]))
-
-
-def depth(t: MergeTree, v: Union[PointOnTree, int]) -> float:
-    """Largest height drop from a point down into its subtree."""
-    p = as_point(t, v)
-    # everything below an edge point is the subtree of its anchor; for a ray
-    # point the anchor is the top vertex, whose subtree is the whole tree
-    return p.height - t.subtree_min[p.anchor]
-
-
-def path_metric(
-    t: MergeTree, a: Union[PointOnTree, int], b: Union[PointOnTree, int]
-) -> float:
-    """Total height variation along the unique path between two finite points."""
-    a = as_point(t, a)
-    b = as_point(t, b)
-    if on_root_ray(t, a) or on_root_ray(t, b):
-        raise MergespaceError("path metric is not defined on the infinite ray")
-    m = lca(t, a, b)
-    return 2.0 * m.height - a.height - b.height
 
 
 # -- canonical form and equality ------------------------------------------

@@ -174,8 +174,11 @@ def unlabeled_interleaving(
     values come back uncertified.  `budget` bounds the assignment states
     each feasibility test may explore; exceeding it raises
     :class:`BudgetExceededError`, which names the shift under test and the
-    bracket established so far, rather than guessing.
+    bracket established so far, rather than guessing.  A feasible test tries
+    at least one option, so a budget below 1 raises MergespaceError.
     """
+    if budget < 1:
+        raise MergespaceError(f"search budget must be at least 1, got {budget}")
     a = canonicalize_tree(_bare(t1).ensure_valid())
     b = canonicalize_tree(_bare(t2).ensure_valid())
     shifts = candidate_shifts(a, b)

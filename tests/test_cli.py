@@ -151,6 +151,15 @@ def test_dist_unlabeled_budget_exit_code(files, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_dist_unlabeled_refuses_a_budget_below_one(files, capsys, budget):
+    code = main(
+        ["dist", "unlabeled", str(files / "t1.json"), str(files / "t2.json"), "--budget", budget]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: search budget must be at least 1, got {budget}\n"
+
+
 def test_geodesic_midpoint_and_dot(files, capsys):
     dot = files / "mid.dot"
     assert main(

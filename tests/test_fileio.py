@@ -326,18 +326,18 @@ HUGE = 10**400
 
 def test_parse_tree_refuses_a_height_too_large_for_a_float():
     text = json.dumps({"vertices": [{"id": 0, "height": HUGE, "labels": [1]}], "edges": []})
-    with pytest.raises(FormatError, match="numeric 'height'"):
+    with pytest.raises(FormatError, match="vertex #1: 'height' is too large for a float"):
         parse_tree(text)
 
 
 def test_parse_pairing_refuses_a_point_height_too_large_for_a_float():
     text = _pairing_with_point({"vertex": 1, "height": HUGE})
-    with pytest.raises(FormatError, match="non-numeric height"):
+    with pytest.raises(FormatError, match="height is too large for a float"):
         parse_pairing(text, WYE, WYE_UP)
 
 
 def test_parse_map_refuses_a_delta_too_large_for_a_float():
-    with pytest.raises(FormatError, match="non-numeric delta"):
+    with pytest.raises(FormatError, match="delta is too large for a float"):
         parse_map(_edited_map(lambda obj: obj.update(delta=HUGE)))
 
 

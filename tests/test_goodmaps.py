@@ -13,7 +13,6 @@ from mergespace import (
     MergespaceError,
     PointOnTree,
     VertexMap,
-    ancestor_at,
     apply_pairing,
     geodesic_length,
     induced_matrix,
@@ -30,6 +29,7 @@ from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
     _label_tree,
     _missed_oracle,
+    ancestor_at,
     labeling_from_map_oracle,
     rand_grown_tree,
     rand_labeled_pair,

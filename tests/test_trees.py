@@ -16,25 +16,19 @@ from mergespace import (
     PointOnTree,
     canonicalize,
     canonicalize_tree,
-    depth,
     labeled_trees_equal,
     lca,
-    path_metric,
     point_at,
     refine_at,
     trees_equal,
-    validate_tree,
     vertex_point,
 )
 import mergespace
 from mergespace.trees import (
     REL_TOL,
-    ancestor_at,
     as_point,
     height_tol,
-    is_ancestor_point,
     is_vertex_point,
-    on_root_ray,
 )
 from util import (
     lca_oracle,
@@ -53,14 +47,14 @@ def _wye():
 
 def test_single_vertex_is_a_valid_tree():
     t = MergeTree([(7, 2.5)], [])
-    assert validate_tree(t).ok
+    assert t.validation.ok
     assert t.top == 7
     assert t.leaves == (7,)
 
 
 def test_wye_structure():
     t = _wye()
-    assert validate_tree(t).ok
+    assert t.validation.ok
     assert t.top == 2
     assert t.leaves == (0, 1)
     assert t.parent[0] == 2 and t.parent[2] is None
@@ -87,7 +81,7 @@ def test_wye_structure():
     ],
 )
 def test_validation_flags_each_defect(vertices, edges, needle):
-    report = validate_tree(MergeTree(vertices, edges))
+    report = MergeTree(vertices, edges).validation
     assert not report.ok
     assert any(needle in v for v in report.violations)
 
@@ -161,7 +155,7 @@ def raw_tree_parts(draw):
 @given(raw_tree_parts())
 def test_validation_property_equals_the_ancestry_walk_oracle(parts):
     t = MergeTree(*parts)
-    report = validate_tree(t)
+    report = t.validation
     assert report.violations == validate_oracle(t).violations
     if report.ok:
         assert [v for v, p in t.parent.items() if p is None] == [t.top]
@@ -225,12 +219,9 @@ def test_as_point_accepts_ids_tuples_and_renormalizes():
         lambda t: as_point(t, 99),
         lambda t: as_point(t, PointOnTree(99, 1.0)),
         lambda t: lca(t, 0, 99),
-        lambda t: depth(t, 99),
-        lambda t: path_metric(t, 99, 0),
-        lambda t: ancestor_at(t, 99, 5.0),
         lambda t: refine_at(t, [99]),
     ],
-    ids=["as_point", "as_point-anchor", "lca", "depth", "path_metric", "ancestor_at", "refine_at"],
+    ids=["as_point", "as_point-anchor", "lca", "refine_at"],
 )
 def test_point_helpers_refuse_an_unknown_vertex_id(call):
     with pytest.raises(MergespaceError, match="unknown vertex 99"):
@@ -241,18 +232,6 @@ def test_point_predicates():
     t = _wye()
     assert is_vertex_point(t, vertex_point(t, 2))
     assert not is_vertex_point(t, PointOnTree(0, 0.5))
-    assert on_root_ray(t, PointOnTree(2, 4.0))
-    assert not on_root_ray(t, PointOnTree(2, 3.0))
-
-
-def test_ancestor_at_and_ancestry():
-    t = _wye()
-    assert ancestor_at(t, 0, 2.5) == PointOnTree(0, 2.5)
-    assert ancestor_at(t, 0, 3.0) == PointOnTree(2, 3.0)
-    assert is_ancestor_point(t, PointOnTree(0, 0.0), PointOnTree(2, 4.0))
-    assert not is_ancestor_point(t, PointOnTree(0, 0.0), PointOnTree(1, 1.5))
-    with pytest.raises(MergespaceError):
-        ancestor_at(t, 2, 1.0)
 
 
 def test_lca_examples():
@@ -263,23 +242,6 @@ def test_lca_examples():
     assert lca(t, PointOnTree(0, 0.5), PointOnTree(0, 2.0)) == PointOnTree(0, 2.0)
     # ray points dominate everything
     assert lca(t, 1, PointOnTree(2, 6.0)) == PointOnTree(2, 6.0)
-
-
-def test_depth_measures_down_to_the_lowest_leaf_below():
-    t = _wye()
-    assert depth(t, 2) == 3.0
-    assert depth(t, 1) == 0.0
-    assert depth(t, PointOnTree(1, 2.5)) == 1.5
-    # a ray point sees the global minimum
-    assert depth(t, PointOnTree(2, 4.0)) == 4.0
-
-
-def test_path_metric_example():
-    t = _wye()
-    assert path_metric(t, 0, 1) == 5.0
-    assert path_metric(t, 0, 0) == 0.0
-    with pytest.raises(MergespaceError):
-        path_metric(t, 0, PointOnTree(2, 9.0))
 
 
 def test_canonicalize_tree_drops_every_degree_two_vertex():
@@ -389,7 +351,7 @@ def test_random_trees_validate(seed=5):
     rng = np.random.default_rng(seed)
     for _ in range(60):
         t = rand_merge_tree(rng, max_leaves=5)
-        assert validate_tree(t).ok
+        assert t.validation.ok
         lt = rand_labeled_tree(rng, int(rng.integers(1, 7)), max_leaves=4)
         assert lt.validation.ok
 

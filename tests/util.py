@@ -27,7 +27,6 @@ from mergespace import (
     PersistenceDiagram,
     PointOnTree,
     SymMatrix,
-    ancestor_at,
     as_sym_matrix,
     canonicalize_tree,
     map_point,
@@ -40,6 +39,7 @@ from mergespace.trees import (
     as_point,
     height_tol,
     is_vertex_point,
+    point_at,
     points_at,
     vertex_point,
 )
@@ -455,6 +455,16 @@ def _vertex_chain_above(t: MergeTree, p: PointOnTree):
     while v is not None:
         yield v
         v = t.parent[v]
+
+
+def ancestor_at(t: MergeTree, p, height: float) -> PointOnTree:
+    """The unique point at the given height on the upward path from p."""
+    p = as_point(t, p)
+    if height < p.height:
+        raise MergespaceError(
+            f"ancestor height {height} is below the point at {p.height}"
+        )
+    return point_at(t, p.anchor, height)
 
 
 def lca_oracle(t: MergeTree, a, b) -> PointOnTree:
