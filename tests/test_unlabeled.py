@@ -87,6 +87,22 @@ def test_symmetry():
         )
 
 
+def test_any_shared_labeling_is_an_upper_bound():
+    rng = np.random.default_rng(139)
+    for _ in range(15):
+        a = canonicalize_tree(rand_merge_tree(rng, max_leaves=3))
+        b = canonicalize_tree(rand_merge_tree(rng, max_leaves=3))
+        value = unlabeled_interleaving(a, b).value
+        for _ in range(8):
+            pairs = [
+                (vertex_point(a, v), rand_point(rng, b)) for v in a.leaves
+            ] + [
+                (rand_point(rng, a), vertex_point(b, v)) for v in b.leaves
+            ]
+            lt1, lt2 = apply_pairing(LabelPairing(a, b, tuple(pairs)))
+            assert value <= labeled_interleaving(lt1, lt2) + 1e-9
+
+
 def test_witness_realizes_the_value():
     rng = np.random.default_rng(149)
     for _ in range(15):
@@ -116,6 +132,15 @@ def test_tiny_budget_raises():
     assert "budget of 1" in str(err.value)
     # the same call with room to work completes
     assert unlabeled_interleaving(a, b).value > 0
+
+
+def test_bottleneck_is_a_lower_bound():
+    rng = np.random.default_rng(151)
+    for _ in range(15):
+        a = rand_merge_tree(rng, max_leaves=3)
+        b = rand_merge_tree(rng, max_leaves=3)
+        value = unlabeled_interleaving(a, b).value
+        assert bottleneck_tree_distance(a, b) <= value + 1e-9
 
 
 def test_labels_on_inputs_are_ignored():
