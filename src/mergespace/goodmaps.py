@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import MalformedMapError, MergespaceError
 from .matrices import induced_matrix, meet_table
+from .metrics import _same_label_count
 from .trees import (
     LabeledMergeTree,
     MergeTree,
@@ -365,10 +366,7 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
     delta = float(delta)
     if not 0 <= delta < math.inf:
         raise MergespaceError(f"shift {delta} is not finite and nonnegative")
-    if t1.n_labels != t2.n_labels:
-        raise MergespaceError(
-            f"label count mismatch: {t1.n_labels} vs {t2.n_labels}"
-        )
+    _same_label_count(t1, t2)
     a, b = induced_matrix(t1).array, induced_matrix(t2).array
     gaps = np.abs(a - b)
     tol = height_tol(t1, t2)

@@ -12,13 +12,14 @@ n labels, plus one walk over the tree's vertices.  A matrix's tree is single
 linkage, which is the minimum spanning tree of the complete label graph
 (Gower & Ross 1969): at most ceil(log2 n) Borůvka rounds, each a few O(n^2)
 passes, find its n - 1 edges, and only those are merged.  A tree's matrix is
-one running maximum down the columns of a matrix filled from the tree's
-cached depth-first label walk, so it takes a fixed number of passes.
-`ultrafy` and `is_ultra` go through both.
+one depth-first walk (`trees._label_walk`) and one kernel (`_walk_matrix`):
+a running maximum down the columns of a matrix filled from the walk, so it
+takes a fixed number of passes.  `ultrafy` and `is_ultra` go through both.
 
-Labeling every vertex gives a tree's meet table H.  Points p and q meet at
-max(p.height, q.height, H[p.anchor, q.anchor]): one lies on the other's
-upward path, or their anchors join at a vertex above both.
+The same walk and kernel, with each vertex carrying one label, give a bare
+tree's meet table H (`meet_table`), and no labeled tree is built for it.
+Points p and q meet at max(p.height, q.height, H[p.anchor, q.anchor]): one
+lies on the other's upward path, or their anchors join at a vertex above both.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMatrixError
-from .trees import LabeledMergeTree, MergeTree, slack_of
+from .trees import LabeledMergeTree, MergeTree, _label_walk, slack_of
 
 __all__ = [
     "SymMatrix",
@@ -145,18 +146,32 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     """Pairwise lowest-common-ancestor heights of the labels.
 
     Entry (i, j) is the height of the meeting point of labels i and j; the
-    diagonal is the height of each label's own vertex.  The tree's cached
-    `label_walk` lists the labels in depth-first order, where the meet of two
-    labels is the highest gap between them.  Rows follow the walk and columns
-    the labels: row q holds gap q - 1 in the columns of labels met before
-    position q, so one running maximum down the columns gives the meet of
-    every label with each later one.  Gathering the rows into label order
-    fills one triangle, the transpose fills the other, and the diagonal comes
-    last: a fixed number of passes over the n x n matrix.  Entries are copied
-    heights, so no rounding is introduced.
+    diagonal is the height of each label's own vertex.  `_walk_matrix` builds
+    it from the tree's cached depth-first `label_walk`.
     """
     lt.ensure_valid()
-    labels, own, gaps = lt.label_walk
+    return _walk_matrix(*lt.label_walk)
+
+
+def meet_table(t: MergeTree):
+    """(vertex id -> row, meet heights of every vertex pair), rows in id order:
+    the matrix of `t` with vertex k (in id order) carrying label k + 1."""
+    order = sorted(t.ensure_valid().height)
+    walk = _label_walk(t, {v: (k + 1,) for k, v in enumerate(order)})
+    return {v: k for k, v in enumerate(order)}, _walk_matrix(*walk).array
+
+
+def _walk_matrix(labels, own, gaps) -> SymMatrix:
+    """Matrix of labels 1..n from their depth-first walk `trees._label_walk`.
+
+    The meet of two labels is the highest gap between them in walk order.
+    Rows follow the walk and columns the labels: row q holds gap q - 1 in
+    the columns of labels met before position q, so one running maximum
+    down the columns gives the meet of every label with each later one.
+    Gathering the rows into label order fills one triangle, the transpose
+    fills the other, and the diagonal comes last: a fixed number of passes
+    over the n x n matrix.  Entries are copied heights, never rounded.
+    """
     n = len(labels)
     rank = np.empty(n, dtype=np.intp)  # label index -> walk position
     rank[np.array(labels) - 1] = np.arange(n)
@@ -167,13 +182,6 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, np.array(own)[rank])
     return SymMatrix(a)
-
-
-def meet_table(t: MergeTree):
-    """(vertex id -> row, meet heights of every vertex pair), rows in id order."""
-    order = sorted(t.height)
-    lt = LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)})
-    return {v: k for k, v in enumerate(order)}, induced_matrix(lt).array
 
 
 def _mst_edges(a: np.ndarray) -> list:

@@ -24,14 +24,17 @@ __all__ = [
 ]
 
 
+def _same_label_count(t1: LabeledMergeTree, t2: LabeledMergeTree) -> None:
+    """Raise MergespaceError unless the two trees carry equally many labels."""
+    if t1.n_labels != t2.n_labels:
+        raise MergespaceError(f"label count mismatch: {t1.n_labels} vs {t2.n_labels}")
+
+
 def labeled_interleaving(t1: LabeledMergeTree, t2: LabeledMergeTree) -> float:
     """Largest entrywise gap between the two induced matrices."""
     t1.ensure_valid()
     t2.ensure_valid()
-    if t1.n_labels != t2.n_labels:
-        raise MergespaceError(
-            f"label count mismatch: {t1.n_labels} vs {t2.n_labels}"
-        )
+    _same_label_count(t1, t2)
     return linf_distance(induced_matrix(t1), induced_matrix(t2))
 
 
@@ -50,10 +53,7 @@ def geodesic_point(
     """
     if not 0.0 <= lam <= 1.0:
         raise MergespaceError(f"interpolation parameter {lam} outside [0, 1]")
-    if t1.n_labels != t2.n_labels:
-        raise MergespaceError(
-            f"label count mismatch: {t1.n_labels} vs {t2.n_labels}"
-        )
+    _same_label_count(t1, t2)
     return tree_of_matrix(_blend(induced_matrix(t1), induced_matrix(t2), lam))
 
 
@@ -67,6 +67,7 @@ def geodesic_length(
     """
     if samples < 1:
         raise MergespaceError("need at least one sample segment")
+    _same_label_count(t1, t2)
     m1, m2 = induced_matrix(t1), induced_matrix(t2)
     total = 0.0
     prev = m1  # a tree's matrix is its own ultrafy, the geodesic's first point
@@ -94,12 +95,8 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     trees = list(trees)
     if not trees:
         raise MergespaceError("cannot take the center of an empty collection")
-    n = trees[0].n_labels
     for t in trees:
-        if t.n_labels != n:
-            raise MergespaceError(
-                f"label count mismatch in collection: {t.n_labels} vs {n}"
-            )
+        _same_label_count(trees[0], t)
     stack = np.stack([induced_matrix(t).array for t in trees])
     mid = SymMatrix((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
     center = tree_of_matrix(mid)

@@ -193,30 +193,8 @@ class LabeledMergeTree:
 
     @cached_property
     def label_walk(self) -> tuple:
-        """(labels, heights, gaps) met by a depth-first walk of a valid tree.
-
-        The labels in walk order, the height of each one's vertex, and for
-        each neighbouring pair the height where the two meet: the highest
-        vertex the walk passes between them.  Every subtree's labels are
-        contiguous in this order, so any two labels meet at the highest gap
-        between them.
-        """
-        t = self.tree
-        labels, heights, gaps = [], [], []
-        meet = -math.inf  # highest vertex on the path since the last label
-        stack = [t.top]
-        while stack:
-            v = stack.pop()
-            if t.parent[v] is not None:
-                meet = max(meet, t.height[t.parent[v]])
-            for i in self.labels_of[v]:
-                if labels:
-                    gaps.append(meet)
-                labels.append(i)
-                heights.append(t.height[v])
-                meet = t.height[v]
-            stack.extend(reversed(t.children[v]))
-        return tuple(labels), tuple(heights), tuple(gaps)
+        """(labels, heights, gaps) of `_label_walk` over this tree's labels."""
+        return _label_walk(self.tree, self.labels_of)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -247,6 +225,33 @@ class LabeledMergeTree:
         if not self.validation.ok:
             raise InvalidTreeError(self.validation.violations)
         return self
+
+
+def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
+    """(labels, heights, gaps) met by a depth-first walk of a valid tree.
+
+    `labels_of` maps every vertex to the labels on it.  The labels in walk
+    order, the height of each one's vertex, and for each neighbouring pair
+    the height where the two meet: the highest vertex the walk passes
+    between them.  Every subtree's labels are contiguous in this order, so
+    any two labels meet at the highest gap between them.
+    """
+    height, parent, children = t.height, t.parent, t.children
+    labels, heights, gaps = [], [], []
+    meet = -math.inf  # highest vertex on the path since the last label
+    stack = [t.top]
+    while stack:
+        v = stack.pop()
+        if parent[v] is not None:
+            meet = max(meet, height[parent[v]])
+        for i in labels_of[v]:
+            if labels:
+                gaps.append(meet)
+            labels.append(i)
+            heights.append(height[v])
+            meet = height[v]
+        stack.extend(reversed(children[v]))
+    return tuple(labels), tuple(heights), tuple(gaps)
 
 
 def _validate(t: MergeTree) -> ValidationReport:
@@ -369,11 +374,10 @@ def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
     an unknown vertex or a height off the tree raises MergespaceError."""
     if isinstance(p, (PointOnTree, tuple)):
         anchor, height = p
-        return point_at(t, anchor, height)
-    v = int(p)
-    if v not in t.height:
-        raise MergespaceError(f"unknown vertex {v}")
-    return vertex_point(t, v)
+    else:  # a vertex id; point_at refuses an unknown one before its height
+        anchor = int(p)
+        height = t.height.get(anchor, 0.0)
+    return point_at(t, anchor, height)
 
 
 def is_vertex_point(t: MergeTree, p: PointOnTree) -> bool:

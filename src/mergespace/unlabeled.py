@@ -24,8 +24,9 @@ smallest feasible one is found in about log2(C) + 1 probes of C
 candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
-max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet table
-(`matrices.meet_table`), built once per call.
+max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet table.
+`matrices.meet_table` builds it once per call and tree from the same
+depth-first walk and kernel that give a labeled tree's matrix.
 
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that

@@ -15,6 +15,7 @@ from mergespace import (
     labeled_interleaving,
     labeled_trees_equal,
     linf_distance,
+    map_from_labeling,
     one_center,
     tree_of_matrix,
     ultrafy,
@@ -70,6 +71,31 @@ def test_distance_requires_matching_label_counts():
     single = LabeledMergeTree(MergeTree([(0, 0.0)], []), {1: 0})
     with pytest.raises(MergespaceError):
         labeled_interleaving(a, single)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        labeled_interleaving,
+        lambda a, b: geodesic_point(a, b, 0.5),
+        geodesic_length,
+        lambda a, b: one_center([a, b]),
+        lambda a, b: map_from_labeling(a, b, 1.0),
+    ],
+    ids=[
+        "labeled_interleaving",
+        "geodesic_point",
+        "geodesic_length",
+        "one_center",
+        "map_from_labeling",
+    ],
+)
+def test_label_count_mismatch_is_a_mergespace_error(call):
+    # a 2-label and a 3-label tree: the check comes before any matrix, so
+    # numpy never sees operands of different shapes
+    three = MergeTree([(0, 0.0), (1, 0.0), (2, 1.0), (3, 2.0)], [(0, 3), (1, 3), (2, 3)])
+    with pytest.raises(MergespaceError, match="label count mismatch: 2 vs 3"):
+        call(_two_leaf(2.0), LabeledMergeTree(three, {1: 0, 2: 1, 3: 2}))
 
 
 def test_distance_never_exceeds_the_matrix_gap():

@@ -2,20 +2,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergespace import (
     BudgetExceededError,
     LabelPairing,
+    LabeledMergeTree,
     MergeTree,
     MergespaceError,
     apply_pairing,
     bottleneck_tree_distance,
     candidate_shifts,
     canonicalize_tree,
+    induced_matrix,
     labeled_interleaving,
-    lca,
     unlabeled_interleaving,
     vertex_point,
 )
@@ -25,6 +26,7 @@ from mergespace.matrices import meet_table
 from mergespace.unlabeled import _Search
 from util import (
     candidate_shifts_oracle,
+    lca_oracle,
     rand_grown_tree,
     rand_merge_tree,
     rand_point,
@@ -314,17 +316,36 @@ def test_unlabeled_property_translating_both_trees_keeps_the_value(pair, shift):
         assert abs(s.value - r.value) <= 2 * height_tol(*moved)
 
 
-def test_meet_table_matches_lca():
-    for a, b in _pairs(163, 30, 4):
-        for t in (canonicalize_tree(a), a):
-            rows, meets = meet_table(t)
-            heights = sorted(set(t.height.values()))
-            probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
-            points = {p for h in probes + [heights[-1] + 1.0] for p in points_at(t, h, 0.0)}
-            for p in points:
-                for q in points:
-                    got = max(p.height, q.height, meets[rows[p.anchor]][rows[q.anchor]])
-                    assert got == lca(t, p, q).height
+def _meet_tree(seed, leaves, grid, canonical):
+    t = rand_merge_tree(np.random.default_rng(seed), max_leaves=leaves, integral=grid)
+    return canonicalize_tree(t) if canonical else t
+
+
+meet_trees = st.builds(
+    _meet_tree, st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(), st.booleans()
+)
+
+
+@settings(max_examples=150)
+@given(meet_trees)
+@example(SINGLE)
+@example(MergeTree([(0, 0.0), (1, 1.0), (2, 3.0), (3, 4.0)], [(0, 1), (1, 2), (2, 3)]))
+def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t):
+    # raw trees keep their subdivision vertices (some above the top), grid
+    # heights tie, and a canonical one-leaf tree is a single vertex
+    rows, meets = meet_table(t)
+    order = sorted(t.height)
+    labeled = induced_matrix(LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)}))
+    assert rows == {v: k for k, v in enumerate(order)}
+    assert meets.shape == labeled.array.shape
+    assert meets.tobytes() == labeled.array.tobytes()  # bit for bit
+    heights = sorted(set(t.height.values()))
+    probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
+    points = [p for h in probes + [heights[-1] + 1.0] for p in points_at(t, h, 0.0)]
+    for p in points:
+        for q in points:
+            got = max(p.height, q.height, meets[rows[p.anchor], rows[q.anchor]])
+            assert got == lca_oracle(t, p, q).height
 
 
 @settings(max_examples=200)
