@@ -14,7 +14,9 @@ linkage, which is the minimum spanning tree of the complete label graph
 passes, find its n - 1 edges, and only those are merged.  A tree's matrix is
 one depth-first walk (`trees._label_walk`) and one kernel (`_walk_matrix`):
 a running maximum down the columns of a matrix filled from the walk, so it
-takes a fixed number of passes.  `ultrafy` and `is_ultra` go through both.
+takes a fixed number of passes.  `ultrafy` and `is_ultra` build no tree:
+the sweep over the spanning tree's edges keeps each component's labels in
+walk order (`_linkage_walk`) and hands that walk to the kernel.
 
 The same walk and kernel, with each vertex carrying one label, give a bare
 tree's meet table H (`meet_table`), and no labeled tree is built for it.
@@ -60,9 +62,9 @@ class SymMatrix:
             raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] == 0:
             raise InvalidMatrixError("empty matrix")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise InvalidMatrixError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             gap = np.max(np.abs(a - a.T))
             if gap > slack_of((a.min(), a.max())):
                 raise InvalidMatrixError(
@@ -71,6 +73,14 @@ class SymMatrix:
             a = (a + a.T) / 2.0
         a.setflags(write=False)
         self._a = a
+
+    @classmethod
+    def _unchecked(cls, a: np.ndarray) -> "SymMatrix":
+        """Wrap a fresh array that is square, finite and symmetric by construction."""
+        m = cls.__new__(cls)
+        a.setflags(write=False)
+        m._a = a
+        return m
 
     @property
     def array(self) -> np.ndarray:
@@ -131,11 +141,12 @@ def is_ultra(m) -> MatrixCheck:
     row-major order.
     """
     m = as_sym_matrix(m)
-    base = is_valid(m)
-    if not base:
-        return base
+    try:
+        closure = ultrafy(m)
+    except InvalidMatrixError:
+        return is_valid(m)
     a = m.array
-    for i, j in np.argwhere(a != ultrafy(m).array):
+    for i, j in np.argwhere(a != closure.array):
         bad = np.nonzero(a[i, j] > np.maximum(a[i, :], a[:, j]))[0]
         if bad.size:
             return MatrixCheck(False, (int(i) + 1, int(j) + 1, int(bad[0]) + 1))
@@ -162,7 +173,7 @@ def meet_table(t: MergeTree):
 
 
 def _walk_matrix(labels, own, gaps) -> SymMatrix:
-    """Matrix of labels 1..n from their depth-first walk `trees._label_walk`.
+    """Matrix of labels 1..n from their walk: `trees._label_walk` or `_linkage_walk`.
 
     The meet of two labels is the highest gap between them in walk order.
     Rows follow the walk and columns the labels: row q holds gap q - 1 in
@@ -170,7 +181,8 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
     down the columns gives the meet of every label with each later one.
     Gathering the rows into label order fills one triangle, the transpose
     fills the other, and the diagonal comes last: a fixed number of passes
-    over the n x n matrix.  Entries are copied heights, never rounded.
+    over the n x n matrix.  Entries are copied heights, never rounded, so
+    they are finite and symmetric without `SymMatrix`'s checks.
     """
     n = len(labels)
     rank = np.empty(n, dtype=np.intp)  # label index -> walk position
@@ -181,7 +193,7 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
     a = d[rank]  # (i, j) is the meet when label i comes after label j, else -inf
     a = np.maximum(a, a.T)
     np.fill_diagonal(a, np.array(own)[rank])
-    return SymMatrix(a)
+    return SymMatrix._unchecked(a)
 
 
 def _mst_edges(a: np.ndarray) -> list:
@@ -237,6 +249,26 @@ def _mst_edges(a: np.ndarray) -> list:
     return list(zip(h[order].tolist(), lo[order].tolist(), hi[order].tolist()))
 
 
+def _spanning(m) -> tuple:
+    """(entries, `_mst_edges`) of a valid matrix; InvalidMatrixError otherwise."""
+    m = as_sym_matrix(m)
+    check = is_valid(m)
+    if not check:
+        i, j = check.witness
+        raise InvalidMatrixError(
+            f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})"
+        )
+    return m.array, _mst_edges(m.array)
+
+
+def _find(root: list, x: int) -> int:
+    """Root of x's component in a union-find forest, halving the path."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 def tree_of_matrix(m) -> LabeledMergeTree:
     """Merge tree of the sublevel filtration of the complete label graph.
 
@@ -252,16 +284,12 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     ceil(log2 n) Borůvka rounds of O(n^2) numpy passes replace a sort of all
     n(n-1)/2 pairs.
     """
-    m = as_sym_matrix(m)
-    check = is_valid(m)
-    if not check:
-        i, j = check.witness
-        raise InvalidMatrixError(
-            f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})"
-        )
-    a = m.array
-    n = m.n
+    return _linkage_tree(*_spanning(m))
 
+
+def _linkage_tree(a: np.ndarray, mst: list) -> LabeledMergeTree:
+    """`tree_of_matrix` of the valid entries `a`, whose `_mst_edges` are `mst`."""
+    n = a.shape[0]
     # births, by construction in label order: vertex i carries label i + 1
     heights = {i: float(a[i, i]) for i in range(n)}
     labels_at = {i: [i + 1] for i in range(n)}
@@ -270,14 +298,8 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     top_of = list(range(n))
     next_id = n
 
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for h, i, j in _mst_edges(a):
-        ri, rj = find(i), find(j)
+    for h, i, j in mst:
+        ri, rj = _find(root, i), _find(root, j)
         ta, tb = top_of[ri], top_of[rj]
         if heights[ta] == h and heights[tb] == h:
             # two tops at the merge height collapse into one vertex
@@ -305,15 +327,44 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     return LabeledMergeTree(MergeTree(heights, edges), label_map)
 
 
+def _linkage_walk(a: np.ndarray, mst: list) -> tuple:
+    """The label walk (labels, own, gaps) of `_linkage_tree(a, mst)`, no tree built.
+
+    The same sweep keeps each component's labels as a list linked in walk
+    order: a merge at height h links the first list's tail to the second's
+    head with gap h, and every gap inside either list is at most h.  Each
+    label's own height is copied from M_ii.
+    """
+    n = a.shape[0]
+    root, head, tail = list(range(n)), list(range(n)), list(range(n))
+    after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
+    for h, i, j in mst:
+        ri, rj = _find(root, i), _find(root, j)
+        after[tail[ri]], gap[tail[ri]] = head[rj], h
+        head[rj] = head[ri]
+        root[ri] = rj
+    walk = [head[_find(root, 0)]]
+    for _ in range(n - 1):
+        walk.append(after[walk[-1]])
+    gaps = tuple(gap[k] for k in walk[:-1])
+    return np.array(walk) + 1, a.diagonal()[walk], gaps
+
+
 def ultrafy(m) -> SymMatrix:
     """Closest tree-realizable matrix: single-linkage merge heights.
 
-    The induced matrix of ``tree_of_matrix(m)``: entry (i, j) is the height
-    where labels i and j first connect, which is the minimax path value over
-    the complete graph.  O(n^2 log n) at most through the minimum spanning
-    tree.  Identity on ultra matrices; entries are copied, never recomputed.
+    The induced matrix of ``tree_of_matrix(m)``, with no tree built: entry
+    (i, j) is the height where labels i and j first connect, the minimax
+    path value over the complete graph.  O(n^2 log n) at most through the
+    minimum spanning tree.  Identity on ultra matrices; entries are copied.
     """
-    return induced_matrix(tree_of_matrix(m))
+    return _walk_matrix(*_linkage_walk(*_spanning(m)))
+
+
+def _linkage(m) -> tuple:
+    """``(tree_of_matrix(m), ultrafy(m))`` from one check and one spanning tree."""
+    a, mst = _spanning(m)
+    return _linkage_tree(a, mst), _walk_matrix(*_linkage_walk(a, mst))
 
 
 def linf_distance(a, b) -> float:

@@ -70,10 +70,12 @@ def test_sym_matrix_hash_agrees_with_equality_on_signed_zeros():
     assert len({a, b}) == 1
     # both labels collapse onto label 1's vertex, so its -0.0 fills the matrix
     m = as_sym_matrix([[-0.0, 0.0], [0.0, 0.0]])
-    u = ultrafy(m)
-    assert u.array.tobytes() != m.array.tobytes()
-    assert u == m
-    assert hash(u) == hash(m)
+    t = induced_matrix(tree_of_matrix(m))
+    assert t.array.tobytes() != m.array.tobytes()
+    assert t == m
+    assert hash(t) == hash(m)
+    # ultrafy builds no tree: it copies the entries of m, signs and all
+    assert ultrafy(m).array.tobytes() == m.array.tobytes()
 
 
 def test_validity_witness_is_one_based():
@@ -248,13 +250,6 @@ def test_ultrafy_equals_minimax_oracle():
         assert np.array_equal(ultrafy(m).array, minimax_matrix(m))
 
 
-def test_ultrafy_agrees_with_the_tree_route():
-    rng = np.random.default_rng(53)
-    for _ in range(40):
-        m = rand_valid_matrix(rng, int(rng.integers(1, 7)))
-        assert induced_matrix(tree_of_matrix(m)) == ultrafy(m)
-
-
 def test_linf_distance():
     a = as_sym_matrix([[0.0, 2.0], [2.0, 0.0]])
     b = as_sym_matrix([[1.0, 3.0], [3.0, 1.0]])
@@ -314,6 +309,13 @@ def test_ultrafy_property_is_an_idempotent_projection_from_below(m):
     assert ultrafy(u) == u
     assert np.all(u.array <= m.array)
     assert np.array_equal(u.array, minimax_matrix(m))
+
+
+@given(valid_matrices(max_n=12))
+def test_ultrafy_property_agrees_with_the_tree_route(m):
+    u = ultrafy(m)
+    assert u == induced_matrix(tree_of_matrix(m))
+    assert is_ultra(u).ok
 
 
 @given(valid_matrices(max_n=12))

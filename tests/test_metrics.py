@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mergespace import (
     LabeledMergeTree,
@@ -20,7 +22,7 @@ from mergespace import (
     tree_of_matrix,
     ultrafy,
 )
-from mergespace import matrices, metrics
+from mergespace import matrices
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
@@ -32,16 +34,17 @@ from util import (
 )
 
 
-def _count_induced(monkeypatch) -> list:
-    """Count the induced matrices built, directly or through `ultrafy`."""
+def _count_matrices(monkeypatch) -> list:
+    """Count the matrices built by the walk kernel: a tree's induced matrix,
+    an `ultrafy`, or the center's matrix."""
     calls = []
+    kernel = matrices._walk_matrix
 
-    def counted(lt):
-        calls.append(lt)
-        return induced_matrix(lt)
+    def counted(*walk):
+        calls.append(walk)
+        return kernel(*walk)
 
-    monkeypatch.setattr(metrics, "induced_matrix", counted)
-    monkeypatch.setattr(matrices, "induced_matrix", counted)
+    monkeypatch.setattr(matrices, "_walk_matrix", counted)
     return calls
 
 
@@ -166,7 +169,7 @@ def test_geodesic_length_carries_each_step_matrix(monkeypatch):
         for k in range(1, samples + 1):
             prev = geodesic_point(a, b, (k - 1) / samples)
             want += labeled_interleaving(prev, geodesic_point(a, b, k / samples))
-        calls = _count_induced(monkeypatch)
+        calls = _count_matrices(monkeypatch)
         assert geodesic_length(a, b, samples=samples) == want
         assert len(calls) == samples + 2
         monkeypatch.undo()
@@ -203,11 +206,22 @@ def test_one_center_radius_is_the_largest_distance_to_the_center(monkeypatch):
             rand_labeled_tree(rng, n, max_leaves=n, integral=bool(i % 2))
             for i in range(k)
         ]
-        calls = _count_induced(monkeypatch)
+        calls = _count_matrices(monkeypatch)
         center, radius = one_center(trees)
         assert len(calls) == k + 1
         monkeypatch.undo()
         assert radius == max(labeled_interleaving(center, t) for t in trees)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.lists(st.booleans(), min_size=1, max_size=4))
+def test_one_center_property_radius_is_the_largest_distance_to_the_center(
+    seed, n, integral
+):
+    rng = np.random.default_rng(seed)
+    trees = [rand_labeled_tree(rng, n, max_leaves=n, integral=z) for z in integral]
+    center, radius = one_center(trees)
+    assert radius == max(labeled_interleaving(center, t) for t in trees)
 
 
 def test_one_center_of_a_single_tree_is_that_tree():
