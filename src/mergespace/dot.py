@@ -16,7 +16,7 @@ def to_dot(t: Union[MergeTree, LabeledMergeTree]) -> str:
     Labeled vertices are drawn doubled and list their label indices.
     """
     if isinstance(t, LabeledMergeTree):
-        tree, labels_of = t.tree, t.labels_of
+        tree, labels_of = t.ensure_valid().tree, t.labels_of
     else:
         tree, labels_of = t.ensure_valid(), {}
 

@@ -10,7 +10,7 @@ import json
 import math
 from typing import Union
 
-from .errors import FormatError
+from .errors import FormatError, MergespaceError
 from .goodmaps import LabelPairing, VertexMap
 from .matrices import SymMatrix, as_sym_matrix
 from .persistence import PersistenceDiagram
@@ -198,20 +198,21 @@ def write_matrix(m) -> str:
 
 
 def parse_diagram(text: str) -> PersistenceDiagram:
+    """'birth death' lines, inf only as written; a bad point names its line."""
     points = []
     for k, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
-        if len(parts) != 2:
-            raise FormatError("expected 'birth death'", line=k)
+        if not parts:
+            continue
         try:
-            birth = float(parts[0])
-            death = math.inf if parts[1] == "inf" else float(parts[1])
-        except ValueError as exc:
-            raise FormatError(str(exc), line=k)
-        points.append((birth, death))
+            if len(parts) != 2:
+                raise ValueError("expected 'birth death'")
+            birth, death = float(parts[0]), float(parts[1])
+            if math.isinf(death) and parts[1] != "inf":
+                raise ValueError(f"death {parts[1]} is infinite but not written inf")
+            points += PersistenceDiagram([(birth, death)]).points
+        except (ValueError, MergespaceError) as exc:
+            raise FormatError(str(exc), line=k) from None
     return PersistenceDiagram(points)
 
 
@@ -258,7 +259,7 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
         raise FormatError(f"{what}: vertex id must be an integer")
     try:
         point = as_point(t, PointOnTree(anchor, height))
-    except Exception as exc:
+    except MergespaceError as exc:
         raise FormatError(f"{what}: {exc}")
     if "edge" in obj:
         parent = t.parent[anchor]
@@ -283,6 +284,8 @@ def write_pairing(p: LabelPairing) -> str:
 
 
 def parse_pairing(text: str, source: MergeTree, target: MergeTree) -> LabelPairing:
+    source.ensure_valid()
+    target.ensure_valid()
     obj = _load_json(text)
     if not isinstance(obj, dict) or not isinstance(obj.get("pairs"), list):
         raise FormatError("expected an object with a 'pairs' list")

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Mapping, Union
 
 import math
@@ -293,8 +294,10 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
     if spread is not None:
         return spread
 
+    rows, h = vm.meets[1]
     for w, attach, _ in _missed_branches(vm, sorted(t.height)):
-        gap = attach.height - t.subtree_min[w]
+        below = h[rows[w]] <= t.height[w]  # w's subtree: it meets w at w
+        gap = attach.height - float(np.diag(h)[below].min())
         if gap > 2 * d + tol:
             return GoodMapReport(
                 False, "missed-depth", (w, attach),
@@ -377,7 +380,7 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
 
     s, t = t1.tree, t2.tree
     least = {}  # vertex -> smallest label in its subtree
-    for v in s.postorder:
+    for v, _ in sorted(s.vertices, key=itemgetter(1)):  # children first: edges climb
         least[v] = min([*t1.labels_of[v], *(least[c] for c in s.children[v])])
     images = {}
     for v, hv in s.vertices:

@@ -14,9 +14,10 @@ linkage, which is the minimum spanning tree of the complete label graph
 passes, find its n - 1 edges, and only those are merged.  A tree's matrix is
 one depth-first walk (`trees._label_walk`) and one kernel (`_walk_matrix`):
 a running maximum down the columns of a matrix filled from the walk, so it
-takes a fixed number of passes.  `ultrafy` and `is_ultra` build no tree:
-the sweep over the spanning tree's edges keeps each component's labels in
-walk order (`_linkage_walk`) and hands that walk to the kernel.
+takes a fixed number of passes.  One union-find sweep over the spanning
+tree's edges (`_linkage`) yields both the tree's vertices and its labels in
+walk order, so `ultrafy` and `is_ultra` hand that walk to the kernel and
+build no tree.
 
 The same walk and kernel, with each vertex carrying one label, give a bare
 tree's meet table H (`meet_table`), and no labeled tree is built for it.
@@ -173,7 +174,7 @@ def meet_table(t: MergeTree):
 
 
 def _walk_matrix(labels, own, gaps) -> SymMatrix:
-    """Matrix of labels 1..n from their walk: `trees._label_walk` or `_linkage_walk`.
+    """Matrix of labels 1..n from their walk: `trees._label_walk` or `_linkage`.
 
     The meet of two labels is the highest gap between them in walk order.
     Rows follow the walk and columns the labels: row q holds gap q - 1 in
@@ -249,18 +250,6 @@ def _mst_edges(a: np.ndarray) -> list:
     return list(zip(h[order].tolist(), lo[order].tolist(), hi[order].tolist()))
 
 
-def _spanning(m) -> tuple:
-    """(entries, `_mst_edges`) of a valid matrix; InvalidMatrixError otherwise."""
-    m = as_sym_matrix(m)
-    check = is_valid(m)
-    if not check:
-        i, j = check.witness
-        raise InvalidMatrixError(
-            f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})"
-        )
-    return m.array, _mst_edges(m.array)
-
-
 def _find(root: list, x: int) -> int:
     """Root of x's component in a union-find forest, halving the path."""
     while root[x] != x:
@@ -284,70 +273,70 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     ceil(log2 n) Borůvka rounds of O(n^2) numpy passes replace a sort of all
     n(n-1)/2 pairs.
     """
-    return _linkage_tree(*_spanning(m))
+    (heights, edges, labels), _ = _linkage(m)
+    return LabeledMergeTree(MergeTree(heights, edges), labels)
 
 
-def _linkage_tree(a: np.ndarray, mst: list) -> LabeledMergeTree:
-    """`tree_of_matrix` of the valid entries `a`, whose `_mst_edges` are `mst`."""
+def _linkage(m) -> tuple:
+    """Single linkage of a valid matrix: its tree's parts and its label walk.
+
+    One `is_valid` check, then one union-find sweep over the `_mst_edges`.
+    A merge at height h gives the two components one top vertex: two tops
+    at h collapse into one, a top at h takes the other as its child, and
+    otherwise a new vertex at h (ids n, n + 1, ... in sweep order) takes
+    both.  The same merge links the components' label lists, kept in walk
+    order, with gap h: the first list's tail to the second's head, and every
+    gap inside either list is at most h.  Returns ``((heights, edges, label
+    map), (labels, own, gaps))``: the parts of `tree_of_matrix` and the walk
+    that `_walk_matrix` takes.  Heights are copied from the entries.
+    """
+    m = as_sym_matrix(m)
+    check = is_valid(m)
+    if not check:
+        i, j = check.witness
+        raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
+    a = m.array
     n = a.shape[0]
     # births, by construction in label order: vertex i carries label i + 1
-    heights = {i: float(a[i, i]) for i in range(n)}
+    heights = dict(enumerate(a.diagonal().tolist()))
     labels_at = {i: [i + 1] for i in range(n)}
     children_of = {i: [] for i in range(n)}
-    root = list(range(n))  # forest over labels; a root maps to its top vertex
-    top_of = list(range(n))
+    # forest over labels; a root's top vertex and the ends of its label list
+    root, top_of, head, tail = (list(range(n)) for _ in range(4))
+    after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
     next_id = n
-
-    for h, i, j in mst:
+    for h, i, j in _mst_edges(a):
         ri, rj = _find(root, i), _find(root, j)
         ta, tb = top_of[ri], top_of[rj]
-        if heights[ta] == h and heights[tb] == h:
+        if heights[ta] != h:
+            ta, tb = tb, ta  # a top at the merge height, if any, comes first
+        if heights[tb] == h:
             # two tops at the merge height collapse into one vertex
             labels_at[ta].extend(labels_at.pop(tb))
             children_of[ta].extend(children_of.pop(tb))
             del heights[tb]
-            new_top = ta
-        elif heights[ta] == h:
-            children_of[ta].append(tb)
-            new_top = ta
-        elif heights[tb] == h:
-            children_of[tb].append(ta)
-            new_top = tb
+        elif heights[ta] != h:
+            heights[next_id], labels_at[next_id], children_of[next_id] = h, [], [ta, tb]
+            ta, next_id = next_id, next_id + 1
         else:
-            heights[next_id] = h
-            labels_at[next_id] = []
-            children_of[next_id] = [ta, tb]
-            new_top = next_id
-            next_id += 1
-        root[ri] = rj
-        top_of[rj] = new_top
-
-    edges = [(c, v) for v, kids in children_of.items() for c in kids]
-    label_map = {i: v for v, ls in labels_at.items() for i in ls}
-    return LabeledMergeTree(MergeTree(heights, edges), label_map)
-
-
-def _linkage_walk(a: np.ndarray, mst: list) -> tuple:
-    """The label walk (labels, own, gaps) of `_linkage_tree(a, mst)`, no tree built.
-
-    The same sweep keeps each component's labels as a list linked in walk
-    order: a merge at height h links the first list's tail to the second's
-    head with gap h, and every gap inside either list is at most h.  Each
-    label's own height is copied from M_ii.
-    """
-    n = a.shape[0]
-    root, head, tail = list(range(n)), list(range(n)), list(range(n))
-    after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
-    for h, i, j in mst:
-        ri, rj = _find(root, i), _find(root, j)
+            children_of[ta].append(tb)
         after[tail[ri]], gap[tail[ri]] = head[rj], h
         head[rj] = head[ri]
         root[ri] = rj
+        top_of[rj] = ta
     walk = [head[_find(root, 0)]]
     for _ in range(n - 1):
         walk.append(after[walk[-1]])
-    gaps = tuple(gap[k] for k in walk[:-1])
-    return np.array(walk) + 1, a.diagonal()[walk], gaps
+    edges = [(c, v) for v, kids in children_of.items() for c in kids]
+    labels = {i: v for v, ls in labels_at.items() for i in ls}
+    own, gaps = a.diagonal()[walk], tuple(gap[k] for k in walk[:-1])
+    return (heights, edges, labels), (np.array(walk) + 1, own, gaps)
+
+
+def _center(m) -> tuple:
+    """``(tree_of_matrix(m), ultrafy(m))`` from one `_linkage` sweep."""
+    (heights, edges, labels), walk = _linkage(m)
+    return LabeledMergeTree(MergeTree(heights, edges), labels), _walk_matrix(*walk)
 
 
 def ultrafy(m) -> SymMatrix:
@@ -358,13 +347,7 @@ def ultrafy(m) -> SymMatrix:
     path value over the complete graph.  O(n^2 log n) at most through the
     minimum spanning tree.  Identity on ultra matrices; entries are copied.
     """
-    return _walk_matrix(*_linkage_walk(*_spanning(m)))
-
-
-def _linkage(m) -> tuple:
-    """``(tree_of_matrix(m), ultrafy(m))`` from one check and one spanning tree."""
-    a, mst = _spanning(m)
-    return _linkage_tree(a, mst), _walk_matrix(*_linkage_walk(a, mst))
+    return _walk_matrix(*_linkage(m)[1])
 
 
 def linf_distance(a, b) -> float:

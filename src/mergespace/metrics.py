@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MergespaceError
-from .matrices import SymMatrix, _linkage, induced_matrix, linf_distance, tree_of_matrix, ultrafy
+from .matrices import SymMatrix, _center, induced_matrix, linf_distance, tree_of_matrix, ultrafy
 from .trees import LabeledMergeTree, height_tol
 
 __all__ = [
@@ -99,6 +99,6 @@ def one_center(trees: Sequence[LabeledMergeTree]):
         _same_label_count(trees[0], t)
     stack = np.stack([induced_matrix(t).array for t in trees])
     mid = SymMatrix((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
-    center, c = _linkage(mid)
+    center, c = _center(mid)
     radius = max(float(np.max(np.abs(m - c.array))) for m in stack)
     return center, radius

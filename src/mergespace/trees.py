@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidTreeError, MergespaceError
@@ -132,29 +133,6 @@ class MergeTree:
     @cached_property
     def leaves(self) -> tuple:
         return tuple(v for v, _ in self.vertices if not self.children[v])
-
-    @cached_property
-    def postorder(self) -> tuple:
-        """Vertices with every child before its parent (deterministic)."""
-        order = []
-        stack = [(self.top, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                order.append(v)
-            else:
-                stack.append((v, True))
-                for c in reversed(self.children[v]):
-                    stack.append((c, False))
-        return tuple(order)
-
-    @cached_property
-    def subtree_min(self) -> dict:
-        """Vertex id -> lowest height in its subtree (itself included)."""
-        low = {}
-        for v in self.postorder:
-            low[v] = min([self.height[v]] + [low[c] for c in self.children[v]])
-        return low
 
 
 @dataclass(frozen=True)
@@ -261,6 +239,8 @@ def _validate(t: MergeTree) -> ValidationReport:
 
     heights = {}
     for v, h in t.vertices:
+        if v < 0:
+            problems.append(f"vertex id {v} is negative")
         if v in heights:
             problems.append(f"duplicate vertex id {v}")
         if not math.isfinite(h):
@@ -455,11 +435,12 @@ def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:
 
     Each vertex's (height, labels, sorted child ids) gets one integer id, so
     two vertices share an id exactly when their signatures are equal, and no
-    step recurses as deep as the tree.
+    step recurses as deep as the tree.  Edges climb, so height order visits
+    every child before its parent.
     """
     t.ensure_valid()
     ids = {}
-    for v in t.postorder:
+    for v, _ in sorted(t.vertices, key=itemgetter(1)):
         key = (
             t.height[v],
             labels_of[v] if labels_of else (),

@@ -66,6 +66,14 @@ def test_validate_reports_violations(files, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_validate_refuses_a_negative_vertex_id(files, capsys):
+    bad = files / "negative.json"
+    bad.write_text(json.dumps({"vertices": [{"id": -1, "height": 0.0, "labels": [1]}],
+                               "edges": []}))
+    assert main(["validate", str(bad)]) == 2
+    assert "vertex id -1 is negative" in capsys.readouterr().err
+
+
 def test_induce_prints_the_matrix(files, capsys):
     assert main(["induce", str(files / "t1.json")]) == 0
     out = capsys.readouterr().out

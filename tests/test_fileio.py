@@ -9,6 +9,7 @@ import pytest
 
 from mergespace import (
     FormatError,
+    InvalidTreeError,
     LabelPairing,
     LabeledMergeTree,
     MalformedMapError,
@@ -114,8 +115,6 @@ def test_tree_parse_errors(text, needle):
 
 
 def test_parse_tree_rejects_invalid_trees():
-    from mergespace import InvalidTreeError
-
     text = '{"vertices": [{"id": 0, "height": 0}, {"id": 1, "height": 1}], "edges": []}'
     with pytest.raises(InvalidTreeError):
         parse_tree(text)
@@ -185,6 +184,22 @@ def test_diagram_parse_errors():
         parse_diagram("1 x\n")
 
 
+@pytest.mark.parametrize(
+    "text, needle",
+    [
+        ("0 1\n0 1e400\n", "line 2: death 1e400 is infinite"),
+        ("0 Infinity\n", "line 1: death Infinity is infinite"),
+        ("0 1\n\nnan 1\n", "line 3: non-finite birth nan"),
+        ("1 0\n", "line 1: point (1.0, 0.0) has no persistence"),
+    ],
+)
+def test_diagram_bad_points_name_their_line(text, needle):
+    # only the literal inf is an essential death: 1e400 would come back as inf
+    with pytest.raises(FormatError) as err:
+        parse_diagram(text)
+    assert needle in str(err.value)
+
+
 def test_diagram_rejects_backwards_points():
     with pytest.raises(Exception):
         PersistenceDiagram([(2.0, 1.0)])
@@ -244,6 +259,15 @@ def test_map_and_pairing_parsers_refuse_non_finite_heights(x):
         parse_pairing(
             _edited_pairing(lambda obj: obj["pairs"][0][1].update(height=x)), WYE, WYE_UP
         )
+
+
+@pytest.mark.parametrize("empty", [False, True])
+def test_parse_pairing_validates_both_trees_first(empty):
+    broken = MergeTree([(0, 0.0), (1, 1.0)], [])
+    text = '{"pairs": []}' if empty else write_pairing(labeling_from_map(WYE_MAP))
+    for source, target in ((broken, WYE_UP), (WYE, broken)):
+        with pytest.raises(InvalidTreeError, match="^invalid merge tree: disconnected"):
+            parse_pairing(text, source, target)
 
 
 def test_parse_pairing_refuses_a_boolean_point_anchor():

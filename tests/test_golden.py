@@ -18,6 +18,12 @@ the bottleneck matchings were grown by Hopcroft-Karp.  The 120-vertex
 trees take the numpy path of `bottleneck_distance`, the unlabeled pairs the
 plain-list path for small diagrams.
 
+And it holds three shift maps with the stdout and exit code of `checkmap`:
+a good one, one that misses a target branch too deep (missed-depth) and
+one that sends two branches to one point too far below their merge
+(merge-spread), captured before the missed-depth check read subtree
+heights from the meet table.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -41,10 +47,10 @@ CASES = [(kind, n) for kind in KINDS for n in SIZES]
 COMMANDS = {"treeify": "matrix.txt", "ultrafy": "matrix.txt", "induce": "tree.json"}
 
 
-def _stdout(argv) -> str:
+def _stdout(argv, code=0) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(argv) == 0
+        assert main(argv) == code
     return buf.getvalue()
 
 
@@ -86,6 +92,15 @@ def test_dist_bottleneck_matches_golden(name):
     assert _stdout(["dist", "bottleneck", str(a), str(b)]) == want
 
 
+MAPS = {"good": 0, "missed-depth": 2, "merge-spread": 2}  # name -> exit code
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_checkmap_matches_golden(name):
+    want = (GOLDEN / f"checkmap-{name}.out").read_text()
+    assert _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], MAPS[name]) == want
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("kind,n", CASES)
 def test_cli_output_matches_golden(command, kind, n):
@@ -124,6 +139,24 @@ def _write_pairs(rng):
             Path(f"{stem}.{side}.tree.json").write_text(write_tree(t))
 
 
+def _write_maps():
+    from mergespace import MergeTree, VertexMap, write_map
+
+    wye = MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 2), (1, 2)])
+    wye_up = MergeTree([(0, 1.0), (1, 2.0), (2, 4.0)], [(0, 2), (1, 2)])
+    stick = MergeTree([(0, 0.0), (1, 4.0)], [(0, 1)])
+    deep = MergeTree([(0, 0.0), (1, 1.0), (2, 4.0), (3, 5.0)], [(0, 2), (1, 2), (2, 3)])
+    vee = MergeTree([(0, 0.0), (1, 0.0), (2, 5.0)], [(0, 2), (1, 2)])
+    maps = {
+        "good": VertexMap(wye, wye_up, 1.0, {0: (0, 1.0), 1: (1, 2.0), 2: (2, 4.0)}),
+        "missed-depth": VertexMap(stick, deep, 1.0, {0: (0, 1.0), 1: (3, 5.0)}),
+        "merge-spread": VertexMap(vee, MergeTree([(0, 0.0), (1, 6.0)], [(0, 1)]), 1.0,
+                                  {0: (0, 1.0), 1: (0, 1.0), 2: (0, 6.0)}),
+    }
+    for name, vm in maps.items():
+        (GOLDEN / f"checkmap-{name}.map.json").write_text(write_map(vm))
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     _write_inputs(np.random.default_rng(20191))
@@ -143,3 +176,7 @@ if __name__ == "__main__":
     for name, (a, b) in BOTTLENECK.items():
         out = _stdout(["dist", "bottleneck", str(a), str(b)])
         (GOLDEN / f"dist-bottleneck-{name}.out").write_text(out)
+    _write_maps()
+    for name, code in MAPS.items():
+        out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)
+        (GOLDEN / f"checkmap-{name}.out").write_text(out)

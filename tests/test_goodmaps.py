@@ -55,6 +55,11 @@ def test_vertex_map_rejects_bad_inputs():
         VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 2: (99, 4.0)})
     with pytest.raises(MalformedMapError):
         VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 2: 99})
+    with pytest.raises(MalformedMapError, match="unknown source vertex 5"):
+        VertexMap(WYE, WYE_UP, 1.0, {**SHIFT_IMAGES, 5: (0, 1.0)})
+    # images may come as (vertex, point) pairs as well as a mapping
+    pairs = VertexMap(WYE, WYE_UP, 1.0, tuple(SHIFT_IMAGES.items()))
+    assert pairs == VertexMap(WYE, WYE_UP, 1.0, SHIFT_IMAGES)
 
 
 def test_unit_shift_map_is_good_at_one():

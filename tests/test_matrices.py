@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mergespace import (
     InvalidMatrixError,
     LabeledMergeTree,
+    MatrixCheck,
     MergeTree,
     as_sym_matrix,
     canonicalize,
@@ -40,6 +41,8 @@ def test_sym_matrix_rejects_bad_shapes():
         as_sym_matrix([[0.0, 1.0]])
     with pytest.raises(InvalidMatrixError):
         as_sym_matrix([])
+    with pytest.raises(InvalidMatrixError, match="empty matrix"):
+        as_sym_matrix(np.zeros((0, 0)))
     with pytest.raises(InvalidMatrixError):
         as_sym_matrix([[0.0, float("inf")], [float("inf"), 0.0]])
     with pytest.raises(InvalidMatrixError):
@@ -114,6 +117,8 @@ def test_ultra_witness_names_the_broken_triple():
     i, j, k = check.witness
     a = avg.array
     assert a[i - 1, j - 1] > max(a[i - 1, k - 1], a[k - 1, j - 1])
+    # an invalid matrix has no closure: the witness is `is_valid`'s pair
+    assert is_ultra([[1.0, 0.0], [0.0, 0.0]]) == MatrixCheck(False, (1, 2))
 
 
 def test_induced_matrix_on_shared_and_internal_labels():

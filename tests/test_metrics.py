@@ -150,6 +150,8 @@ def test_geodesic_rejects_out_of_range_parameters():
         geodesic_point(a, b, -0.1)
     with pytest.raises(MergespaceError):
         geodesic_point(a, b, 1.2)
+    with pytest.raises(MergespaceError, match="at least one sample"):
+        geodesic_length(a, b, samples=0)
 
 
 def test_geodesic_length_matches_the_direct_distance():

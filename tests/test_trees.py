@@ -24,6 +24,7 @@ from mergespace import (
     vertex_point,
 )
 import mergespace
+from mergespace.dot import to_dot
 from mergespace.trees import (
     REL_TOL,
     as_point,
@@ -88,6 +89,7 @@ def test_validation_flags_each_defect(vertices, edges, needle):
 
 _DEFECTS = (
     "duplicate id",
+    "negative id",
     "nan height",
     "inf height",
     "tied height",
@@ -123,6 +125,9 @@ def raw_tree_parts(draw):
         w = draw(st.sampled_from(vertices))[0]
         if defect == "duplicate id":
             vertices.append((v, h + 1.0))
+        elif defect == "negative id":
+            vertices[k] = (-1 - v, h)
+            edges = [tuple(-1 - x if x == v else x for x in e) for e in edges]
         elif defect == "nan height":
             vertices[k] = (v, math.nan)
         elif defect == "inf height":
@@ -177,6 +182,25 @@ def test_labeled_validation():
     assert any("cover 1..2" in v for v in report.violations)
     report = LabeledMergeTree(t, {1: 0, 2: 99}).validation
     assert any("unknown vertex" in v for v in report.violations)
+    with pytest.raises(InvalidTreeError, match="label 1 assigned twice"):
+        LabeledMergeTree(t, [(1, 0), (1, 1), (2, 1)]).ensure_valid()
+    # on an invalid tree the labels' vertices and the leaves go unchecked
+    report = LabeledMergeTree(MergeTree([(0, 0.0), (1, 1.0)], []), [(1, 0), (1, 9), (3, 1)]).validation
+    assert report.violations == (
+        "disconnected: multiple top vertices (0, 1)",
+        "label 1 assigned twice",
+        "label indices must cover 1..2 exactly, got [1, 3]",
+    )
+
+
+def test_to_dot_draws_a_bare_tree_and_refuses_an_invalid_one():
+    text = to_dot(_wye())
+    assert text.startswith("digraph mergetree {\n") and "  v0 -> v2;\n" in text
+    assert "peripheries" not in text
+    negative = MergeTree([(-1, 0.0)], [])
+    for bad in (negative, LabeledMergeTree(negative, {1: -1})):
+        with pytest.raises(InvalidTreeError, match="vertex id -1 is negative"):
+            to_dot(bad)
 
 
 def test_label_walk_lists_labels_with_the_meets_between_neighbours():

@@ -207,8 +207,13 @@ def rand_leaf_up_map(rng, s: MergeTree, t: MergeTree, delta: float):
     vertex otherwise on the upward path of a random child's image."""
     from mergespace import VertexMap
 
+    order, stack = [], [s.top]  # depth-first, each child before its parent
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(s.children[v])
     images = {}
-    for v in s.postorder:
+    for v in reversed(order):
         h = s.height[v] + delta
         kids = s.children[v]
         if kids and rng.random() > 0.1:
@@ -264,7 +269,7 @@ def tree_signature(t: MergeTree, labels_of=None):
     """
     t.ensure_valid()
     sig = {}
-    for v in t.postorder:
+    for v, _ in sorted(t.vertices, key=lambda vh: vh[1]):  # edges climb
         kids = tuple(sorted(sig[c] for c in t.children[v]))
         lab = tuple(sorted(labels_of[v])) if labels_of else ()
         sig[v] = (t.height[v], lab, kids)
@@ -543,7 +548,7 @@ def verify_delta_good_oracle(vm) -> GoodMapReport:
             )
     crit = sorted({img[v].height for v in s.height} | {t.height[w] for w in t.height})
     for g in crit:
-        if g - d < min(s.subtree_min.values()) - tol:
+        if g - d < min(h for _, h in s.vertices) - tol:
             continue
         for p in points_at(t, g, 0.0):
             pre = _preimage_oracle(vm, p)
@@ -560,7 +565,8 @@ def verify_delta_good_oracle(vm) -> GoodMapReport:
                     f"({p.anchor}, {p.height}) but lie {spread} below it",
                 )
     for w, attach, _ in _missed_oracle(vm, sorted(t.height)):
-        gap = attach.height - t.subtree_min[w]
+        below = [x for x in t.height if w in _vertex_chain_above(t, vertex_point(t, x))]
+        gap = attach.height - min(t.height[x] for x in below)
         if gap > 2 * d + tol:
             return GoodMapReport(
                 False, "missed-depth", (w, attach),
@@ -684,6 +690,8 @@ def validate_oracle(t: MergeTree) -> ValidationReport:
 
     heights = {}
     for v, h in t.vertices:
+        if v < 0:
+            problems.append(f"vertex id {v} is negative")
         if v in heights:
             problems.append(f"duplicate vertex id {v}")
         if not math.isfinite(h):
