@@ -38,6 +38,7 @@ from .trees import (
     LabeledMergeTree,
     MergeTree,
     PointOnTree,
+    _as_id,
     as_point,
     height_tol,
     point_at,
@@ -79,7 +80,7 @@ class VertexMap:
             items = images
         norm = {}
         for v, p in items:
-            v = int(v)
+            v = _as_id(v)
             if v not in source.height:
                 raise MalformedMapError(f"image given for unknown source vertex {v}")
             try:

@@ -11,13 +11,16 @@ Both directions work in whole-matrix numpy passes over the n x n matrix of
 n labels, plus one walk over the tree's vertices.  A matrix's tree is single
 linkage, which is the minimum spanning tree of the complete label graph
 (Gower & Ross 1969): at most ceil(log2 n) Borůvka rounds, each a few O(n^2)
-passes, find its n - 1 edges, and only those are merged.  A tree's matrix is
-one depth-first walk (`trees._label_walk`) and one kernel (`_walk_matrix`):
-a running maximum down the columns of a matrix filled from the walk, so it
-takes a fixed number of passes.  One union-find sweep over the spanning
-tree's edges (`_linkage`) yields both the tree's vertices and its labels in
-walk order, so `ultrafy` and `is_ultra` hand that walk to the kernel and
-build no tree.
+passes, find its n - 1 edges, and only those are merged; each round
+compares component ids in the narrowest integer dtype that holds n.  A
+tree's matrix is one depth-first walk (`trees._label_walk`) and one kernel
+(`_walk_matrix`): with rows and columns in walk order, a running maximum
+down column blocks about sqrt(n) wide fills the triangle below the
+diagonal, about half the matrix, and two gathers put the labels in index
+order.  One union-find sweep over the spanning tree's edges (`_linkage`)
+yields both the tree's vertices and its labels in walk order, so `ultrafy`
+and `is_ultra` hand that walk to the kernel and build no tree; the trees it
+does build are valid by construction and are not validated again.
 
 The same walk and kernel, with each vertex carrying one label, give a bare
 tree's meet table H (`meet_table`), and no labeled tree is built for it.
@@ -27,12 +30,19 @@ lies on the other's upward path, or their anchors join at a vertex above both.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidMatrixError
-from .trees import LabeledMergeTree, MergeTree, _label_walk, slack_of
+from .trees import (
+    LabeledMergeTree,
+    MergeTree,
+    _label_walk,
+    _valid_by_construction,
+    slack_of,
+)
 
 __all__ = [
     "SymMatrix",
@@ -177,24 +187,57 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
     """Matrix of labels 1..n from their walk: `trees._label_walk` or `_linkage`.
 
     The meet of two labels is the highest gap between them in walk order.
-    Rows follow the walk and columns the labels: row q holds gap q - 1 in
-    the columns of labels met before position q, so one running maximum
-    down the columns gives the meet of every label with each later one.
-    Gathering the rows into label order fills one triangle, the transpose
-    fills the other, and the diagonal comes last: a fixed number of passes
-    over the n x n matrix.  Entries are copied heights, never rounded, so
-    they are finite and symmetric without `SymMatrix`'s checks.
+    The working matrix w has rows and columns in walk order, and entry
+    (q, p) below the diagonal is the meet of positions q > p: the running
+    maximum of the gaps just before rows p + 1..q.  Only those entries are
+    accumulated, in blocks of `width` columns.  A block fills rows c0..n-1
+    with the gap before each row, puts -inf on and above its own diagonal
+    (so no column's maximum starts before its row) and everywhere above
+    the block, and takes one running maximum down its rows in place.  So
+    about n^2/2 * (1 + width/n) entries are scanned, not n^2, and each
+    column meets the same gaps in the same order as in one sweep of the
+    whole matrix, so ties and signed zeros come out the same.  Gathering
+    rows, then columns, into label order leaves each meet in one triangle
+    and -inf in the other; the transpose fills that one, and the diagonal
+    comes last.  Entries are copied heights, never rounded, so they are
+    finite and symmetric without `SymMatrix`'s checks.
+
+    The width is max(64, 4 isqrt(n)).  Each block costs a few numpy calls
+    whatever its size, and each scans its whole square, of which only the
+    part below the diagonal is needed.  Per-call medians in us on one core
+    of a 2-core Xeon host (random walks, the rows' calls interleaved), with
+    one sweep of the whole matrix, columns in label order, as the base:
+
+        labels               8    32    64   100   150   300   600
+        whole matrix        14    38    82   126   512  1901  7315
+        max(16, 4 isqrt n)  18    50    88   118   476  1558  6314
+        max(64, 2 isqrt n)  18    42    85   122   472  1379  5840
+        max(64, 4 isqrt n)  18    43    85   118   479  1375  5935
+        max(64, 8 isqrt n)  18    42    86   134   492  1448  6035
+
+    Below 64 labels, which covers every meet table, more blocks cost more
+    than they save, so the floor keeps those sizes one block; above it,
+    2 to 4 isqrt(n) is the flat part of the curve.
     """
     n = len(labels)
     rank = np.empty(n, dtype=np.intp)  # label index -> walk position
     rank[np.array(labels) - 1] = np.arange(n)
     rows = np.array((-np.inf,) + gaps)[:, None]  # row q: the gap just before it
-    d = np.where(np.arange(n)[:, None] > rank, rows, -np.inf)
-    np.maximum.accumulate(d, axis=0, out=d)
-    a = d[rank]  # (i, j) is the meet when label i comes after label j, else -inf
-    a = np.maximum(a, a.T)
-    np.fill_diagonal(a, np.array(own)[rank])
-    return SymMatrix._unchecked(a)
+    width = max(64, 4 * math.isqrt(n))
+    pos = np.arange(min(width, n))
+    upper = pos[:, None] <= pos  # on and above the diagonal of a block's square
+    w = np.empty((n, n))
+    for c0 in range(0, n, width):
+        k = min(width, n - c0)
+        block = w[c0:, c0 : c0 + k]
+        block[...] = rows[c0:]
+        np.copyto(block[:k], -np.inf, where=upper[:k, :k])
+        w[:c0, c0 : c0 + k] = -np.inf
+        np.maximum.accumulate(block, axis=0, out=block)
+    a = w[rank][:, rank]  # (i, j) is the meet when label i comes after label j, else -inf
+    np.maximum(a, a.T, out=w)
+    np.fill_diagonal(w, np.array(own)[rank])
+    return SymMatrix._unchecked(w)
 
 
 def _mst_edges(a: np.ndarray) -> list:
@@ -213,16 +256,27 @@ def _mst_edges(a: np.ndarray) -> list:
     component joins another, so there are at most ceil(log2 n) rounds, each
     O(n^2).  Heights are copied from the entries M_ij with i < j, as in the
     sweep.  Returns (h, i, j) triples with i < j, sorted by the key.
+
+    The equality pass compares a copy of the component ids in the narrowest
+    unsigned dtype that holds n: at 300 labels it takes about 20 us in place
+    of 90.  The ids stay `intp` everywhere else, since numpy casts a narrow
+    index array to `intp` on every use, which made 50-label calls about
+    14 us slower.  `np.putmask` masks in 50-80 us whatever the share of
+    entries inside components; `np.copyto(..., where=)` is faster below a
+    few percent but two to three times slower from a fifth on, the share of
+    the late rounds.
     """
     n = a.shape[0]
     free = np.array(a, dtype=float)  # entries inside one component become +inf
     rows = np.arange(n)
     comp = rows.copy()  # label index -> its component's id, a label index
+    narrow = np.min_scalar_type(n)
     same = np.empty((n, n), dtype=bool)
     ends = np.empty((2, n - 1), dtype=np.intp)  # (i, j) of the edges found
     joined = 0
     while joined < n - 1:
-        np.equal(comp[:, None], comp, out=same)
+        ids = comp.astype(narrow)
+        np.equal(ids[:, None], ids, out=same)
         np.putmask(free, same, np.inf)
         near = free.argmin(axis=1)
         lo = np.minimum(rows, near)
@@ -274,7 +328,7 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     n(n-1)/2 pairs.
     """
     (heights, edges, labels), _ = _linkage(m)
-    return LabeledMergeTree(MergeTree(heights, edges), labels)
+    return _valid_by_construction(LabeledMergeTree(MergeTree(heights, edges), labels))
 
 
 def _linkage(m) -> tuple:
@@ -336,7 +390,8 @@ def _linkage(m) -> tuple:
 def _center(m) -> tuple:
     """``(tree_of_matrix(m), ultrafy(m))`` from one `_linkage` sweep."""
     (heights, edges, labels), walk = _linkage(m)
-    return LabeledMergeTree(MergeTree(heights, edges), labels), _walk_matrix(*walk)
+    lt = _valid_by_construction(LabeledMergeTree(MergeTree(heights, edges), labels))
+    return lt, _walk_matrix(*walk)
 
 
 def ultrafy(m) -> SymMatrix:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import InvalidTreeError, MergespaceError
@@ -59,16 +59,28 @@ class ValidationReport:
         return self.ok
 
 
+def _as_id(x, what: str = "vertex id") -> int:
+    """An integer id (numpy integers too) as an int; anything else raises.
+
+    `operator.index` refuses floats and strings, which `int()` would
+    truncate or parse.
+    """
+    try:
+        return index(x)
+    except TypeError:
+        raise MergespaceError(f"{what} {x!r} is not an integer") from None
+
+
 def _normalize_vertices(vertices) -> tuple:
     if isinstance(vertices, Mapping):
         items = vertices.items()
     else:
         items = vertices
-    return tuple(sorted((int(v), float(h)) for v, h in items))
+    return tuple(sorted((_as_id(v), float(h)) for v, h in items))
 
 
 def _normalize_edges(edges) -> tuple:
-    return tuple(sorted((int(c), int(p)) for c, p in edges))
+    return tuple(sorted((_as_id(c), _as_id(p)) for c, p in edges))
 
 
 @dataclass(frozen=True)
@@ -149,7 +161,9 @@ class LabeledMergeTree:
             items = labels
         object.__setattr__(self, "tree", tree)
         object.__setattr__(
-            self, "labels", tuple(sorted((int(i), int(v)) for i, v in items))
+            self,
+            "labels",
+            tuple(sorted((_as_id(i, "label"), _as_id(v)) for i, v in items)),
         )
 
     @cached_property
@@ -283,6 +297,18 @@ def _validate(t: MergeTree) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
+def _valid_by_construction(t):
+    """Seed a tree's `validation` with an empty report and return the tree.
+
+    For trees their builder makes valid, such as canonical forms and single
+    linkage trees, so their first use skips `_validate`; a labeled tree's
+    underlying tree is seeded too.
+    """
+    for u in (t, _bare(t)):
+        u.__dict__["validation"] = ValidationReport(())  # the cached_property's slot
+    return t
+
+
 def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
     """The underlying tree of a labeled tree; a bare tree as it is."""
     return t.tree if isinstance(t, LabeledMergeTree) else t
@@ -355,7 +381,7 @@ def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
     if isinstance(p, (PointOnTree, tuple)):
         anchor, height = p
     else:  # a vertex id; point_at refuses an unknown one before its height
-        anchor = int(p)
+        anchor = _as_id(p)
         height = t.height.get(anchor, 0.0)
     return point_at(t, anchor, height)
 
@@ -402,7 +428,10 @@ def _contract(t: MergeTree, keep) -> MergeTree:
         u = kept_ancestor(v)
         if u is not None:
             edges.append((v, u))
-    return MergeTree(vertices, edges)
+    # the callers keep every leaf and branch point: kept ancestors are
+    # strictly higher, and every kept vertex lies below the first kept one
+    # down the top's chain of single children, so there is one top
+    return _valid_by_construction(MergeTree(vertices, edges))
 
 
 def canonicalize_tree(t: MergeTree) -> MergeTree:
@@ -427,7 +456,8 @@ def canonicalize(lt: LabeledMergeTree) -> LabeledMergeTree:
         for v, _ in t.vertices
         if len(t.children[v]) != 1 or lt.labels_of[v]
     ]
-    return LabeledMergeTree(_contract(t, keep), lt.labels)
+    # every labeled vertex and every leaf is kept, and no new leaf appears
+    return _valid_by_construction(LabeledMergeTree(_contract(t, keep), lt.labels))
 
 
 def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:

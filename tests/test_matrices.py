@@ -21,7 +21,7 @@ from mergespace import (
     trees_equal,
     ultrafy,
 )
-from mergespace.matrices import _mst_edges
+from mergespace.matrices import _linkage, _mst_edges, _walk_matrix
 from util import (
     induced_oracle,
     induced_rowwise_oracle,
@@ -32,6 +32,7 @@ from util import (
     rand_valid_matrix,
     sweep_tree_oracle,
     ultra_witness_oracle,
+    walk_matrix_oracle,
     with_heights,
 )
 
@@ -396,6 +397,40 @@ def zero_straddling_trees(draw, max_labels=80):
 @given(zero_straddling_trees())
 def test_induced_matrix_property_is_bytewise_the_rowwise_fill(lt):
     assert induced_matrix(lt).array.tobytes() == induced_rowwise_oracle(lt).tobytes()
+
+
+@st.composite
+def label_walks(draw):
+    """The depth-first walk of a zero-straddling tree, or the single-linkage
+    walk of a tie-heavy matrix: up to 80 labels, so two kernel blocks."""
+    if draw(st.booleans()):
+        return draw(zero_straddling_trees()).label_walk
+    return _linkage(draw(tie_heavy_matrices()))[1]
+
+
+@given(label_walks())
+def test_walk_matrix_property_is_bytewise_the_rowwise_fill(walk):
+    assert _walk_matrix(*walk).array.tobytes() == walk_matrix_oracle(*walk).tobytes()
+
+
+# one label; one full block of 64 and one past it; two blocks and one past;
+# 360 = 5 blocks of 72, and 361, where the width grows to 76
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 128, 129, 360, 361])
+def test_walk_matrix_is_bytewise_the_rowwise_fill_at_block_boundaries(n):
+    rng = np.random.default_rng(n)
+    labels = rng.permutation(n) + 1
+    gaps = rng.integers(-2, 3, size=n - 1).astype(float)  # ties, and zeros of both signs
+    gaps[gaps == 0] = np.where(rng.random(np.count_nonzero(gaps == 0)) < 0.5, -0.0, 0.0)
+    own = rng.integers(-4, -2, size=n).astype(float)
+    walk = tuple(labels.tolist()), tuple(own.tolist()), tuple(gaps.tolist())
+    assert _walk_matrix(*walk).array.tobytes() == walk_matrix_oracle(*walk).tobytes()
+
+
+@given(tie_heavy_matrices())
+def test_tree_of_matrix_property_is_valid_by_construction(m):
+    lt = tree_of_matrix(m)  # seeded with an empty report; a fresh copy checks it
+    fresh = LabeledMergeTree(MergeTree(lt.tree.vertices, lt.tree.edges), lt.labels)
+    assert fresh.validation.violations == ()
 
 
 @given(labeled_trees())

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mergespace import (
     MergeTree,
     MergespaceError,
     PointOnTree,
+    VertexMap,
     canonicalize,
     canonicalize_tree,
     labeled_trees_equal,
@@ -27,6 +29,7 @@ import mergespace
 from mergespace.dot import to_dot
 from mergespace.trees import (
     REL_TOL,
+    _validate,
     as_point,
     height_tol,
     is_vertex_point,
@@ -165,6 +168,71 @@ def test_validation_property_equals_the_ancestry_walk_oracle(parts):
     if report.ok:
         assert [v for v, p in t.parent.items() if p is None] == [t.top]
         assert all(h < t.height[t.top] for v, h in t.vertices if v != t.top)
+
+
+@pytest.mark.parametrize(
+    "build, bad, good",
+    [
+        (lambda i: MergeTree([(i, 1.0), (1, 2.0)], [(i, 1)]), 0.7, np.int64(0)),
+        (lambda i: LabeledMergeTree(_wye(), {i: 0, 2: 1}), 1.5, np.int64(1)),
+        (lambda i: VertexMap(_wye(), _wye(), 0.0, {i: 0, 1: 1, 2: 2}), "0", np.int64(0)),
+        (lambda i: as_point(_wye(), i), 0.9, np.int64(0)),
+    ],
+    ids=["MergeTree-vertex", "LabeledMergeTree-label", "VertexMap-key", "as_point"],
+)
+def test_non_integer_ids_are_refused_not_truncated(build, bad, good):
+    with pytest.raises(MergespaceError, match=re.escape(f"{bad!r} is not an integer")):
+        build(bad)
+    built = build(good)  # numpy integers are ids like any other
+    if isinstance(built, (MergeTree, LabeledMergeTree)):
+        built.ensure_valid()
+
+
+@st.composite
+def valid_bare_trees(draw):
+    """A random tree as drawn, the same with points of its edges and ray
+    made vertices, one vertex, or a path of single children."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["raw", "subdivided", "single vertex", "path"]))
+    if kind == "single vertex":
+        return MergeTree([(int(rng.integers(10)), float(rng.integers(-2, 3)))], [])
+    if kind == "path":
+        heights = np.cumsum(rng.integers(1, 3, size=draw(st.integers(2, 6)))).astype(float)
+        return MergeTree(list(enumerate(heights.tolist())), [(k, k + 1) for k in range(len(heights) - 1)])
+    t = rand_merge_tree(rng, max_leaves=draw(st.integers(1, 6)), integral=draw(st.booleans()))
+    if kind == "subdivided":
+        t, _ = refine_at(t, [rand_point(rng, t) for _ in range(draw(st.integers(1, 4)))])
+    return t
+
+
+@given(valid_bare_trees())
+def test_canonical_tree_property_is_valid_by_construction(t):
+    # canonicalize_tree seeds its result's report; the check itself agrees
+    assert _validate(canonicalize_tree(t)).violations == ()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6))
+def test_canonical_labeled_tree_property_is_valid_by_construction(seed, n):
+    c = canonicalize(rand_labeled_tree(np.random.default_rng(seed), n, max_leaves=n))
+    fresh = LabeledMergeTree(MergeTree(c.tree.vertices, c.tree.edges), c.labels)
+    assert fresh.validation.violations == ()
+
+
+def test_trees_built_valid_are_not_validated_again(monkeypatch):
+    rng = np.random.default_rng(20)
+    t = rand_merge_tree(rng, max_leaves=5).ensure_valid()
+    lt = rand_labeled_tree(rng, 6, max_leaves=4).ensure_valid()
+    m = mergespace.induced_matrix(lt)
+
+    def refuse(tree):
+        raise AssertionError(f"validated again: {tree}")
+
+    monkeypatch.setattr(mergespace.trees, "_validate", refuse)
+    canonicalize_tree(t).ensure_valid()
+    canonicalize(lt).ensure_valid()
+    mergespace.tree_of_matrix(m).ensure_valid()
+    center, _ = mergespace.one_center([lt, lt])
+    center.ensure_valid()
 
 
 def test_ensure_valid_raises_with_the_violations():

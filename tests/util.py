@@ -5,10 +5,10 @@ minimax values come from enumerating simple paths, tree equality from
 nested signatures, diagrams from ancestor chains, bottleneck cost from
 enumerating matchings (or, for larger diagrams, from scipy's
 Hopcroft-Karp), induced entries and meets from walking ancestor chains,
-unlabeled distances from an ascending scan over every candidate shift
-with those meets, map verdicts from a sweep over every critical height,
-label transfers from ancestor chains, and tree validation from a walk up
-every parent chain.
+a walk's matrix from one running maximum per row, unlabeled distances
+from an ascending scan over every candidate shift with those meets, map
+verdicts from a sweep over every critical height, label transfers from
+ancestor chains, and tree validation from a walk up every parent chain.
 """
 
 from __future__ import annotations
@@ -406,15 +406,31 @@ def induced_oracle(lt: LabeledMergeTree) -> np.ndarray:
     return out
 
 
+def walk_matrix_oracle(labels, own, gaps) -> np.ndarray:
+    """The matrix of a label walk, filled one row at a time.
+
+    Row p of the matrix in walk order is one running maximum over the gaps
+    after position p; a scatter puts the labels in index order.
+    """
+    n = len(labels)
+    gaps = np.array(gaps, dtype=float)
+    d = np.empty((n, n), dtype=float)
+    for p in range(n - 1):
+        d[p, p + 1 :] = d[p + 1 :, p] = np.maximum.accumulate(gaps[p:])
+    np.fill_diagonal(d, own)
+    order = np.array(labels, dtype=np.intp) - 1
+    a = np.empty_like(d)
+    a[np.ix_(order, order)] = d
+    return a
+
+
 def induced_rowwise_oracle(lt: LabeledMergeTree) -> np.ndarray:
     """Pairwise meet heights filled one row at a time.
 
     Its own depth-first walk lists the labels and the meets of neighbouring
-    ones; row p of the matrix in walk order is one running maximum over the
-    gaps after position p, and a scatter puts the labels in index order.
+    ones, and `walk_matrix_oracle` fills the matrix from them.
     """
     t = lt.tree
-    n = lt.n_labels
     order, own, gaps = [], [], []
     meet = -INF  # highest vertex on the path since the last label
     stack = [t.top]
@@ -425,18 +441,11 @@ def induced_rowwise_oracle(lt: LabeledMergeTree) -> np.ndarray:
         for i in lt.labels_of[v]:
             if order:
                 gaps.append(meet)
-            order.append(i - 1)
+            order.append(i)
             own.append(t.height[v])
             meet = t.height[v]
         stack.extend(reversed(t.children[v]))
-    gaps = np.array(gaps, dtype=float)
-    d = np.empty((n, n), dtype=float)
-    for p in range(n - 1):
-        d[p, p + 1 :] = d[p + 1 :, p] = np.maximum.accumulate(gaps[p:])
-    np.fill_diagonal(d, own)
-    a = np.empty_like(d)
-    a[np.ix_(order, order)] = d
-    return a
+    return walk_matrix_oracle(order, own, gaps)
 
 
 def candidate_shifts_oracle(t1: MergeTree, t2: MergeTree) -> list:
