@@ -11,8 +11,9 @@ gives a delta-good map, and a delta-good map gives a labeling at distance
 at most delta, with one label per source leaf and per missed target leaf.
 
 Every ancestry test reads the meet identity of `matrices.meet_table`, from
-tables a map caches for both trees.  Merge-spread is one comparison over
-pairs of source leaves, missed-depth one row minimum over leaf images.
+tables a map caches for both trees, whose rows follow each tree's walk and
+are found by vertex id.  Merge-spread is one comparison over pairs of
+source leaves, missed-depth one row minimum over leaf images.
 
 Float discipline: stored heights are compared exactly where possible, but
 image heights arise as sums (height + delta), so point lookups snap within

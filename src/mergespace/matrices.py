@@ -14,16 +14,18 @@ linkage, which is the minimum spanning tree of the complete label graph
 passes, find its n - 1 edges, and only those are merged; each round
 compares component ids in the narrowest integer dtype that holds n.  A
 tree's matrix is one depth-first walk (`trees._label_walk`) and one kernel
-(`_walk_matrix`): with rows and columns in walk order, a running maximum
+(`_walk_meets`): with rows and columns in walk order, a running maximum
 down column blocks about sqrt(n) wide fills the triangle below the
-diagonal, about half the matrix, and two gathers put the labels in index
-order.  One union-find sweep over the spanning tree's edges (`_linkage`)
-yields both the tree's vertices and its labels in walk order, so `ultrafy`
-and `is_ultra` hand that walk to the kernel and build no tree; the trees it
-does build are valid by construction and are not validated again.
+diagonal, about half the matrix, and its transpose fills the other half;
+`_walk_matrix` then gathers the labels into index order.  One union-find
+sweep over the spanning tree's edges (`_linkage`) yields both the tree's
+vertices and its labels in walk order, so `ultrafy` and `is_ultra` hand
+that walk to the kernel and build no tree; the trees it does build are
+valid by construction and are not validated again.
 
-The same walk and kernel, with each vertex carrying one label, give a bare
-tree's meet table H (`meet_table`), and no labeled tree is built for it.
+The same walk and kernel, with each vertex as its own label, give a bare
+tree's meet table H (`meet_table`).  Its rows follow the walk and callers
+find them through its row map, so it needs no gather and no labeled tree.
 Points p and q meet at max(p.height, q.height, H[p.anchor, q.anchor]): one
 lies on the other's upward path, or their anchors join at a vertex above both.
 """
@@ -176,18 +178,28 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
 
 
 def meet_table(t: MergeTree):
-    """(vertex id -> row, meet heights of every vertex pair), rows in id order:
-    the matrix of `t` with vertex k (in id order) carrying label k + 1."""
-    order = sorted(t.ensure_valid().height)
-    walk = _label_walk(t, {v: (k + 1,) for k, v in enumerate(order)})
-    return {v: k for k, v in enumerate(order)}, _walk_matrix(*walk).array
+    """(vertex id -> row, meet heights of every vertex pair): the walk of `t`
+    with each vertex as its own label.  Rows follow the walk, so no gather."""
+    vertices, own, gaps = _label_walk(t.ensure_valid(), {v: (v,) for v in t.height})
+    return {v: k for k, v in enumerate(vertices)}, _walk_meets(own, gaps)
 
 
 def _walk_matrix(labels, own, gaps) -> SymMatrix:
     """Matrix of labels 1..n from their walk: `trees._label_walk` or `_linkage`.
 
-    The meet of two labels is the highest gap between them in walk order.
-    The working matrix w has rows and columns in walk order, and entry
+    `_walk_meets` builds it in walk order, and one gather by each label's
+    walk position puts it in label order (`take` keeps the rows contiguous,
+    where `m[rank][:, rank]` would not); meet tables skip that gather.
+    """
+    rank = np.empty(len(labels), dtype=np.intp)  # label index -> walk position
+    rank[np.array(labels) - 1] = np.arange(len(labels))
+    return SymMatrix._unchecked(_walk_meets(own, gaps).take(rank, 0).take(rank, 1))
+
+
+def _walk_meets(own, gaps) -> np.ndarray:
+    """Read-only symmetric matrix of the meets of a walk's positions, in walk order.
+
+    The meet of two positions is the highest gap between them.  Entry
     (q, p) below the diagonal is the meet of positions q > p: the running
     maximum of the gaps just before rows p + 1..q.  Only those entries are
     accumulated, in blocks of `width` columns.  A block fills rows c0..n-1
@@ -196,32 +208,18 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
     the block, and takes one running maximum down its rows in place.  So
     about n^2/2 * (1 + width/n) entries are scanned, not n^2, and each
     column meets the same gaps in the same order as in one sweep of the
-    whole matrix, so ties and signed zeros come out the same.  Gathering
-    rows, then columns, into label order leaves each meet in one triangle
-    and -inf in the other; the transpose fills that one, and the diagonal
-    comes last.  Entries are copied heights, never rounded, so they are
-    finite and symmetric without `SymMatrix`'s checks.
+    whole matrix, so ties and signed zeros come out the same.  The maximum
+    with the transpose copies each meet into the -inf triangle, and the
+    diagonal (`own`) comes last.  Entries are copied heights, never
+    rounded, so they are finite and exactly symmetric.
 
     The width is max(64, 4 isqrt(n)).  Each block costs a few numpy calls
-    whatever its size, and each scans its whole square, of which only the
-    part below the diagonal is needed.  Per-call medians in us on one core
-    of a 2-core Xeon host (random walks, the rows' calls interleaved), with
-    one sweep of the whole matrix, columns in label order, as the base:
-
-        labels               8    32    64   100   150   300   600
-        whole matrix        14    38    82   126   512  1901  7315
-        max(16, 4 isqrt n)  18    50    88   118   476  1558  6314
-        max(64, 2 isqrt n)  18    42    85   122   472  1379  5840
-        max(64, 4 isqrt n)  18    43    85   118   479  1375  5935
-        max(64, 8 isqrt n)  18    42    86   134   492  1448  6035
-
-    Below 64 labels, which covers every meet table, more blocks cost more
-    than they save, so the floor keeps those sizes one block; above it,
-    2 to 4 isqrt(n) is the flat part of the curve.
+    and scans its whole square, of which only the part below the diagonal
+    is needed: below 64 labels more blocks cost more than they save, and
+    above it 2 to 4 isqrt(n) is the flat part of the measured per-call
+    curve.
     """
-    n = len(labels)
-    rank = np.empty(n, dtype=np.intp)  # label index -> walk position
-    rank[np.array(labels) - 1] = np.arange(n)
+    n = len(own)
     rows = np.array((-np.inf,) + gaps)[:, None]  # row q: the gap just before it
     width = max(64, 4 * math.isqrt(n))
     pos = np.arange(min(width, n))
@@ -234,10 +232,10 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
         np.copyto(block[:k], -np.inf, where=upper[:k, :k])
         w[:c0, c0 : c0 + k] = -np.inf
         np.maximum.accumulate(block, axis=0, out=block)
-    a = w[rank][:, rank]  # (i, j) is the meet when label i comes after label j, else -inf
-    np.maximum(a, a.T, out=w)
-    np.fill_diagonal(w, np.array(own)[rank])
-    return SymMatrix._unchecked(w)
+    w = np.maximum(w, w.T)
+    np.fill_diagonal(w, own)
+    w.setflags(write=False)
+    return w
 
 
 def _mst_edges(a: np.ndarray) -> list:

@@ -380,6 +380,7 @@ def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
     an unknown vertex or a height off the tree raises MergespaceError."""
     if isinstance(p, (PointOnTree, tuple)):
         anchor, height = p
+        anchor = _as_id(anchor)
     else:  # a vertex id; point_at refuses an unknown one before its height
         anchor = _as_id(p)
         height = t.height.get(anchor, 0.0)

@@ -25,8 +25,8 @@ candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
 max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet table.
-`matrices.meet_table` builds it once per call and tree from the same
-depth-first walk and kernel that give a labeled tree's matrix.
+`matrices.meet_table` builds it once per call and tree from the walk and
+kernel of a labeled tree's matrix, with rows in walk order and no gather.
 
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that

@@ -236,6 +236,16 @@ WYE_UP = MergeTree([(0, 1.0), (1, 2.0), (2, 4.0)], [(0, 2), (1, 2)])
 WYE_MAP = VertexMap(WYE, WYE_UP, 1.0, {0: (0, 1.0), 1: (1, 2.0), 2: (2, 4.0)})
 
 
+def test_map_images_need_integer_anchors_and_numpy_integers_round_trip():
+    # a float anchor would verify, then write a "vertex": 0.0 no parser accepts
+    with pytest.raises(MalformedMapError, match=r"vertex id 0\.0 is not an integer"):
+        VertexMap(WYE, WYE, 0.0, {0: (0.0, 0.0), 1: (1, 1.0), 2: (2, 3.0)})
+    vm = VertexMap(WYE, WYE_UP, 1.0, {v: (np.int64(v), h + 1.0) for v, h in WYE.vertices})
+    assert all(type(p.anchor) is int for _, p in vm.images)
+    back = parse_map(write_map(vm))
+    assert back.images == vm.images
+
+
 def _edited_map(edit) -> str:
     obj = json.loads(write_map(WYE_MAP))
     edit(obj)

@@ -410,7 +410,9 @@ def label_walks(draw):
 
 @given(label_walks())
 def test_walk_matrix_property_is_bytewise_the_rowwise_fill(walk):
-    assert _walk_matrix(*walk).array.tobytes() == walk_matrix_oracle(*walk).tobytes()
+    got = _walk_matrix(*walk).array
+    assert got.tobytes() == walk_matrix_oracle(*walk).tobytes()
+    assert got.flags.c_contiguous  # callers scan its rows
 
 
 # one label; one full block of 64 and one past it; two blocks and one past;

@@ -177,8 +177,13 @@ def test_validation_property_equals_the_ancestry_walk_oracle(parts):
         (lambda i: LabeledMergeTree(_wye(), {i: 0, 2: 1}), 1.5, np.int64(1)),
         (lambda i: VertexMap(_wye(), _wye(), 0.0, {i: 0, 1: 1, 2: 2}), "0", np.int64(0)),
         (lambda i: as_point(_wye(), i), 0.9, np.int64(0)),
+        (lambda i: as_point(_wye(), (i, 1.5)), 1.0, np.int64(1)),
+        (lambda i: as_point(_wye(), PointOnTree(i, 1.5)), 1.0, np.int64(1)),
     ],
-    ids=["MergeTree-vertex", "LabeledMergeTree-label", "VertexMap-key", "as_point"],
+    ids=[
+        "MergeTree-vertex", "LabeledMergeTree-label", "VertexMap-key", "as_point",
+        "as_point-pair-anchor", "as_point-point-anchor",
+    ],
 )
 def test_non_integer_ids_are_refused_not_truncated(build, bad, good):
     with pytest.raises(MergespaceError, match=re.escape(f"{bad!r} is not an integer")):

@@ -316,6 +316,24 @@ def test_unlabeled_property_translating_both_trees_keeps_the_value(pair, shift):
         assert abs(s.value - r.value) <= 2 * height_tol(*moved)
 
 
+def _triple(seed, leaves, grid):
+    rng = np.random.default_rng(seed)
+    return tuple(rand_merge_tree(rng, max_leaves=leaves, integral=grid) for _ in range(3))
+
+
+@settings(max_examples=100)
+@given(st.builds(_triple, st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans()))
+def test_unlabeled_property_is_symmetric_and_obeys_the_triangle_inequality(triple):
+    d = {
+        (i, j): unlabeled_interleaving(triple[i], triple[j]).value
+        for i in range(3) for j in range(3) if i != j
+    }
+    assert all(d[i, j] == d[j, i] for i, j in d)
+    tol = height_tol(*triple)
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        assert d[i, k] <= d[i, j] + d[j, k] + 2 * tol
+
+
 def _meet_tree(seed, leaves, grid, canonical):
     t = rand_merge_tree(np.random.default_rng(seed), max_leaves=leaves, integral=grid)
     return canonicalize_tree(t) if canonical else t
@@ -336,9 +354,10 @@ def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t):
     rows, meets = meet_table(t)
     order = sorted(t.height)
     labeled = induced_matrix(LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)}))
-    assert rows == {v: k for k, v in enumerate(order)}
+    assert sorted(rows) == order and sorted(rows.values()) == list(range(len(order)))
+    perm = [rows[v] for v in order]
     assert meets.shape == labeled.array.shape
-    assert meets.tobytes() == labeled.array.tobytes()  # bit for bit
+    assert meets[np.ix_(perm, perm)].tobytes() == labeled.array.tobytes()  # bit for bit
     heights = sorted(set(t.height.values()))
     probes = heights + [(x + y) / 2 for x, y in zip(heights, heights[1:])]
     points = [p for h in probes + [heights[-1] + 1.0] for p in points_at(t, h, 0.0)]
