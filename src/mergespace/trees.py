@@ -31,6 +31,8 @@ from functools import cached_property
 from operator import index, itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import InvalidTreeError, MergespaceError
 
 
@@ -189,6 +191,11 @@ class LabeledMergeTree:
         return _label_walk(self.tree, self.labels_of)
 
     @cached_property
+    def walk_spans(self) -> tuple:
+        """(order, rank, own, gaps, spans) of `_walk_spans` over `label_walk`."""
+        return _walk_spans(*self.label_walk)
+
+    @cached_property
     def validation(self) -> ValidationReport:
         problems = list(self.tree.validation.violations)
         seen = {}
@@ -244,6 +251,34 @@ def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
             meet = height[v]
         stack.extend(reversed(children[v]))
     return tuple(labels), tuple(heights), tuple(gaps)
+
+
+def _walk_spans(labels, own, gaps) -> tuple:
+    """O(n) arrays of a walk of n labels that `matrices._walk_gap` reads.
+
+    `order` holds the label index (label - 1) at each walk position, plus a
+    spare 0; `rank` the walk position of each label index; `own` each
+    label's height by label index; `gaps` the walk's gaps, plus a spare
+    -inf.  Gap k is the leftmost largest gap between positions p <= k < q
+    exactly when l <= p and q <= r: l is one past the previous gap at or
+    above gap k, and r is the next gap above it (n - 1 if none).  `spans`
+    holds l and r + 1 for each gap, found in one stack pass.  The spares
+    keep every `reduceat` index below its array's length; what they add
+    lands only in the discarded slots between the spans.
+    """
+    n = len(labels)
+    spans, stack = [0, n] * (n - 1), []
+    for k, g in enumerate(gaps):
+        while stack and gaps[stack[-1]] < g:
+            spans[2 * stack.pop() + 1] = k + 1
+        if stack:
+            spans[2 * k] = stack[-1] + 1
+        stack.append(k)
+    order = np.array(labels + (1,), dtype=np.intp) - 1
+    rank = np.empty(n, dtype=np.intp)
+    rank[order[:n]] = np.arange(n)
+    own = np.array(own)[rank]
+    return order, rank, own, np.array(gaps + (-math.inf,)), np.array(spans, dtype=np.intp)
 
 
 def _validate(t: MergeTree) -> ValidationReport:

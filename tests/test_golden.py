@@ -24,6 +24,10 @@ one that sends two branches to one point too far below their merge
 (merge-spread), captured before the missed-depth check read subtree
 heights from the meet table.
 
+Last, it holds the stdout of `dist labeled` between the real and the grid
+tree of each size, captured while the distance was the largest entry gap of
+two built matrices, before it was read off the two label walks.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -101,6 +105,13 @@ def test_checkmap_matches_golden(name):
     assert _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], MAPS[name]) == want
 
 
+@pytest.mark.parametrize("n", SIZES)
+def test_dist_labeled_matches_golden(n):
+    a, b = (GOLDEN / f"{kind}-{n}.tree.json" for kind in KINDS)
+    want = (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").read_text()
+    assert _stdout(["dist", "labeled", str(a), str(b)]) == want
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("kind,n", CASES)
 def test_cli_output_matches_golden(command, kind, n):
@@ -176,6 +187,9 @@ if __name__ == "__main__":
     for name, (a, b) in BOTTLENECK.items():
         out = _stdout(["dist", "bottleneck", str(a), str(b)])
         (GOLDEN / f"dist-bottleneck-{name}.out").write_text(out)
+    for n in SIZES:
+        out = _stdout(["dist", "labeled", *(str(GOLDEN / f"{kind}-{n}.tree.json") for kind in KINDS)])
+        (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").write_text(out)
     _write_maps()
     for name, code in MAPS.items():
         out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)

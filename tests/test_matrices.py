@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mergespace import (
@@ -15,6 +17,7 @@ from mergespace import (
     induced_matrix,
     is_ultra,
     is_valid,
+    labeled_interleaving,
     labeled_trees_equal,
     linf_distance,
     tree_of_matrix,
@@ -378,12 +381,7 @@ def test_is_ultra_property_means_fixed_by_ultrafy(m):
     assert check.witness == ultra_witness_oracle(m)
 
 
-@st.composite
-def zero_straddling_trees(draw, max_labels=80):
-    """A labeled tree shifted so that some heights are zero, each zero stored
-    as 0.0 or -0.0; labels share vertices and sit on inner ones."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(1, max_labels))
+def _zero_straddling(draw, rng, n: int) -> LabeledMergeTree:
     lt = rand_labeled_tree(
         rng, n, max_leaves=draw(st.integers(1, n)), integral=draw(st.booleans())
     )
@@ -394,9 +392,43 @@ def zero_straddling_trees(draw, max_labels=80):
     ).ensure_valid()
 
 
+@st.composite
+def zero_straddling_trees(draw, max_labels=80):
+    """A labeled tree shifted so that some heights are zero, each zero stored
+    as 0.0 or -0.0; labels share vertices and sit on inner ones."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _zero_straddling(draw, rng, draw(st.integers(1, max_labels)))
+
+
+@st.composite
+def zero_straddling_pairs(draw, max_labels=80):
+    """Two zero-straddling trees over one label set, each on the grid or real."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_labels))
+    return _zero_straddling(draw, rng, n), _zero_straddling(draw, rng, n)
+
+
 @given(zero_straddling_trees())
 def test_induced_matrix_property_is_bytewise_the_rowwise_fill(lt):
     assert induced_matrix(lt).array.tobytes() == induced_rowwise_oracle(lt).tobytes()
+
+
+def _bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+ONE_LABEL = LabeledMergeTree(MergeTree([(0, -0.0)], []), {1: 0})
+
+
+@given(zero_straddling_pairs())
+@example((ONE_LABEL, LabeledMergeTree(MergeTree([(0, 2.5)], []), {1: 0})))
+@example((ONE_LABEL, LabeledMergeTree(MergeTree([(0, 0.0)], []), {1: 0})))
+def test_labeled_distance_property_is_bytewise_the_dense_route(pair):
+    # the walk route against the two matrices' largest entrywise gap
+    a, b = pair
+    d = labeled_interleaving(a, b)
+    assert _bytes(d) == _bytes(linf_distance(induced_matrix(a), induced_matrix(b)))
+    assert _bytes(labeled_interleaving(b, a)) == _bytes(d)
 
 
 @st.composite
@@ -505,6 +537,30 @@ def test_matrix_layer_handles_fifteen_hundred_labels(shape):
     assert is_ultra(a).ok
     assert ultrafy(a) == a
     assert induced_matrix(tree_of_matrix(a)) == a
+
+
+def _reversed_labels(lt, want):
+    """The same tree with label i moved to label n + 1 - i, and its matrix."""
+    n = lt.n_labels
+    return LabeledMergeTree(lt.tree, {n + 1 - i: v for i, v in lt.labels}), want[::-1, ::-1]
+
+
+@pytest.mark.parametrize("first", [_caterpillar, _balanced])
+@pytest.mark.parametrize("second", [_caterpillar, _balanced])
+def test_labeled_distance_of_fifteen_hundred_labels_builds_no_matrix(first, second):
+    (a, want_a), (b, want_b) = first(1500), _reversed_labels(*second(1500))
+    want = float(np.abs(want_a - want_b).max())
+    a.ensure_valid()
+    b.ensure_valid()
+    tracemalloc.start()
+    try:
+        d = labeled_interleaving(a, b)  # fresh trees: their walks are built here too
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _bytes(d) == _bytes(want)
+    assert peak < 8 * 1500**2  # one 1500 x 1500 float array
+    assert _bytes(labeled_interleaving(b, a)) == _bytes(want)
 
 
 def test_tree_equality_handles_a_fifteen_hundred_label_caterpillar():

@@ -26,6 +26,7 @@ from mergespace import matrices
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
+    rand_labeled_collection,
     rand_labeled_pair,
     rand_labeled_tree,
     rand_ultra_matrix,
@@ -142,6 +143,35 @@ def test_geodesic_is_additive_along_the_parameter():
         right = labeled_interleaving(mid, canonicalize(b))
         assert abs(left + right - d) <= 1e-9
         assert abs(left - lam * d) <= 1e-9
+
+
+@st.composite
+def labeled_collections(draw, size=2):
+    """`size` trees over one label set, up to 6 leaves each, on the grid or
+    real, and a third of the time translated by 2**30, where an absolute
+    tolerance cannot hold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trees = rand_labeled_collection(
+        rng, size, max_leaves=draw(st.integers(1, 6)), integral=draw(st.booleans())
+    )
+    offset = draw(st.sampled_from([0.0, 0.0, 2.0**30]))
+    return [with_heights(t, lambda h: h + offset) for t in trees]
+
+
+@given(labeled_collections(), st.floats(0.0, 1.0))
+def test_geodesic_property_splits_the_distance_at_its_parameter(pair, lam):
+    a, b = pair
+    d, mid = labeled_interleaving(a, b), geodesic_point(a, b, lam)
+    tol = 2 * height_tol(a, b)
+    assert abs(labeled_interleaving(a, mid) - lam * d) <= tol
+    assert abs(labeled_interleaving(mid, b) - (1 - lam) * d) <= tol
+
+
+@given(st.integers(1, 4).flatmap(labeled_collections))
+def test_one_center_property_radius_is_half_the_diameter(trees):
+    _, radius = one_center(trees)
+    diameter = max(labeled_interleaving(s, t) for s in trees for t in trees)
+    assert abs(radius - diameter / 2) <= height_tol(*trees)
 
 
 def test_geodesic_rejects_out_of_range_parameters():

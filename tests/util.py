@@ -171,20 +171,19 @@ def rand_labeled_tree(
 
 def rand_labeled_pair(rng, max_leaves: int = 4, integral: bool = False):
     """Two labeled trees over a common label set."""
-    a = rand_merge_tree(rng, max_leaves=max_leaves, integral=integral)
-    b = rand_merge_tree(rng, max_leaves=max_leaves, integral=integral)
-    n = max(len(a.leaves), len(b.leaves)) + int(rng.integers(0, 3))
-    return (
-        _label_tree(rng, a, n),
-        _label_tree(rng, b, n),
-    )
+    return rand_labeled_collection(rng, 2, max_leaves, integral)
 
 
 def rand_labeled_triple(rng, max_leaves: int = 4, integral: bool = False):
     """Three labeled trees over one common label set."""
+    return rand_labeled_collection(rng, 3, max_leaves, integral)
+
+
+def rand_labeled_collection(rng, size: int, max_leaves: int = 4, integral: bool = False):
+    """`size` labeled trees over one common label set."""
     trees = [
         rand_merge_tree(rng, max_leaves=max_leaves, integral=integral)
-        for _ in range(3)
+        for _ in range(size)
     ]
     n = max(len(t.leaves) for t in trees) + int(rng.integers(0, 3))
     return tuple(_label_tree(rng, t, n) for t in trees)
