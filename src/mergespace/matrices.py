@@ -23,13 +23,6 @@ vertices and its labels in walk order, so `ultrafy` and `is_ultra` hand
 that walk to the kernel and build no tree; the trees it does build are
 valid by construction and are not validated again.
 
-The labeled distance builds neither matrix (`_walk_gap`).  In walk order
-each matrix is a range maximum over the walk's gaps, so the pairs of one
-tree fall into rectangles, one per gap, on which that tree's matrix is
-constant, and the other tree's largest entry on a rectangle is one range
-maximum over its own walk.  Each tree caches O(n) arrays for this
-(`LabeledMergeTree.walk_spans`), and a pair costs a few numpy reductions.
-
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
 find them through its row map, so it needs no gather and no labeled tree.
@@ -245,37 +238,6 @@ def _walk_meets(own, gaps) -> np.ndarray:
     return w
 
 
-def _walk_gap(a, b) -> float:
-    """Largest |A_ij - B_ij| of two trees' induced matrices, from their
-    `walk_spans`: the diagonal's largest gap, then `_walk_excess` each way.
-    The final `abs` turns a zero gap into 0.0, as in `linf_distance`."""
-    d = np.abs(a[2] - b[2]).max()
-    return abs(float(max(d, _walk_excess(a, b), _walk_excess(b, a))))
-
-
-def _walk_excess(a, b) -> float:
-    """Largest A_ij - B_ij over i != j, or -inf for one label.
-
-    B equals gap k's height g on the pairs of B walk positions l..k with
-    k+1..r (see `trees._walk_spans`), and those rectangles cover every
-    pair.  Rounding is monotone, so a rectangle's best is its largest A
-    entry minus g.  Take the least and greatest A walk positions, lo and
-    hi, of the labels at B positions l..r.  Every cross pair's A entry is
-    the highest A gap between its positions, so none tops the highest gap
-    in [lo, hi).  Labels lie on both sides of that gap; were no cross pair
-    to straddle it, all of them would come from one side of the rectangle.
-    So one does, and the largest A entry is that gap.  Each candidate
-    subtracts the same two copied heights as the dense route.
-    """
-    _, rank, _, a_gaps, _ = a
-    order, _, _, b_gaps, spans = b
-    x = rank[order]  # A's walk position at each B walk position, and a spare
-    ends = np.minimum.reduceat(x, spans)  # each rectangle's lo, then junk
-    ends[1::2] = np.maximum.reduceat(x, spans)[::2]  # and its hi
-    top = np.maximum.reduceat(a_gaps, ends)[::2]
-    return (top - b_gaps[:-1]).max(initial=-np.inf)
-
-
 def _mst_edges(a: np.ndarray) -> list:
     """Minimum spanning tree of the complete graph on the off-diagonal entries.
 
@@ -421,13 +383,6 @@ def _linkage(m) -> tuple:
     labels = {i: v for v, ls in labels_at.items() for i in ls}
     own, gaps = a.diagonal()[walk], tuple(gap[k] for k in walk[:-1])
     return (heights, edges, labels), (np.array(walk) + 1, own, gaps)
-
-
-def _center(m) -> tuple:
-    """``(tree_of_matrix(m), ultrafy(m))`` from one `_linkage` sweep."""
-    (heights, edges, labels), walk = _linkage(m)
-    lt = _valid_by_construction(LabeledMergeTree(MergeTree(heights, edges), labels))
-    return lt, _walk_matrix(*walk)
 
 
 def ultrafy(m) -> SymMatrix:

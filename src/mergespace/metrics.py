@@ -4,8 +4,11 @@ Everything here is read through induced matrices: the distance between two
 labeled trees is the largest entrywise gap of their matrices, straight-line
 matrix interpolation projects back to a geodesic of trees, and the entrywise
 midrange of a collection gives a smallest enclosing ball.  Geodesics and
-centers build the matrices; the distance does not: it is read from the two
-trees' cached label walks, with O(n) arrays per tree and no n x n array.
+centers build the inputs' matrices; the distance does not: it is read from
+the two trees' cached label walks, with O(n) arrays per tree and no n x n
+array.  The center's radius, its largest distance to the inputs, is read
+the same way, and so is tree equality (`trees.labeled_trees_equal`): a zero
+distance.
 """
 
 from __future__ import annotations
@@ -15,16 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import MergespaceError
-from .matrices import (
-    SymMatrix,
-    _center,
-    _walk_gap,
-    induced_matrix,
-    linf_distance,
-    tree_of_matrix,
-    ultrafy,
-)
-from .trees import LabeledMergeTree, height_tol
+from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix, ultrafy
+from .trees import LabeledMergeTree, _walk_gap, height_tol
 
 __all__ = [
     "labeled_interleaving",
@@ -43,7 +38,7 @@ def _same_label_count(t1: LabeledMergeTree, t2: LabeledMergeTree) -> None:
 def labeled_interleaving(t1: LabeledMergeTree, t2: LabeledMergeTree) -> float:
     """Largest entrywise gap between the two induced matrices A and B.
 
-    Read from the two label walks, with no matrix built (`matrices._walk_gap`).
+    Read from the two label walks, with no matrix built (`trees._walk_gap`).
     In B's walk order the label pairs split into rectangles, one per gap of
     the walk, on each of which B equals that gap's height; the largest A
     entry on a rectangle is one range maximum over A's walk.  So each way's
@@ -117,6 +112,5 @@ def one_center(trees: Sequence[LabeledMergeTree]):
         _same_label_count(trees[0], t)
     stack = np.stack([induced_matrix(t).array for t in trees])
     mid = SymMatrix((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
-    center, c = _center(mid)
-    radius = max(float(np.max(np.abs(m - c.array))) for m in stack)
-    return center, radius
+    center = tree_of_matrix(mid)
+    return center, max(labeled_interleaving(center, t) for t in trees)

@@ -254,7 +254,7 @@ def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
 
 
 def _walk_spans(labels, own, gaps) -> tuple:
-    """O(n) arrays of a walk of n labels that `matrices._walk_gap` reads.
+    """O(n) arrays of a walk of n labels that `_walk_gap` reads.
 
     `order` holds the label index (label - 1) at each walk position, plus a
     spare 0; `rank` the walk position of each label index; `own` each
@@ -279,6 +279,46 @@ def _walk_spans(labels, own, gaps) -> tuple:
     rank[order[:n]] = np.arange(n)
     own = np.array(own)[rank]
     return order, rank, own, np.array(gaps + (-math.inf,)), np.array(spans, dtype=np.intp)
+
+
+def _walk_gap(a, b) -> float:
+    """Largest |A_ij - B_ij| of two trees' induced matrices, from their
+    `walk_spans`: the diagonal's largest gap, then `_walk_excess` each way.
+    The final `abs` turns a zero gap into 0.0, as in `linf_distance`.
+
+    Neither matrix is built.  In walk order each matrix is a range maximum
+    over the walk's gaps, so the pairs of one tree fall into rectangles,
+    one per gap, on which that tree's matrix is constant, and the other
+    tree's largest entry on a rectangle is one range maximum over its own
+    walk.  Each tree caches O(n) arrays for this
+    (`LabeledMergeTree.walk_spans`), and a pair costs a few numpy
+    reductions.
+    """
+    d = np.abs(a[2] - b[2]).max()
+    return abs(float(max(d, _walk_excess(a, b), _walk_excess(b, a))))
+
+
+def _walk_excess(a, b) -> float:
+    """Largest A_ij - B_ij over i != j, or -inf for one label.
+
+    B equals gap k's height g on the pairs of B walk positions l..k with
+    k+1..r (see `_walk_spans`), and those rectangles cover every pair.
+    Rounding is monotone, so a rectangle's best is its largest A entry
+    minus g.  Take the least and greatest A walk positions, lo and
+    hi, of the labels at B positions l..r.  Every cross pair's A entry is
+    the highest A gap between its positions, so none tops the highest gap
+    in [lo, hi).  Labels lie on both sides of that gap; were no cross pair
+    to straddle it, all of them would come from one side of the rectangle.
+    So one does, and the largest A entry is that gap.  Each candidate
+    subtracts the same two copied heights as the dense route.
+    """
+    _, rank, _, a_gaps, _ = a
+    order, _, _, b_gaps, spans = b
+    x = rank[order]  # A's walk position at each B walk position, and a spare
+    ends = np.minimum.reduceat(x, spans)  # each rectangle's lo, then junk
+    ends[1::2] = np.maximum.reduceat(x, spans)[::2]  # and its hi
+    top = np.maximum.reduceat(a_gaps, ends)[::2]
+    return (top - b_gaps[:-1]).max(initial=-np.inf)
 
 
 def _validate(t: MergeTree) -> ValidationReport:
@@ -496,22 +536,17 @@ def canonicalize(lt: LabeledMergeTree) -> LabeledMergeTree:
     return _valid_by_construction(LabeledMergeTree(_contract(t, keep), lt.labels))
 
 
-def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:
+def _interned_top(t: MergeTree, table: dict) -> int:
     """Id of the top's signature in `table`, built bottom-up without nesting.
 
-    Each vertex's (height, labels, sorted child ids) gets one integer id, so
-    two vertices share an id exactly when their signatures are equal, and no
+    Each vertex's (height, sorted child ids) gets one integer id, so two
+    vertices share an id exactly when their signatures are equal, and no
     step recurses as deep as the tree.  Edges climb, so height order visits
     every child before its parent.
     """
-    t.ensure_valid()
     ids = {}
     for v, _ in sorted(t.vertices, key=itemgetter(1)):
-        key = (
-            t.height[v],
-            labels_of[v] if labels_of else (),
-            tuple(sorted(ids[c] for c in t.children[v])),
-        )
+        key = (t.height[v], tuple(sorted(ids[c] for c in t.children[v])))
         ids[v] = table.setdefault(key, len(table))
     return ids[t.top]
 
@@ -519,17 +554,21 @@ def _interned_top(t: MergeTree, labels_of: Mapping, table: dict) -> int:
 def trees_equal(a: MergeTree, b: MergeTree) -> bool:
     """Structural equality after canonicalization, exact heights, ids ignored."""
     table = {}
-    return _interned_top(canonicalize_tree(a), None, table) == _interned_top(
-        canonicalize_tree(b), None, table
+    return _interned_top(canonicalize_tree(a), table) == _interned_top(
+        canonicalize_tree(b), table
     )
 
 
 def labeled_trees_equal(a: LabeledMergeTree, b: LabeledMergeTree) -> bool:
-    ca, cb = canonicalize(a), canonicalize(b)
-    table = {}
-    return _interned_top(ca.tree, ca.labels_of, table) == _interned_top(
-        cb.tree, cb.labels_of, table
-    )
+    """Equal canonical forms, exact heights, vertex ids ignored.
+
+    A canonical tree and its induced matrix determine each other, so the
+    trees are equal exactly when they carry equally many labels and their
+    labeled distance, read off the two label walks, is zero.
+    """
+    a.ensure_valid()
+    b.ensure_valid()
+    return a.n_labels == b.n_labels and _walk_gap(a.walk_spans, b.walk_spans) == 0.0
 
 
 # -- refinement -----------------------------------------------------------

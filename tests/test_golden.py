@@ -28,6 +28,11 @@ Last, it holds the stdout of `dist labeled` between the real and the grid
 tree of each size, captured while the distance was the largest entry gap of
 two built matrices, before it was read off the two label walks.
 
+And the stdout of `geodesic --lambda 0.5` and of `center` between the real
+and the grid tree of sizes 7, 40 and 120, with the `radius` line `center`
+writes to stderr, captured while the center's radius was the largest entry
+gap of the center's matrix against the inputs' matrices.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -52,10 +57,14 @@ COMMANDS = {"treeify": "matrix.txt", "ultrafy": "matrix.txt", "induce": "tree.js
 
 
 def _stdout(argv, code=0) -> str:
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    return _outputs(argv, code)[0]
+
+
+def _outputs(argv, code=0) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert main(argv) == code
-    return buf.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 UNLABELED = [(kind, leaves) for kind in KINDS for leaves in (2, 3, 4, 5)]
@@ -110,6 +119,27 @@ def test_dist_labeled_matches_golden(n):
     a, b = (GOLDEN / f"{kind}-{n}.tree.json" for kind in KINDS)
     want = (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").read_text()
     assert _stdout(["dist", "labeled", str(a), str(b)]) == want
+
+
+PAIR_SIZES = (7, 40, 120)
+
+
+def _pair(n) -> list:
+    return [str(GOLDEN / f"{kind}-{n}.tree.json") for kind in KINDS]
+
+
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_geodesic_matches_golden(n):
+    want = (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").read_text()
+    assert _stdout(["geodesic", *_pair(n), "--lambda", "0.5"]) == want
+
+
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_center_matches_golden(n):
+    stem = GOLDEN / f"center-real-{n}-grid-{n}"
+    out, err = _outputs(["center", *_pair(n)])
+    assert out == Path(f"{stem}.out").read_text()
+    assert err == Path(f"{stem}.err").read_text()
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -190,6 +220,12 @@ if __name__ == "__main__":
     for n in SIZES:
         out = _stdout(["dist", "labeled", *(str(GOLDEN / f"{kind}-{n}.tree.json") for kind in KINDS)])
         (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").write_text(out)
+    for n in PAIR_SIZES:
+        out = _stdout(["geodesic", *_pair(n), "--lambda", "0.5"])
+        (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").write_text(out)
+        out, err = _outputs(["center", *_pair(n)])
+        (GOLDEN / f"center-real-{n}-grid-{n}.out").write_text(out)
+        (GOLDEN / f"center-real-{n}-grid-{n}.err").write_text(err)
     _write_maps()
     for name, code in MAPS.items():
         out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mergespace import (
     InvalidMatrixError,
+    InvalidTreeError,
     LabeledMergeTree,
     MatrixCheck,
     MergeTree,
@@ -34,6 +35,7 @@ from util import (
     rand_ultra_matrix,
     rand_valid_matrix,
     sweep_tree_oracle,
+    tree_signature,
     ultra_witness_oracle,
     walk_matrix_oracle,
     with_heights,
@@ -431,6 +433,87 @@ def test_labeled_distance_property_is_bytewise_the_dense_route(pair):
     assert _bytes(labeled_interleaving(b, a)) == _bytes(d)
 
 
+def _one_ulp_off(rng, lt: LabeledMergeTree) -> LabeledMergeTree:
+    """`lt` with one height moved by one ulp, up or down, staying valid.
+
+    A moved subdivision vertex leaves the canonical form as it was."""
+    vertices = dict(lt.tree.vertices)
+    for v in rng.permutation(list(vertices)):
+        for toward in rng.permutation([-np.inf, np.inf]):
+            moved = dict(vertices)
+            moved[v] = float(np.nextafter(vertices[v], toward))
+            out = LabeledMergeTree(MergeTree(moved, lt.tree.edges), lt.labels)
+            if out.validation.ok:
+                return out
+    return lt  # every edge one ulp long: no valid move
+
+
+def _new_ids(rng, lt: LabeledMergeTree) -> LabeledMergeTree:
+    """The same labeled tree under a random permutation of fresh vertex ids."""
+    ids = [v for v, _ in lt.tree.vertices]
+    new = dict(zip(ids, (int(k) + 100 for k in rng.permutation(len(ids)))))
+    t = MergeTree([(new[v], h) for v, h in lt.tree.vertices],
+                  [(new[c], new[p]) for c, p in lt.tree.edges])
+    return LabeledMergeTree(t, {i: new[v] for i, v in lt.labels})
+
+
+def _swap_labels(lt: LabeledMergeTree, i: int, j: int) -> LabeledMergeTree:
+    at = lt.label_to_vertex
+    return LabeledMergeTree(lt.tree, {**at, i: at[j], j: at[i]})
+
+
+@st.composite
+def equality_pairs(draw, max_labels=40):
+    """A zero-straddling tree and a tree on the same labels: its canonical
+    form through its matrix, a copy with new vertex ids, a near miss (one
+    height one ulp off, or two labels swapped), or another such tree."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_labels))
+    a = _zero_straddling(draw, rng, n)
+    kind = draw(st.sampled_from(["canonical", "new ids", "ulp", "swap", "other"]))
+    if kind == "canonical":
+        b = tree_of_matrix(induced_matrix(a))
+    elif kind == "new ids":
+        b = _new_ids(rng, a)
+    elif kind == "ulp":
+        b = _one_ulp_off(rng, a)
+    elif kind == "swap":  # a label and one on another vertex, if there is one
+        at = a.label_to_vertex
+        i = int(rng.integers(n)) + 1
+        others = [j for j in at if at[j] != at[i]] or [i]
+        b = _swap_labels(a, i, others[int(rng.integers(len(others)))])
+    else:
+        b = _zero_straddling(draw, rng, n)
+    return kind, a, b
+
+
+def _signature(lt: LabeledMergeTree):
+    c = canonicalize(lt)
+    return tree_signature(c.tree, c.labels_of)
+
+
+@given(equality_pairs())
+def test_labeled_trees_equal_property_agrees_with_signatures(pair):
+    # the walk route against nested signatures of the canonical forms
+    kind, a, b = pair
+    want = _signature(a) == _signature(b)
+    assert labeled_trees_equal(a, b) == want
+    assert labeled_trees_equal(b, a) == want
+    assert want or kind not in ("canonical", "new ids")
+
+
+def test_labeled_trees_equal_needs_equal_label_counts():
+    one = LabeledMergeTree(MergeTree([(0, 1.0)], []), {1: 0})
+    two = LabeledMergeTree(MergeTree([(0, 1.0)], []), {1: 0, 2: 0})
+    assert not labeled_trees_equal(one, two)
+    assert not labeled_trees_equal(two, one)
+    # an invalid tree raises, whatever the other tree's label count
+    broken = LabeledMergeTree(MergeTree([(0, 1.0), (1, 1.0)], [(0, 1)]), {1: 0})
+    for x, y in ((broken, two), (two, broken), (broken, one)):
+        with pytest.raises(InvalidTreeError):
+            labeled_trees_equal(x, y)
+
+
 @st.composite
 def label_walks(draw):
     """The depth-first walk of a zero-straddling tree, or the single-linkage
@@ -561,6 +644,24 @@ def test_labeled_distance_of_fifteen_hundred_labels_builds_no_matrix(first, seco
     assert _bytes(d) == _bytes(want)
     assert peak < 8 * 1500**2  # one 1500 x 1500 float array
     assert _bytes(labeled_interleaving(b, a)) == _bytes(want)
+
+
+@pytest.mark.parametrize("shape", [_caterpillar, _balanced])
+def test_tree_equality_of_fifteen_hundred_labels_builds_no_matrix(shape):
+    lt, _ = shape(1500)
+    back = tree_of_matrix(induced_matrix(lt))
+    # fresh trees, validated: their walks are built inside the call
+    a = LabeledMergeTree(MergeTree(lt.tree.vertices, lt.tree.edges), lt.labels).ensure_valid()
+    b = LabeledMergeTree(MergeTree(back.tree.vertices, back.tree.edges), back.labels).ensure_valid()
+    tracemalloc.start()
+    try:
+        same = labeled_trees_equal(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same
+    assert peak < 8 * 1500**2  # one 1500 x 1500 float array
+    assert not labeled_trees_equal(a, _swap_labels(b, 1, 1500))
 
 
 def test_tree_equality_handles_a_fifteen_hundred_label_caterpillar():

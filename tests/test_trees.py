@@ -453,6 +453,13 @@ def test_random_trees_validate(seed=5):
         assert lt.validation.ok
 
 
+def test_random_trees_skip_an_edge_too_short_to_subdivide():
+    # this seed picks a real edge shorter than 2e-3 for a subdivision vertex
+    t = rand_merge_tree(np.random.default_rng(2232), 2)
+    assert t.validation.ok
+    assert min(t.height[p] - t.height[c] for c, p in t.edges) < 2e-3
+
+
 def test_height_tol_is_relative_to_the_span_with_a_ulp_floor():
     wye = _wye()
     assert height_tol(wye) == REL_TOL * 3.0

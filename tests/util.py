@@ -105,9 +105,10 @@ def _rand_tree_parts(rng, max_leaves: int, integral: bool):
             c, p = edges[int(rng.integers(len(edges)))]
             hc = dict(vertices)[c]
             hp = dict(vertices)[p]
-            if integral and hp - hc < 2:
-                continue
-            h = pick(hc + 1, hp - 1) if integral else pick(hc + 1e-3, hp - 1e-3)
+            low, high = (hc + 1, hp - 1) if integral else (hc + 1e-3, hp - 1e-3)
+            if high < low:
+                continue  # the edge is too short to hold a vertex
+            h = pick(low, high)
             if not (hc < h < hp):
                 continue
             edges.remove((c, p))
