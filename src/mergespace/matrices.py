@@ -17,11 +17,14 @@ tree's matrix is one depth-first walk (`trees._label_walk`) and one kernel
 (`_walk_meets`): with rows and columns in walk order, a running maximum
 down column blocks about sqrt(n) wide fills the triangle below the
 diagonal, about half the matrix, and its transpose fills the other half;
-`_walk_matrix` then gathers the labels into index order.  One union-find
-sweep over the spanning tree's edges (`_linkage`) yields both the tree's
-vertices and its labels in walk order, so `ultrafy` and `is_ultra` hand
-that walk to the kernel and build no tree; the trees it does build are
-valid by construction and are not validated again.
+`_walk_matrix` then gathers the labels into index order.  A matrix keeps
+its spanning tree's n - 1 edges once found (no n x n data), so it is swept
+once whatever mix of `ultrafy`, `tree_of_matrix` and `is_ultra` it meets.
+One union-find sweep over those edges (`_linkage`) puts the labels in walk
+order, which `ultrafy` hands to the kernel with no tree built;
+`tree_of_matrix` builds the tree's vertices in the same pass, straight into
+a valid tree that keeps the walk.  Every matrix built from a walk is ultra
+by construction, so `is_ultra` does not check it again.
 
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
@@ -42,7 +45,7 @@ from .trees import (
     LabeledMergeTree,
     MergeTree,
     _label_walk,
-    _valid_by_construction,
+    _trusted,
     slack_of,
 )
 
@@ -65,9 +68,12 @@ class SymMatrix:
     Thin wrapper around a read-only numpy array.  Indexing is zero-based and
     delegates to numpy; label-facing reports elsewhere are one-based.
     An asymmetry within `trees.slack_of` the entries is averaged away.
+    Two private slots, which equality and hashing ignore: `_ultra` marks a
+    matrix built ultra (`_walk_matrix`), which `is_ultra` takes on trust,
+    and `_mst` keeps its `_spanning_edges` once found.
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_ultra", "_mst")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -85,14 +91,15 @@ class SymMatrix:
                 )
             a = (a + a.T) / 2.0
         a.setflags(write=False)
-        self._a = a
+        self._a, self._ultra, self._mst = a, False, None
 
     @classmethod
-    def _unchecked(cls, a: np.ndarray) -> "SymMatrix":
-        """Wrap a fresh array that is square, finite and symmetric by construction."""
+    def _unchecked(cls, a: np.ndarray, ultra: bool = False) -> "SymMatrix":
+        """Wrap a fresh array that is square, finite and symmetric by
+        construction, and marked ultra if it is built ultra too."""
         m = cls.__new__(cls)
         a.setflags(write=False)
-        m._a = a
+        m._a, m._ultra, m._mst = a, ultra, None
         return m
 
     @property
@@ -151,9 +158,13 @@ def is_ultra(m) -> MatrixCheck:
     O(n^2 log n) at most.  An entry equal to its closure U satisfies the bound, since
     U_ij <= max(U_ik, U_kj) <= max(M_ik, M_kj); so the search for the first
     offending (i, j, k) visits only the entries the closure lowered, in
-    row-major order.
+    row-major order.  A matrix built from a label walk (`induced_matrix`,
+    `ultrafy`) is ultra by construction and is not checked again; a copy
+    through the constructor is.
     """
     m = as_sym_matrix(m)
+    if m._ultra:
+        return MatrixCheck(True)
     try:
         closure = ultrafy(m)
     except InvalidMatrixError:
@@ -193,7 +204,7 @@ def _walk_matrix(labels, own, gaps) -> SymMatrix:
     """
     rank = np.empty(len(labels), dtype=np.intp)  # label index -> walk position
     rank[np.array(labels) - 1] = np.arange(len(labels))
-    return SymMatrix._unchecked(_walk_meets(own, gaps).take(rank, 0).take(rank, 1))
+    return SymMatrix._unchecked(_walk_meets(own, gaps).take(rank, 0).take(rank, 1), ultra=True)
 
 
 def _walk_meets(own, gaps) -> np.ndarray:
@@ -323,66 +334,89 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     Only the n - 1 edges of the minimum spanning tree under that order ever
     merge two components (single linkage is the MST), so at most
     ceil(log2 n) Borůvka rounds of O(n^2) numpy passes replace a sort of all
-    n(n-1)/2 pairs.
+    n(n-1)/2 pairs.  The matrix keeps those edges, so `ultrafy` and
+    `is_ultra` on it do not find them again.  The tree is built straight
+    from the sweep's ids and heights (`trees._trusted`), valid by
+    construction, and keeps the sweep's label walk: its `walk_spans`, and so
+    its labeled distances, are read from that walk with no depth-first walk.
     """
-    (heights, edges, labels), _ = _linkage(m)
-    return _valid_by_construction(LabeledMergeTree(MergeTree(heights, edges), labels))
+    return _linkage(m)[0]
 
 
-def _linkage(m) -> tuple:
-    """Single linkage of a valid matrix: its tree's parts and its label walk.
+def _spanning_edges(m: SymMatrix) -> tuple:
+    """The `_mst_edges` of a valid matrix, found once per matrix object.
 
-    One `is_valid` check, then one union-find sweep over the `_mst_edges`.
-    A merge at height h gives the two components one top vertex: two tops
-    at h collapse into one, a top at h takes the other as its child, and
-    otherwise a new vertex at h (ids n, n + 1, ... in sweep order) takes
-    both.  The same merge links the components' label lists, kept in walk
-    order, with gap h: the first list's tail to the second's head, and every
-    gap inside either list is at most h.  Returns ``((heights, edges, label
-    map), (labels, own, gaps))``: the parts of `tree_of_matrix` and the walk
-    that `_walk_matrix` takes.  Heights are copied from the entries.
+    A matrix marked ultra is valid by construction; any other passes one
+    `is_valid` check first.  The n - 1 triples are kept in the matrix's
+    `_mst` slot, which holds no n x n data.
+    """
+    if m._mst is None:
+        check = MatrixCheck(True) if m._ultra else is_valid(m)
+        if not check:
+            i, j = check.witness
+            raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
+        m._mst = tuple(_mst_edges(m.array))
+    return m._mst
+
+
+def _linkage(m, tree: bool = True) -> tuple:
+    """Single linkage of a valid matrix: its tree if `tree`, and its label walk.
+
+    One union-find sweep over the `_spanning_edges`.  Its walk half links
+    the two components of a merge at height h into one label list, kept in
+    walk order, with gap h: the first list's tail to the second's head, and
+    every gap inside either list is at most h.  Its tree half gives the two
+    components one top vertex: two tops at h collapse into one, a top at h
+    takes the other as its child, and otherwise a new vertex at h (ids n,
+    n + 1, ... in sweep order) takes both.  Returns ``(tree or None, (labels,
+    own, gaps))``: the walk is what `_walk_matrix` takes and the tree keeps.
+    Heights are copied from the entries.
     """
     m = as_sym_matrix(m)
-    check = is_valid(m)
-    if not check:
-        i, j = check.witness
-        raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
+    spanning = _spanning_edges(m)
     a = m.array
     n = a.shape[0]
-    # births, by construction in label order: vertex i carries label i + 1
-    heights = dict(enumerate(a.diagonal().tolist()))
-    labels_at = {i: [i + 1] for i in range(n)}
-    children_of = {i: [] for i in range(n)}
+    if tree:
+        # births, by construction in label order: vertex i carries label i + 1
+        heights = dict(enumerate(a.diagonal().tolist()))
+        parent = {}
+        into = list(range(2 * n))  # a collapsed top -> the top it joined
+        next_id = n
     # forest over labels; a root's top vertex and the ends of its label list
     root, top_of, head, tail = (list(range(n)) for _ in range(4))
     after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
-    next_id = n
-    for h, i, j in _mst_edges(a):
+    for h, i, j in spanning:
         ri, rj = _find(root, i), _find(root, j)
-        ta, tb = top_of[ri], top_of[rj]
-        if heights[ta] != h:
-            ta, tb = tb, ta  # a top at the merge height, if any, comes first
-        if heights[tb] == h:
-            # two tops at the merge height collapse into one vertex
-            labels_at[ta].extend(labels_at.pop(tb))
-            children_of[ta].extend(children_of.pop(tb))
-            del heights[tb]
-        elif heights[ta] != h:
-            heights[next_id], labels_at[next_id], children_of[next_id] = h, [], [ta, tb]
-            ta, next_id = next_id, next_id + 1
-        else:
-            children_of[ta].append(tb)
+        if tree:
+            ta, tb = top_of[ri], top_of[rj]
+            if heights[ta] != h:
+                ta, tb = tb, ta  # a top at the merge height, if any, comes first
+            if heights[tb] == h:
+                # two tops at the merge height collapse into one vertex
+                into[tb] = ta
+                del heights[tb]
+            elif heights[ta] != h:
+                heights[next_id] = h
+                parent[ta] = parent[tb] = next_id
+                ta, next_id = next_id, next_id + 1
+            else:
+                parent[tb] = ta
+            top_of[rj] = ta
         after[tail[ri]], gap[tail[ri]] = head[rj], h
         head[rj] = head[ri]
         root[ri] = rj
-        top_of[rj] = ta
-    walk = [head[_find(root, 0)]]
+    order = [head[_find(root, 0)]]
     for _ in range(n - 1):
-        walk.append(after[walk[-1]])
-    edges = [(c, v) for v, kids in children_of.items() for c in kids]
-    labels = {i: v for v, ls in labels_at.items() for i in ls}
-    own, gaps = a.diagonal()[walk], tuple(gap[k] for k in walk[:-1])
-    return (heights, edges, labels), (np.array(walk) + 1, own, gaps)
+        order.append(after[order[-1]])
+    walk = tuple(k + 1 for k in order), a.diagonal()[order], tuple(gap[k] for k in order[:-1])
+    if not tree:
+        return None, walk
+    # ids ascend in insertion order; a label or child of a collapsed top
+    # belongs to the vertex it collapsed into
+    vertices = tuple(heights.items())
+    edges = tuple((c, _find(into, parent[c])) for c in heights if c in parent)
+    labels = tuple((i + 1, _find(into, i)) for i in range(n))
+    return _trusted(vertices, edges, labels, walk), walk
 
 
 def ultrafy(m) -> SymMatrix:
@@ -391,9 +425,11 @@ def ultrafy(m) -> SymMatrix:
     The induced matrix of ``tree_of_matrix(m)``, with no tree built: entry
     (i, j) is the height where labels i and j first connect, the minimax
     path value over the complete graph.  O(n^2 log n) at most through the
-    minimum spanning tree.  Identity on ultra matrices; entries are copied.
+    minimum spanning tree, which the matrix keeps; only the walk half of
+    the sweep runs.  Identity on ultra matrices; entries are copied, and
+    the result is marked ultra.
     """
-    return _walk_matrix(*_linkage(m)[1])
+    return _walk_matrix(*_linkage(m, tree=False)[1])
 
 
 def linf_distance(a, b) -> float:

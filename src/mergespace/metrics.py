@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import MergespaceError
+from .errors import InvalidMatrixError, MergespaceError
 from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix, ultrafy
 from .trees import LabeledMergeTree, _walk_gap, height_tol
 
@@ -51,8 +51,16 @@ def labeled_interleaving(t1: LabeledMergeTree, t2: LabeledMergeTree) -> float:
     return _walk_gap(t1.walk_spans, t2.walk_spans)
 
 
+def _wrap(a: np.ndarray) -> SymMatrix:
+    """A fresh array of elementwise operations on exactly symmetric arrays,
+    so exactly symmetric too: checked finite, then wrapped without a copy."""
+    if not np.isfinite(a).all():
+        raise InvalidMatrixError("matrix entries must be finite")
+    return SymMatrix._unchecked(a)
+
+
 def _blend(m1: SymMatrix, m2: SymMatrix, lam: float) -> SymMatrix:
-    return SymMatrix((1.0 - lam) * m1.array + lam * m2.array)
+    return _wrap((1.0 - lam) * m1.array + lam * m2.array)
 
 
 def geodesic_point(
@@ -111,6 +119,6 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     for t in trees:
         _same_label_count(trees[0], t)
     stack = np.stack([induced_matrix(t).array for t in trees])
-    mid = SymMatrix((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
+    mid = _wrap((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
     center = tree_of_matrix(mid)
     return center, max(labeled_interleaving(center, t) for t in trees)

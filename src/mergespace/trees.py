@@ -192,8 +192,9 @@ class LabeledMergeTree:
 
     @cached_property
     def walk_spans(self) -> tuple:
-        """(order, rank, own, gaps, spans) of `_walk_spans` over `label_walk`."""
-        return _walk_spans(*self.label_walk)
+        """(order, rank, own, gaps, spans) of `_walk_spans` over a label walk:
+        the one its builder seeded (`_trusted`), if any, else `label_walk`."""
+        return _walk_spans(*(self.__dict__.pop("_walk", None) or self.label_walk))
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -372,16 +373,28 @@ def _validate(t: MergeTree) -> ValidationReport:
     return ValidationReport(tuple(problems))
 
 
-def _valid_by_construction(t):
-    """Seed a tree's `validation` with an empty report and return the tree.
+_VALID = ValidationReport(())
 
-    For trees their builder makes valid, such as canonical forms and single
-    linkage trees, so their first use skips `_validate`; a labeled tree's
-    underlying tree is seeded too.
+
+def _trusted(vertices: tuple, edges: tuple, labels: tuple = None, walk: tuple = None):
+    """A tree its builder made valid, from parts already in normal form.
+
+    The parts are what the normalizing constructors would store: (id,
+    height) pairs sorted by id, (child, parent) pairs sorted by child, and
+    (label, vertex) pairs sorted by label, with int ids and float heights.
+    With `labels` the result is a labeled tree over the bare one.  Each
+    `validation` is seeded with an empty report, so first use skips
+    `_validate`.  A `walk` of the labels (as in `_label_walk`) is kept for
+    `walk_spans`, which then skips the depth-first walk; `label_walk`
+    itself is still that walk.
     """
-    for u in (t, _bare(t)):
-        u.__dict__["validation"] = ValidationReport(())  # the cached_property's slot
-    return t
+    t = object.__new__(MergeTree)
+    t.__dict__.update(vertices=vertices, edges=edges, validation=_VALID)
+    if labels is None:
+        return t
+    lt = object.__new__(LabeledMergeTree)
+    lt.__dict__.update(tree=t, labels=labels, validation=_VALID, _walk=walk)
+    return lt
 
 
 def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:
@@ -488,8 +501,9 @@ def lca(
 # -- canonical form and equality ------------------------------------------
 
 
-def _contract(t: MergeTree, keep) -> MergeTree:
-    """Drop removable vertices, reconnecting children to the nearest kept ancestor."""
+def _contract(t: MergeTree, keep, labels: tuple = None):
+    """Drop removable vertices, reconnecting children to the nearest kept
+    ancestor; with `labels`, a labeled tree carrying them."""
     kept = set(keep)
 
     def kept_ancestor(v):
@@ -498,16 +512,16 @@ def _contract(t: MergeTree, keep) -> MergeTree:
             u = t.parent[u]
         return u
 
-    vertices = [(v, t.height[v]) for v in kept]
+    vertices = tuple((v, h) for v, h in t.vertices if v in kept)
     edges = []
-    for v in kept:
+    for v, _ in vertices:
         u = kept_ancestor(v)
         if u is not None:
             edges.append((v, u))
     # the callers keep every leaf and branch point: kept ancestors are
     # strictly higher, and every kept vertex lies below the first kept one
     # down the top's chain of single children, so there is one top
-    return _valid_by_construction(MergeTree(vertices, edges))
+    return _trusted(vertices, tuple(edges), labels)
 
 
 def canonicalize_tree(t: MergeTree) -> MergeTree:
@@ -533,7 +547,7 @@ def canonicalize(lt: LabeledMergeTree) -> LabeledMergeTree:
         if len(t.children[v]) != 1 or lt.labels_of[v]
     ]
     # every labeled vertex and every leaf is kept, and no new leaf appears
-    return _valid_by_construction(LabeledMergeTree(_contract(t, keep), lt.labels))
+    return _contract(t, keep, lt.labels)
 
 
 def _interned_top(t: MergeTree, table: dict) -> int:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import tracemalloc
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mergespace import (
     LabeledMergeTree,
     MatrixCheck,
     MergeTree,
+    SymMatrix,
     as_sym_matrix,
     canonicalize,
     induced_matrix,
@@ -25,6 +28,7 @@ from mergespace import (
     trees_equal,
     ultrafy,
 )
+from mergespace import matrices
 from mergespace.matrices import _linkage, _mst_edges, _walk_matrix
 from util import (
     induced_oracle,
@@ -548,6 +552,75 @@ def test_tree_of_matrix_property_is_valid_by_construction(m):
     lt = tree_of_matrix(m)  # seeded with an empty report; a fresh copy checks it
     fresh = LabeledMergeTree(MergeTree(lt.tree.vertices, lt.tree.edges), lt.labels)
     assert fresh.validation.violations == ()
+
+
+def _tree_bits(lt: LabeledMergeTree):
+    return lt.tree, lt.labels, [h.hex() for _, h in lt.tree.vertices]
+
+
+# each call's result in a form that compares bit for bit
+LINKAGE_CALLS = {
+    "ultrafy": lambda m: ultrafy(m).array.tobytes(),
+    "tree_of_matrix": lambda m: _tree_bits(tree_of_matrix(m)),
+    "is_ultra": lambda m: is_ultra(m),  # ok and witness
+}
+
+
+@given(st.one_of(tie_heavy_matrices(max_n=30), valid_matrices()))
+def test_linkage_property_is_swept_once_per_matrix(m):
+    # every order of the three calls on one object gives what each gives on
+    # a fresh copy, and the object's spanning tree is found once
+    want = {name: call(SymMatrix(m.array.copy())) for name, call in LINKAGE_CALLS.items()}
+    for order in permutations(LINKAGE_CALLS):
+        shared = SymMatrix(m.array.copy())
+        with mock.patch.object(matrices, "_mst_edges", wraps=_mst_edges) as spanning:
+            for name in order:
+                assert LINKAGE_CALLS[name](shared) == want[name], (order, name)
+        assert spanning.call_count == 1, order
+
+
+@given(st.one_of(tie_heavy_matrices(max_n=30), valid_matrices()), zero_straddling_trees(40))
+def test_walk_built_matrices_property_are_ultra_as_their_copies(m, lt):
+    # induced and ultrafied matrices are marked ultra; a copy through the
+    # constructor is not, and the full check agrees with the mark
+    for built in (induced_matrix(lt), ultrafy(m)):
+        copy = SymMatrix(built.array)
+        assert not copy._ultra
+        assert is_ultra(built) == is_ultra(copy) == MatrixCheck(True)
+
+
+@st.composite
+def signed_zero_inputs(draw, max_labels=40):
+    """A matrix with entries of both signs and zeros stored both as 0.0 and
+    as -0.0, and a zero-straddling tree on as many labels.  The matrix is a
+    zero-straddling tree's, shifted by one of its off-diagonal entries, with
+    up to three entry pairs raised, so it need not be ultra."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, max_labels))
+    a = induced_matrix(_zero_straddling(draw, rng, n)).array.copy()
+    i, j = rng.choice(n, size=2, replace=False)
+    a -= a[i, j]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = rng.choice(n, size=2, replace=False)
+        a[i, j] = a[j, i] = a[i, j] + float(rng.integers(0, 3))  # stays valid
+    zero = np.flatnonzero(a == 0.0)  # at least the shifting pair
+    negative = rng.random(zero.size) < 0.5
+    negative[0], negative[-1] = True, False
+    a.flat[zero] = np.where(negative, -0.0, 0.0)
+    return as_sym_matrix(a), _zero_straddling(draw, rng, n)
+
+
+@given(signed_zero_inputs())
+def test_matrix_trees_property_read_distances_off_the_sweep_walk(pair):
+    m, t = pair
+    want = _bytes(linf_distance(induced_matrix(tree_of_matrix(m)), induced_matrix(t)))
+    for a, b in ((tree_of_matrix(m), t), (t, tree_of_matrix(m))):
+        assert _bytes(labeled_interleaving(a, b)) == want
+    # the seeded walk was read: no depth-first walk was built
+    lt = tree_of_matrix(m)
+    labeled_interleaving(lt, t)
+    assert "label_walk" not in lt.__dict__
+    assert labeled_trees_equal(tree_of_matrix(induced_matrix(t)), t)
 
 
 @given(labeled_trees())
