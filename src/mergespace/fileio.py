@@ -6,9 +6,12 @@ round-trip numbers) so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from typing import Union
+
+import numpy as np
 
 from .errors import FormatError, MergespaceError
 from .goodmaps import LabelPairing, VertexMap
@@ -154,7 +157,12 @@ def _tree_to_json(t: Union[MergeTree, LabeledMergeTree]) -> dict:
 
 def parse_matrix(text: str) -> SymMatrix:
     """First line is n, then n rows of n numbers and nothing after them but
-    blank lines; rounding asymmetry is averaged."""
+    blank lines; rounding asymmetry is averaged.
+
+    An entry is any finite number that float() reads.  The rows are read in
+    one numpy pass; a file that pass refuses is read again row by row, so a
+    bad row is reported by its line.
+    """
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty matrix file")
@@ -166,6 +174,38 @@ def parse_matrix(text: str) -> SymMatrix:
         raise FormatError(f"size must be positive, got {n}", line=1)
     if len(lines) < n + 1:
         raise FormatError(f"expected {n} rows, file has {len(lines) - 1}")
+    rows = _bulk_rows(lines[1 : n + 1])
+    if rows is None:
+        rows = _rows_one_by_one(lines, n)
+    for k in range(n + 1, len(lines)):
+        if lines[k].strip():
+            raise FormatError(f"data after the {n} rows", line=k + 1)
+    return SymMatrix(rows)
+
+
+def _bulk_rows(body):
+    """The n body lines as an n x n array of finite floats, or None.
+
+    loadtxt converts each field with the converter inside float(), so the
+    values it gives are float()'s.  It skips blank lines, which must count
+    as rows here, and refuses some syntax float() reads (`1_0`, non-ASCII
+    digits); None hands such files to the row reader.
+    """
+    if not all(line.strip() for line in body):
+        return None
+    try:
+        a = np.loadtxt(io.StringIO("\n".join(body)), dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    n = len(body)
+    if a.shape != (n, n) or not np.isfinite(a).all():
+        return None
+    return a
+
+
+def _rows_one_by_one(lines, n):
+    """Rows 1..n of `lines` as lists of finite floats; a bad row raises
+    FormatError with its line number."""
     rows = []
     for k in range(1, n + 1):
         parts = lines[k].split()
@@ -180,10 +220,7 @@ def parse_matrix(text: str) -> SymMatrix:
         if not all(math.isfinite(x) for x in row):
             raise FormatError("entries must be finite", line=k + 1)
         rows.append(row)
-    for k in range(n + 1, len(lines)):
-        if lines[k].strip():
-            raise FormatError(f"data after the {n} rows", line=k + 1)
-    return SymMatrix(rows)
+    return rows
 
 
 def write_matrix(m) -> str:

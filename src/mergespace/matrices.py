@@ -89,7 +89,7 @@ class SymMatrix:
                 raise InvalidMatrixError(
                     f"matrix is not symmetric (largest asymmetry {gap:g})"
                 )
-            a = (a + a.T) / 2.0
+            a = _midpoint(a, a.T)
         a.setflags(write=False)
         self._a, self._ultra, self._mst = a, False, None
 
@@ -123,6 +123,19 @@ class SymMatrix:
 
     def __repr__(self):
         return f"SymMatrix({self._a.tolist()!r})"
+
+
+def _midpoint(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise (a + b) / 2 of finite arrays, bit for bit wherever a + b is
+    finite.  Where it overflows, a / 2 + b / 2: both halvings are exact at
+    that size, and their sum cannot overflow."""
+    with np.errstate(over="ignore"):
+        mid = a + b
+    mid /= 2.0
+    over = np.isinf(mid)
+    if over.any():
+        mid[over] = a[over] / 2.0 + b[over] / 2.0
+    return mid
 
 
 def as_sym_matrix(m) -> SymMatrix:

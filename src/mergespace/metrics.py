@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidMatrixError, MergespaceError
-from .matrices import SymMatrix, induced_matrix, linf_distance, tree_of_matrix, ultrafy
+from .matrices import SymMatrix, _midpoint, induced_matrix, linf_distance, tree_of_matrix, ultrafy
 from .trees import LabeledMergeTree, _walk_gap, height_tol
 
 __all__ = [
@@ -119,6 +119,6 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     for t in trees:
         _same_label_count(trees[0], t)
     stack = np.stack([induced_matrix(t).array for t in trees])
-    mid = _wrap((stack.max(axis=0) + stack.min(axis=0)) / 2.0)
+    mid = _wrap(_midpoint(stack.max(axis=0), stack.min(axis=0)))
     center = tree_of_matrix(mid)
     return center, max(labeled_interleaving(center, t) for t in trees)

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergespace import (
     FormatError,
@@ -33,7 +35,14 @@ from mergespace import (
     write_tree,
 )
 from mergespace.fileio import fmt_num
-from util import rand_diagram, rand_labeled_tree, rand_merge_tree, rand_valid_matrix
+from test_matrices import valid_matrices
+from util import (
+    parse_matrix_rowwise,
+    rand_diagram,
+    rand_labeled_tree,
+    rand_merge_tree,
+    rand_valid_matrix,
+)
 
 
 def test_fmt_num_prints_integral_floats_as_integers():
@@ -156,6 +165,11 @@ def test_matrix_rejects_real_asymmetry():
         ("2\n0 x\n1 0\n", "line 2: could not convert"),
         ("2\n0 1\n1 0\n5 5 7\n", "line 4: data after the 2 rows"),
         ("2\n0 1\n1 0\n\n \n7\n", "line 6: data after the 2 rows"),
+        ("1\n \n", "line 2: expected 1 entries, got 0"),
+        ("2\n0 1 #\n1 0\n", "line 2: expected 2 entries, got 3"),
+        ("2\n0 1\n\n1 0\n", "line 3: expected 2 entries, got 0"),
+        # the first bad line is named, though a later one is ragged
+        ("4\n0 1 2 3\n1 inf 2 3\n2 2 0 3\n3 3\n", "line 3: entries must be finite"),
     ],
 )
 def test_matrix_parse_errors(text, needle):
@@ -166,6 +180,79 @@ def test_matrix_parse_errors(text, needle):
 
 def test_matrix_accepts_trailing_blank_lines():
     assert parse_matrix("2\n0 1\n1 0\n\n  \n") == parse_matrix("2\n0 1\n1 0\n")
+
+
+# separators str.split() takes as whitespace; \x0b and \x0c also end a line
+SEPARATORS = ["\t", "\x0b", "\x0c", "\xa0", "\x1f", "\u3000", "  "]
+# zero code points of digit runs float() reads: Arabic-Indic, Devanagari, fullwidth
+DIGIT_ZEROS = [0x660, 0x966, 0xFF10]
+
+
+@st.composite
+def matrix_texts(draw):
+    """write_matrix text of a valid matrix, with up to three edits of the
+    kinds found in files: other separators, underscores and non-ASCII digits
+    (both keep the values), respelled numbers, `#`, blank or whitespace-only
+    lines, ragged rows, non-finite entries and trailing data; then LF or
+    CRLF line ends."""
+    lines = write_matrix(draw(valid_matrices())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(1, len(lines) - 1))
+        words = lines[k].split(" ")
+        i = draw(st.integers(0, len(words) - 1))
+        kind = draw(st.sampled_from(
+            ["sep", "underscore", "digit", "respell", "hash", "blank", "ragged",
+             "nonfinite", "trailing"]
+        ))
+        if kind == "sep":
+            sep = draw(st.sampled_from(SEPARATORS))
+            lines[k] = sep.join(words) if draw(st.booleans()) else sep + lines[k] + sep
+            continue
+        elif kind == "underscore":
+            w = words[i]
+            j = draw(st.integers(0, len(w)))
+            words[i] = w[:j] + "_" + w[j:]
+        elif kind == "digit":
+            zero = draw(st.sampled_from(DIGIT_ZEROS))
+            words[i] = "".join(chr(zero + int(c)) if c.isdigit() else c for c in words[i])
+        elif kind == "respell":
+            w = words[i]
+            words[i] = draw(st.sampled_from(
+                ["+" + w, "0" + w, w + "e0", w.upper(), "-" + w if w == "0" else w]
+            ))
+        elif kind == "hash":
+            j = draw(st.integers(0, len(words)))
+            words.insert(j, draw(st.sampled_from(["#", "#1", "# note"])))
+        elif kind == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t", " \xa0 "])))
+            continue
+        elif kind == "ragged":
+            if len(words) > 1 and draw(st.booleans()):
+                del words[i]
+            else:
+                words.insert(i, words[i])
+        elif kind == "nonfinite":
+            words[i] = draw(st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e999"]))
+        else:
+            lines.append(draw(st.sampled_from(["7", "0 1", "# end"])))
+            continue
+        lines[k] = " ".join(words)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def _matrix_read(parse, text):
+    """The entries' bytes, or the error's type and text."""
+    try:
+        return parse(text).array.tobytes()
+    except MergespaceError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(matrix_texts())
+def test_parse_matrix_property_reads_as_the_row_reader(text):
+    assert _matrix_read(parse_matrix, text) == _matrix_read(parse_matrix_rowwise, text)
 
 
 def test_diagram_round_trip_with_infinite_deaths():

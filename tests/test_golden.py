@@ -33,6 +33,10 @@ and the grid tree of sizes 7, 40 and 120, with the `radius` line `center`
 writes to stderr, captured while the center's radius was the largest entry
 gap of the center's matrix against the inputs' matrices.
 
+And `real-120` with the last entry of row 100 dropped, with the stderr of
+`ultrafy` on it, which exits 2: a file the bulk matrix read refuses is
+read again row by row, so the message names the short row's line.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -150,6 +154,13 @@ def test_cli_output_matches_golden(command, kind, n):
     assert _stdout([command, str(source)]) == want
 
 
+def test_a_short_matrix_row_is_reported_by_its_line():
+    source = GOLDEN / "real-120-short-row.matrix.txt"
+    out, err = _outputs(["ultrafy", str(source)], 2)
+    assert out == ""
+    assert err == (GOLDEN / "ultrafy-real-120-short-row.err").read_text()
+
+
 def _write_inputs(rng):
     from mergespace import write_tree
     from util import rand_labeled_tree, rand_valid_matrix
@@ -178,6 +189,12 @@ def _write_pairs(rng):
         for side in "ab":
             t = tree_with(leaves, kind == "grid")
             Path(f"{stem}.{side}.tree.json").write_text(write_tree(t))
+
+
+def _write_short_row():
+    lines = (GOLDEN / "real-120.matrix.txt").read_text().splitlines(keepends=True)
+    lines[100] = lines[100].rsplit(" ", 1)[0] + "\n"  # row 100 loses its last entry
+    (GOLDEN / "real-120-short-row.matrix.txt").write_text("".join(lines))
 
 
 def _write_maps():
@@ -226,6 +243,9 @@ if __name__ == "__main__":
         out, err = _outputs(["center", *_pair(n)])
         (GOLDEN / f"center-real-{n}-grid-{n}.out").write_text(out)
         (GOLDEN / f"center-real-{n}-grid-{n}.err").write_text(err)
+    _write_short_row()
+    _, err = _outputs(["ultrafy", str(GOLDEN / "real-120-short-row.matrix.txt")], 2)
+    (GOLDEN / "ultrafy-real-120-short-row.err").write_text(err)
     _write_maps()
     for name, code in MAPS.items():
         out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)

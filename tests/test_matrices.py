@@ -64,6 +64,26 @@ def test_sym_matrix_symmetrizes_tiny_noise():
     assert m[0, 1] == m[1, 0]
 
 
+def test_sym_matrix_averages_entries_near_the_largest_float_without_overflow():
+    top = np.finfo(float).max
+    below = np.nextafter(top, 0.0)
+    m = as_sym_matrix([[0.0, top], [below, 0.0]])
+    # the exact midpoint of the two, rounded to even, where a + b is inf
+    assert m.array.tobytes() == np.array([[0.0, below], [below, 0.0]]).tobytes()
+    assert ultrafy(m) == m
+    # where the sum is finite, the average is (a + b) / 2 bit for bit: here
+    # 3 units of the smallest subnormal, halved, round to 2 units, where
+    # halving each first would give 1
+    tiny = np.nextafter(0.0, 1.0)
+    a = np.array([[0.0, tiny], [2 * tiny, 0.0]])
+    assert as_sym_matrix(a).array.tobytes() == ((a + a.T) / 2.0).tobytes()
+    rng = np.random.default_rng(23)
+    a = rng.uniform(-4.0, 4.0, size=(30, 30)) * 10.0 ** rng.integers(-300, 300)
+    a = a + a.T
+    a[np.triu_indices(30, 1)] = np.nextafter(a[np.triu_indices(30, 1)], np.inf)
+    assert as_sym_matrix(a).array.tobytes() == ((a + a.T) / 2.0).tobytes()
+
+
 def test_sym_matrix_keeps_an_exactly_symmetric_matrix_as_given():
     rng = np.random.default_rng(19)
     a = rng.normal(size=(6, 6))

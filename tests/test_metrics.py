@@ -230,6 +230,20 @@ def test_one_center_radius_is_half_the_worst_entry_range():
             assert labeled_interleaving(center, t) <= radius + 1e-12
 
 
+def test_one_center_of_trees_near_the_largest_float():
+    # each entry's max + min overflows; its midrange does not
+    trees = [
+        LabeledMergeTree(MergeTree([(0, a), (1, b), (2, top)], [(0, 2), (1, 2)]), {1: 0, 2: 1})
+        for a, b, top in [(1.53e308, 1.6e308, 1.7e308), (1.55e308, 1.54e308, 1.65e308)]
+    ]
+    center, radius = one_center(trees)
+    stack = np.stack([induced_matrix(t).array for t in trees])
+    expect = float((stack.max(axis=0) - stack.min(axis=0)).max()) / 2.0
+    assert abs(radius - expect) <= height_tol(*trees)
+    for t in trees:
+        assert labeled_interleaving(center, t) <= radius
+
+
 def test_one_center_radius_is_the_largest_distance_to_the_center(monkeypatch):
     rng = np.random.default_rng(113)
     for k in (1, 2, 5):

@@ -8,7 +8,8 @@ Hopcroft-Karp), induced entries and meets from walking ancestor chains,
 a walk's matrix from one running maximum per row, unlabeled distances
 from an ascending scan over every candidate shift with those meets, map
 verdicts from a sweep over every critical height, label transfers from
-ancestor chains, and tree validation from a walk up every parent chain.
+ancestor chains, tree validation from a walk up every parent chain, and
+matrix text from float() on every entry, row by row.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 import numpy as np
 
 from mergespace import (
+    FormatError,
     GoodMapReport,
     LabelPairing,
     LabeledMergeTree,
@@ -274,6 +276,37 @@ def tree_signature(t: MergeTree, labels_of=None):
         lab = tuple(sorted(labels_of[v])) if labels_of else ()
         sig[v] = (t.height[v], lab, kids)
     return sig[t.top]
+
+
+def parse_matrix_rowwise(text: str) -> SymMatrix:
+    """Matrix text read one row at a time, each entry through float()."""
+    lines = text.splitlines()
+    if not lines:
+        raise FormatError("empty matrix file")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise FormatError(f"expected the size, got {lines[0]!r}", line=1)
+    if n < 1:
+        raise FormatError(f"size must be positive, got {n}", line=1)
+    if len(lines) < n + 1:
+        raise FormatError(f"expected {n} rows, file has {len(lines) - 1}")
+    rows = []
+    for k in range(1, n + 1):
+        parts = lines[k].split()
+        if len(parts) != n:
+            raise FormatError(f"expected {n} entries, got {len(parts)}", line=k + 1)
+        try:
+            row = [float(p) for p in parts]
+        except ValueError as exc:
+            raise FormatError(str(exc), line=k + 1)
+        if not all(math.isfinite(x) for x in row):
+            raise FormatError("entries must be finite", line=k + 1)
+        rows.append(row)
+    for k in range(n + 1, len(lines)):
+        if lines[k].strip():
+            raise FormatError(f"data after the {n} rows", line=k + 1)
+    return SymMatrix(rows)
 
 
 def minimax_value(m: SymMatrix, i: int, j: int) -> float:
