@@ -11,12 +11,12 @@ Both directions work in whole-matrix numpy passes over the n x n matrix of
 n labels, plus one walk over the tree's vertices.  A matrix's tree is single
 linkage, which is the minimum spanning tree of the complete label graph
 (Gower & Ross 1969): at most ceil(log2 n) Borůvka rounds, each a few O(n^2)
-passes, find its n - 1 edges, and only those are merged; each round
-compares component ids in the narrowest integer dtype that holds n.  A
+passes, find its n - 1 edges (`_mst_edges`), and only those are merged.  A
 tree's matrix is one depth-first walk (`trees._label_walk`) and one kernel
 (`_walk_meets`): with rows and columns in walk order, a running maximum
 down column blocks about sqrt(n) wide fills the triangle below the
-diagonal, about half the matrix, and its transpose fills the other half;
+diagonal, and each block copies its own part of it across the diagonal
+as soon as it is done, so no pass over the whole matrix symmetrizes it;
 `_walk_matrix` then gathers the labels into index order.  A matrix keeps
 its spanning tree's n - 1 edges once found (no n x n data), so it is swept
 once whatever mix of `ultrafy`, `tree_of_matrix` and `is_ultra` it meets.
@@ -84,8 +84,9 @@ class SymMatrix:
         if not np.isfinite(a).all():
             raise InvalidMatrixError("matrix entries must be finite")
         if not (a == a.T).all():
-            gap = np.max(np.abs(a - a.T))
-            if gap > slack_of((a.min(), a.max())):
+            with np.errstate(over="ignore"):
+                gap = np.max(np.abs(a - a.T))
+            if not math.isfinite(gap) or gap > slack_of((a.min(), a.max())):
                 raise InvalidMatrixError(
                     f"matrix is not symmetric (largest asymmetry {gap:g})"
                 )
@@ -227,15 +228,16 @@ def _walk_meets(own, gaps) -> np.ndarray:
     (q, p) below the diagonal is the meet of positions q > p: the running
     maximum of the gaps just before rows p + 1..q.  Only those entries are
     accumulated, in blocks of `width` columns.  A block fills rows c0..n-1
-    with the gap before each row, puts -inf on and above its own diagonal
-    (so no column's maximum starts before its row) and everywhere above
-    the block, and takes one running maximum down its rows in place.  So
-    about n^2/2 * (1 + width/n) entries are scanned, not n^2, and each
-    column meets the same gaps in the same order as in one sweep of the
-    whole matrix, so ties and signed zeros come out the same.  The maximum
-    with the transpose copies each meet into the -inf triangle, and the
-    diagonal (`own`) comes last.  Entries are copied heights, never
-    rounded, so they are finite and exactly symmetric.
+    with the gap before each row, puts -inf on and above the diagonal of
+    its k x k square, so no column's maximum starts before its row, and
+    takes one running maximum down its rows in place: about
+    n^2/2 * (1 + width/n) entries are scanned, not n^2, and each column
+    meets the same gaps in the same order as in one sweep of the whole
+    matrix, so ties and signed zeros come out the same.  The block then
+    mirrors itself: a maximum with its square's transpose fills the square,
+    and its strip below the square, transposed, fills its rows to the right
+    of it, so no pass over the whole matrix is needed.  The diagonal (`own`)
+    comes last.  Entries are copied heights: finite and exactly symmetric.
 
     The width is max(64, 4 isqrt(n)).  Each block costs a few numpy calls
     and scans its whole square, of which only the part below the diagonal
@@ -253,10 +255,11 @@ def _walk_meets(own, gaps) -> np.ndarray:
         k = min(width, n - c0)
         block = w[c0:, c0 : c0 + k]
         block[...] = rows[c0:]
-        np.copyto(block[:k], -np.inf, where=upper[:k, :k])
-        w[:c0, c0 : c0 + k] = -np.inf
+        sq = block[:k]
+        np.copyto(sq, -np.inf, where=upper[:k, :k])
         np.maximum.accumulate(block, axis=0, out=block)
-    w = np.maximum(w, w.T)
+        np.maximum(sq, sq.T.copy(), out=sq)
+        w[c0 : c0 + k, c0 + k :] = block[k:].T
     np.fill_diagonal(w, own)
     w.setflags(write=False)
     return w
@@ -269,11 +272,12 @@ def _mst_edges(a: np.ndarray) -> list:
     tree unique: it is the set of edges on which Kruskal's sweep over that
     order merges.  Borůvka's rounds find it in whole-matrix numpy passes.
     In a round every label takes its cheapest edge into another component:
-    one `argmin` per row, with entries inside a component at +inf.  Among
-    equal heights a row's `argmin` picks the smallest j, which for a fixed i
-    is the key order, so one `lexsort` of the row picks gives each component
-    its best edge.  Each component hooks onto the one at the other end of
-    that edge; a mutual pair shares its edge, records it once and keeps the
+    one `argmin` per row, with entries inside a component (in round 1, the
+    diagonal) at +inf.  Among equal heights a row's `argmin` picks the
+    smallest j, the key order for a fixed i, so one `lexsort` of the row
+    picks by (component, h, lo * n + hi) puts each component's best edge
+    first.  Each component hooks onto the one at the other end of that
+    edge; a mutual pair shares its edge, records it once and keeps the
     smaller id as root, and pointer jumping flattens the hooks.  Every
     component joins another, so there are at most ceil(log2 n) rounds, each
     O(n^2).  Heights are copied from the entries M_ij with i < j, as in the
@@ -290,22 +294,26 @@ def _mst_edges(a: np.ndarray) -> list:
     """
     n = a.shape[0]
     free = np.array(a, dtype=float)  # entries inside one component become +inf
+    np.fill_diagonal(free, np.inf)  # round 1: every component is one label
     rows = np.arange(n)
     comp = rows.copy()  # label index -> its component's id, a label index
     narrow = np.min_scalar_type(n)
     same = np.empty((n, n), dtype=bool)
+    first = np.ones(n, dtype=bool)  # first row of each component, in key order
     ends = np.empty((2, n - 1), dtype=np.intp)  # (i, j) of the edges found
     joined = 0
     while joined < n - 1:
-        ids = comp.astype(narrow)
-        np.equal(ids[:, None], ids, out=same)
-        np.putmask(free, same, np.inf)
+        if joined:
+            ids = comp.astype(narrow)
+            np.equal(ids[:, None], ids, out=same)
+            np.putmask(free, same, np.inf)
         near = free.argmin(axis=1)
         lo = np.minimum(rows, near)
         hi = np.maximum(rows, near)
-        by_key = np.lexsort((hi, lo, free[rows, near], comp))
+        by_key = np.lexsort((lo * n + hi, free[rows, near], comp))
         c = comp[by_key]
-        best = by_key[np.r_[True, c[1:] != c[:-1]]]  # each component's best row
+        np.not_equal(c[1:], c[:-1], out=first[1:])
+        best = by_key[first]  # each component's best row
         src, dst = comp[best], comp[near[best]]
         hook = rows.copy()
         hook[src] = dst
@@ -324,14 +332,6 @@ def _mst_edges(a: np.ndarray) -> list:
     h = a[lo, hi]
     order = np.lexsort((hi, lo, h))
     return list(zip(h[order].tolist(), lo[order].tolist(), hi[order].tolist()))
-
-
-def _find(root: list, x: int) -> int:
-    """Root of x's component in a union-find forest, halving the path."""
-    while root[x] != x:
-        root[x] = root[root[x]]
-        x = root[x]
-    return x
 
 
 def tree_of_matrix(m) -> LabeledMergeTree:
@@ -381,9 +381,10 @@ def _linkage(m, tree: bool = True) -> tuple:
     every gap inside either list is at most h.  Its tree half gives the two
     components one top vertex: two tops at h collapse into one, a top at h
     takes the other as its child, and otherwise a new vertex at h (ids n,
-    n + 1, ... in sweep order) takes both.  Returns ``(tree or None, (labels,
-    own, gaps))``: the walk is what `_walk_matrix` takes and the tree keeps.
-    Heights are copied from the entries.
+    n + 1, ... in sweep order) takes both.  Vertex data sit in lists by id
+    (ids < 2n - 1), and collapsed tops are resolved once, after the sweep.
+    Returns ``(tree or None, (labels, own, gaps))``: the walk is what
+    `_walk_matrix` takes and the tree keeps.  Heights are copied.
     """
     m = as_sym_matrix(m)
     spanning = _spanning_edges(m)
@@ -391,44 +392,52 @@ def _linkage(m, tree: bool = True) -> tuple:
     n = a.shape[0]
     if tree:
         # births, by construction in label order: vertex i carries label i + 1
-        heights = dict(enumerate(a.diagonal().tolist()))
-        parent = {}
-        into = list(range(2 * n))  # a collapsed top -> the top it joined
+        height = a.diagonal().tolist() + [0.0] * (n - 1)
+        parent = [-1] * (2 * n - 1)
+        into = list(range(2 * n - 1))  # a collapsed top -> the top it joined
+        collapsed = []
         next_id = n
     # forest over labels; a root's top vertex and the ends of its label list
     root, top_of, head, tail = (list(range(n)) for _ in range(4))
     after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
+    j = 0  # after the sweep, the root of the last merge and so of every label
     for h, i, j in spanning:
-        ri, rj = _find(root, i), _find(root, j)
+        while root[i] != i:  # the roots of i and j, halving their paths
+            root[i] = i = root[root[i]]
+        while root[j] != j:
+            root[j] = j = root[root[j]]
         if tree:
-            ta, tb = top_of[ri], top_of[rj]
-            if heights[ta] != h:
+            ta, tb = top_of[i], top_of[j]
+            if height[ta] != h:
                 ta, tb = tb, ta  # a top at the merge height, if any, comes first
-            if heights[tb] == h:
+            if height[tb] == h:
                 # two tops at the merge height collapse into one vertex
                 into[tb] = ta
-                del heights[tb]
-            elif heights[ta] != h:
-                heights[next_id] = h
+                collapsed.append(tb)
+            elif height[ta] != h:
+                height[next_id] = h
                 parent[ta] = parent[tb] = next_id
                 ta, next_id = next_id, next_id + 1
             else:
                 parent[tb] = ta
-            top_of[rj] = ta
-        after[tail[ri]], gap[tail[ri]] = head[rj], h
-        head[rj] = head[ri]
-        root[ri] = rj
-    order = [head[_find(root, 0)]]
+            top_of[j] = ta
+        after[tail[i]], gap[tail[i]] = head[j], h
+        head[j] = head[i]
+        root[i] = j
+    order = [head[j]]
     for _ in range(n - 1):
         order.append(after[order[-1]])
     walk = tuple(k + 1 for k in order), a.diagonal()[order], tuple(gap[k] for k in order[:-1])
     if not tree:
         return None, walk
-    # ids ascend in insertion order; a label or child of a collapsed top
-    # belongs to the vertex it collapsed into
-    vertices = tuple(heights.items())
-    edges = tuple((c, _find(into, parent[c])) for c in heights if c in parent)
-    labels = tuple((i + 1, _find(into, i)) for i in range(n))
+    # a top collapses into a live top at its height, which can collapse only
+    # later; a label or child of a collapsed top belongs to where it ends
+    for v in reversed(collapsed):
+        into[v] = into[into[v]]
+    live = [v for v in range(next_id) if into[v] == v]  # ids ascend in insertion order
+    vertices = tuple((v, height[v]) for v in live)
+    edges = tuple((c, into[parent[c]]) for c in live if parent[c] >= 0)
+    labels = tuple((i + 1, into[i]) for i in range(n))
     return _trusted(vertices, edges, labels, walk), walk
 
 

@@ -109,7 +109,8 @@ def one_center(trees: Sequence[LabeledMergeTree]):
 
     The center is the tree of the entrywise midrange matrix; the radius is
     its largest distance to the inputs, which equals half the largest
-    entrywise range and cannot be improved by any other tree.
+    entrywise range and cannot be improved by any other tree.  A running
+    maximum and minimum keep the first of equal entries, as reductions do.
 
     Returns (center, radius).
     """
@@ -118,7 +119,11 @@ def one_center(trees: Sequence[LabeledMergeTree]):
         raise MergespaceError("cannot take the center of an empty collection")
     for t in trees:
         _same_label_count(trees[0], t)
-    stack = np.stack([induced_matrix(t).array for t in trees])
-    mid = _wrap(_midpoint(stack.max(axis=0), stack.min(axis=0)))
+    first, *rest = (induced_matrix(t).array for t in trees)
+    hi, lo = first.copy(), first.copy()
+    for a in rest:
+        np.maximum(hi, a, out=hi)
+        np.minimum(lo, a, out=lo)
+    mid = _wrap(_midpoint(hi, lo))
     center = tree_of_matrix(mid)
     return center, max(labeled_interleaving(center, t) for t in trees)

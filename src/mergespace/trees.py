@@ -188,7 +188,10 @@ class LabeledMergeTree:
     @cached_property
     def label_walk(self) -> tuple:
         """(labels, heights, gaps) of `_label_walk` over this tree's labels."""
-        return _label_walk(self.tree, self.labels_of)
+        on = {}
+        for i, v in self.labels:
+            on.setdefault(v, []).append(i)
+        return _label_walk(self.tree, on)
 
     @cached_property
     def walk_spans(self) -> tuple:
@@ -230,27 +233,30 @@ class LabeledMergeTree:
 def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
     """(labels, heights, gaps) met by a depth-first walk of a valid tree.
 
-    `labels_of` maps every vertex to the labels on it.  The labels in walk
+    `labels_of` maps a vertex to its labels, if any.  The labels in walk
     order, the height of each one's vertex, and for each neighbouring pair
     the height where the two meet: the highest vertex the walk passes
     between them.  Every subtree's labels are contiguous in this order, so
-    any two labels meet at the highest gap between them.
+    any two labels meet at the highest gap between them.  The walk starts
+    at the top, the highest vertex, and pushes each child with its parent's
+    height, so it needs no `parent` map; `meet` rises as `max` would.
     """
-    height, parent, children = t.height, t.parent, t.children
+    height, children = t.height, t.children
     labels, heights, gaps = [], [], []
     meet = -math.inf  # highest vertex on the path since the last label
-    stack = [t.top]
+    stack = [(max(height, key=height.__getitem__), -math.inf)]
     while stack:
-        v = stack.pop()
-        if parent[v] is not None:
-            meet = max(meet, height[parent[v]])
-        for i in labels_of[v]:
+        v, up = stack.pop()
+        if up > meet:
+            meet = up
+        h = height[v]
+        for i in labels_of.get(v, ()):
             if labels:
                 gaps.append(meet)
             labels.append(i)
-            heights.append(height[v])
-            meet = height[v]
-        stack.extend(reversed(children[v]))
+            heights.append(h)
+            meet = h
+        stack.extend([(c, h) for c in reversed(children[v])])
     return tuple(labels), tuple(heights), tuple(gaps)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import pytest
 
@@ -284,3 +285,16 @@ def test_dist_unlabeled_warns_when_uncertified(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == "1\n"
     assert captured.err == "warning: uncertified; the distance lies in (0.75, 1]\n"
+
+
+def test_ultrafy_refuses_an_asymmetry_that_overflows(files, capsys):
+    # the gap between 1.7e308 and -1.7e308 overflows; the file used to be
+    # read as a zero matrix after a numpy overflow warning, and printed
+    bad = files / "opposite.txt"
+    bad.write_text("2\n0 1.7e308\n-1.7e308 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["ultrafy", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: matrix is not symmetric (largest asymmetry inf)\n"

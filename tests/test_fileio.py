@@ -153,6 +153,15 @@ def test_matrix_rejects_real_asymmetry():
         parse_matrix("2\n0 1\n2 0\n")
 
 
+def test_matrix_rejects_an_asymmetry_that_overflows():
+    # mirrored entries of opposite signs near the largest float: their gap
+    # overflows, and must not pass the symmetry check as an average of zero
+    from mergespace import InvalidMatrixError
+
+    with pytest.raises(InvalidMatrixError, match="not symmetric"):
+        parse_matrix("2\n0 1.7e308\n-1.7e308 0\n")
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [

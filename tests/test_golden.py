@@ -33,6 +33,13 @@ and the grid tree of sizes 7, 40 and 120, with the `radius` line `center`
 writes to stderr, captured while the center's radius was the largest entry
 gap of the center's matrix against the inputs' matrices.
 
+And the same two `geodesic` points and `center`'s output between two
+200-label trees, `real-200` and `grid-200`, captured before the meet kernel
+filled the upper triangle block by block and before the single-linkage
+sweep kept its vertices in lists: at 200 labels the kernel runs through
+four column blocks and Borůvka through more rounds than at 120 labels.
+`geodesic --lambda 0.25` is pinned there too.
+
 And `real-120` with the last entry of row 100 dropped, with the stderr of
 `ultrafy` on it, which exits 2: a file the bulk matrix read refuses is
 read again row by row, so the message names the short row's line.
@@ -125,7 +132,8 @@ def test_dist_labeled_matches_golden(n):
     assert _stdout(["dist", "labeled", str(a), str(b)]) == want
 
 
-PAIR_SIZES = (7, 40, 120)
+PAIR_SIZES = (7, 40, 120, 200)
+LARGE = 200  # tree inputs only, drawn apart so the smaller files stay as they are
 
 
 def _pair(n) -> list:
@@ -136,6 +144,11 @@ def _pair(n) -> list:
 def test_geodesic_matches_golden(n):
     want = (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").read_text()
     assert _stdout(["geodesic", *_pair(n), "--lambda", "0.5"]) == want
+
+
+def test_geodesic_at_a_quarter_matches_golden():
+    want = (GOLDEN / f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out").read_text()
+    assert _stdout(["geodesic", *_pair(LARGE), "--lambda", "0.25"]) == want
 
 
 @pytest.mark.parametrize("n", PAIR_SIZES)
@@ -172,6 +185,16 @@ def _write_inputs(rng):
             (GOLDEN / f"{kind}-{n}.matrix.txt").write_text(write_matrix(m))
             t = rand_labeled_tree(rng, n, max_leaves=n, integral=grid)
             (GOLDEN / f"{kind}-{n}.tree.json").write_text(write_tree(t))
+
+
+def _write_large_trees(rng):
+    """Grown trees on 150 leaves, 50 of the labels on random vertices."""
+    from mergespace import write_tree
+    from util import _label_tree, rand_grown_tree
+
+    for kind in KINDS:
+        t = _label_tree(rng, rand_grown_tree(rng, 150, integral=kind == "grid"), LARGE)
+        (GOLDEN / f"{kind}-{LARGE}.tree.json").write_text(write_tree(t))
 
 
 def _write_pairs(rng):
@@ -223,6 +246,7 @@ if __name__ == "__main__":
             out = _stdout([command, str(GOLDEN / f"{kind}-{n}.{suffix}")])
             (GOLDEN / f"{command}-{kind}-{n}.out").write_text(out)
     _write_pairs(np.random.default_rng(20192))
+    _write_large_trees(np.random.default_rng(20193))
     for kind, leaves in UNLABELED:
         stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
         out = _stdout(["dist", "unlabeled", f"{stem}.a.tree.json",
@@ -243,6 +267,8 @@ if __name__ == "__main__":
         out, err = _outputs(["center", *_pair(n)])
         (GOLDEN / f"center-real-{n}-grid-{n}.out").write_text(out)
         (GOLDEN / f"center-real-{n}-grid-{n}.err").write_text(err)
+    out = _stdout(["geodesic", *_pair(LARGE), "--lambda", "0.25"])
+    (GOLDEN / f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out").write_text(out)
     _write_short_row()
     _, err = _outputs(["ultrafy", str(GOLDEN / "real-120-short-row.matrix.txt")], 2)
     (GOLDEN / "ultrafy-real-120-short-row.err").write_text(err)

@@ -84,6 +84,16 @@ def test_sym_matrix_averages_entries_near_the_largest_float_without_overflow():
     assert as_sym_matrix(a).array.tobytes() == ((a + a.T) / 2.0).tobytes()
 
 
+@pytest.mark.parametrize("big", [1.7e308, np.finfo(float).max])
+def test_sym_matrix_refuses_an_asymmetry_that_overflows(big):
+    # a - a.T overflows to inf, and so does the slack of the entries' span;
+    # the gap is refused, with no overflow warning (warnings are errors here)
+    with pytest.raises(InvalidMatrixError, match=r"not symmetric \(largest asymmetry inf\)"):
+        as_sym_matrix([[0.0, big], [-big, 0.0]])
+    with pytest.raises(InvalidMatrixError, match="not symmetric"):
+        as_sym_matrix([[1.0, 0.0, big], [0.0, 1.0, 0.0], [-big, 0.0, 1.0]])
+
+
 def test_sym_matrix_keeps_an_exactly_symmetric_matrix_as_given():
     rng = np.random.default_rng(19)
     a = rng.normal(size=(6, 6))

@@ -21,11 +21,13 @@ from mergespace import (
     one_center,
     tree_of_matrix,
     ultrafy,
+    write_tree,
 )
 from mergespace import matrices
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
+    one_center_stacked,
     rand_labeled_collection,
     rand_labeled_pair,
     rand_labeled_tree,
@@ -205,6 +207,37 @@ def test_geodesic_length_carries_each_step_matrix(monkeypatch):
         assert geodesic_length(a, b, samples=samples) == want
         assert len(calls) == samples + 2
         monkeypatch.undo()
+
+
+@st.composite
+def signed_zero_collections(draw, max_labels=30):
+    """1 to 5 trees over one label set, on the integer grid, all shifted down
+    by one drawn height so that zero heights are common and tie across the
+    trees; each zero is stored as 0.0 or -0.0, at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, max_labels))
+    shift = float(draw(st.integers(0, 4)))
+
+    def zero(h):
+        h -= shift
+        return (-0.0 if rng.random() < 0.5 else 0.0) if h == 0.0 else h
+
+    return [
+        with_heights(rand_labeled_tree(rng, n, max_leaves=draw(st.integers(1, n)), integral=True), zero)
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@given(signed_zero_collections())
+def test_one_center_property_is_bitwise_the_stacked_route(trees):
+    # the running maximum and minimum keep the first of two equal entries,
+    # as the reductions over the stack do, so a zero keeps its sign
+    center, radius = one_center(trees)
+    want_center, want_radius = one_center_stacked(trees)
+    assert radius.hex() == want_radius.hex()
+    assert write_tree(center) == write_tree(want_center)
+    # the text prints -0.0 as 0, so the heights are compared bit for bit too
+    assert [h.hex() for _, h in center.tree.vertices] == [h.hex() for _, h in want_center.tree.vertices]
 
 
 def test_one_center_of_three_wyes():

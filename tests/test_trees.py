@@ -18,12 +18,15 @@ from mergespace import (
     VertexMap,
     canonicalize,
     canonicalize_tree,
+    labeled_interleaving,
     labeled_trees_equal,
     lca,
+    parse_tree,
     point_at,
     refine_at,
     trees_equal,
     vertex_point,
+    write_tree,
 )
 import mergespace
 from mergespace.dot import to_dot
@@ -35,12 +38,14 @@ from mergespace.trees import (
     is_vertex_point,
 )
 from util import (
+    label_walk_oracle,
     lca_oracle,
     rand_labeled_tree,
     rand_merge_tree,
     rand_point,
     tree_signature,
     validate_oracle,
+    with_heights,
 )
 
 
@@ -287,6 +292,53 @@ def test_label_walk_lists_labels_with_the_meets_between_neighbours():
     walk = lt.label_walk
     assert walk == ((1, 2, 3, 4), (1.0, 1.0, 3.0, 2.0), (1.0, 4.0, 3.0))
     assert lt.label_walk is walk  # built once per tree
+
+
+@st.composite
+def walk_trees(draw, max_parts=4):
+    """A labeled tree whose top takes 1 to 4 random trees as children, with
+    ids shuffled so child order is not build order, labels on leaves,
+    shared vertices and inner vertices, on the grid or real, shifted so
+    that some heights are zero, each zero stored as 0.0 or -0.0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    parts = [rand_merge_tree(rng, max_leaves=draw(st.integers(1, 6)), integral=grid)
+             for _ in range(draw(st.integers(1, max_parts)))]
+    ids = iter(rng.permutation(sum(len(t.vertices) for t in parts) + 1).tolist())
+    top = next(ids)
+    vertices, edges = [(top, max(h for t in parts for _, h in t.vertices) + 1.0)], []
+    for t in parts:
+        new = {v: next(ids) for v, _ in t.vertices}
+        vertices += [(new[v], h) for v, h in t.vertices]
+        edges += [(new[c], new[p]) for c, p in t.edges] + [(new[t.top], top)]
+    tree = MergeTree(vertices, edges)
+    labels = list(tree.leaves) + [v for v, _ in vertices if rng.random() < 0.3] * draw(st.integers(1, 2))
+    order = rng.permutation(len(labels)).tolist()
+    lt = LabeledMergeTree(tree, {k + 1: labels[j] for k, j in enumerate(order)})
+    zero = vertices[int(rng.integers(len(vertices)))][1]
+    return with_heights(lt, lambda h: -0.0 if h == zero and rng.random() < 0.5 else h - zero)
+
+
+def _walk_bits(walk):
+    labels, heights, gaps = walk
+    return labels, [h.hex() for h in heights], [g.hex() for g in gaps]
+
+
+@given(walk_trees())
+def test_label_walk_property_is_bitwise_the_preorder_oracle(lt):
+    assert _walk_bits(lt.ensure_valid().label_walk) == _walk_bits(label_walk_oracle(lt))
+
+
+def test_a_cold_labeled_distance_builds_no_parent_map():
+    # the walk reads heights and children only: freshly parsed trees get no
+    # `parent` map and no `labels_of` grouping from a labeled distance
+    a, b = (parse_tree(write_tree(rand_labeled_tree(np.random.default_rng(s), 12, max_leaves=8)))
+            for s in (3, 4))
+    labeled_interleaving(a, b)
+    for lt in (a, b):
+        assert "label_walk" in lt.__dict__
+        assert "parent" not in lt.tree.__dict__
+        assert "labels_of" not in lt.__dict__
 
 
 def test_point_at_walks_to_the_highest_anchor_at_or_below():

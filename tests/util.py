@@ -5,7 +5,9 @@ minimax values come from enumerating simple paths, tree equality from
 nested signatures, diagrams from ancestor chains, bottleneck cost from
 enumerating matchings (or, for larger diagrams, from scipy's
 Hopcroft-Karp), induced entries and meets from walking ancestor chains,
-a walk's matrix from one running maximum per row, unlabeled distances
+a walk's matrix from one running maximum per row, a label walk from a
+recursive preorder and ancestor chains, a 1-center from the stacked
+induced matrices, unlabeled distances
 from an ascending scan over every candidate shift with those meets, map
 verdicts from a sweep over every critical height, label transfers from
 ancestor chains, tree validation from a walk up every parent chain, and
@@ -31,7 +33,10 @@ from mergespace import (
     SymMatrix,
     as_sym_matrix,
     canonicalize_tree,
+    induced_matrix,
+    linf_distance,
     map_point,
+    tree_of_matrix,
     ultrafy,
 )
 from mergespace.goodmaps import _snap_point
@@ -455,6 +460,54 @@ def walk_matrix_oracle(labels, own, gaps) -> np.ndarray:
     a = np.empty_like(d)
     a[np.ix_(order, order)] = d
     return a
+
+
+def label_walk_oracle(lt: LabeledMergeTree) -> tuple:
+    """(labels, heights, gaps) of a recursive preorder from the vertex with
+    no parent: children by id, each vertex's labels in ascending order
+    before its children's.  Each gap is the height of the lowest common
+    ancestor of two neighbouring labels' vertices, the first vertex of the
+    second one's ancestor chain that lies on the first one's."""
+    up = dict(lt.tree.edges)
+    height = dict(lt.tree.vertices)
+    below = {}
+    for c, p in lt.tree.edges:
+        below.setdefault(p, []).append(c)
+    on = {}
+    for i, v in lt.labels:
+        on.setdefault(v, []).append(i)
+    (top,) = [v for v in height if v not in up]
+    met = []  # (label, vertex) in preorder
+
+    def visit(v):
+        met.extend((i, v) for i in sorted(on.get(v, ())))
+        for c in sorted(below.get(v, ())):
+            visit(c)
+
+    visit(top)
+
+    def chain(v):
+        out = [v]
+        while out[-1] in up:
+            out.append(up[out[-1]])
+        return out
+
+    gaps = []
+    for (_, u), (_, w) in zip(met, met[1:]):
+        above_u = set(chain(u))
+        gaps.append(height[next(x for x in chain(w) if x in above_u)])
+    return tuple(i for i, _ in met), tuple(height[v] for _, v in met), tuple(gaps)
+
+
+def one_center_stacked(trees) -> tuple:
+    """(center, radius) through the stacked induced matrices: their `max`
+    and `min` over the stack, the tree of the midpoint of the two, and the
+    largest entry gap of the center's matrix to any input's."""
+    from mergespace.matrices import _midpoint
+
+    stack = np.stack([induced_matrix(t).array for t in trees])
+    center = tree_of_matrix(_midpoint(stack.max(axis=0), stack.min(axis=0)))
+    return center, max(linf_distance(induced_matrix(center), induced_matrix(t)) for t in trees)
 
 
 def induced_rowwise_oracle(lt: LabeledMergeTree) -> np.ndarray:
