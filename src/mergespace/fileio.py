@@ -47,8 +47,10 @@ def fmt_num(x: float) -> str:
 
 
 def _jsonable_num(x: float):
+    """An integral float as an int, so it prints with no ".0"; -0.0 stays a
+    float, since int() would drop its sign."""
     x = float(x)
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < 1e16 and (x or math.copysign(1.0, x) > 0):
         return int(x)
     return x
 

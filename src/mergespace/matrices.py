@@ -17,14 +17,14 @@ tree's matrix is one depth-first walk (`trees._label_walk`) and one kernel
 down column blocks about sqrt(n) wide fills the triangle below the
 diagonal, and each block copies its own part of it across the diagonal
 as soon as it is done, so no pass over the whole matrix symmetrizes it;
-`_walk_matrix` then gathers the labels into index order.  A matrix keeps
-its spanning tree's n - 1 edges once found (no n x n data), so it is swept
-once whatever mix of `ultrafy`, `tree_of_matrix` and `is_ultra` it meets.
-One union-find sweep over those edges (`_linkage`) puts the labels in walk
-order, which `ultrafy` hands to the kernel with no tree built;
-`tree_of_matrix` builds the tree's vertices in the same pass, straight into
-a valid tree that keeps the walk.  Every matrix built from a walk is ultra
-by construction, so `is_ultra` does not check it again.
+`_walk_matrix` then gathers the labels into index order.  A matrix is swept
+once (`_linkage`): one union-find sweep over its spanning edges yields both
+its tree's parts and its labels in walk order, and the matrix keeps the two
+(O(n) data, no n x n data), whatever mix of `ultrafy`, `tree_of_matrix` and
+`is_ultra` it meets.  `ultrafy` hands the walk to the kernel, and
+`tree_of_matrix` wraps the parts in a fresh valid tree that keeps the walk,
+so neither caller throws half of the sweep away.  Every matrix built from a
+walk is ultra by construction, so `is_ultra` does not check it again.
 
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
@@ -70,10 +70,11 @@ class SymMatrix:
     An asymmetry within `trees.slack_of` the entries is averaged away.
     Two private slots, which equality and hashing ignore: `_ultra` marks a
     matrix built ultra (`_walk_matrix`), which `is_ultra` takes on trust,
-    and `_mst` keeps its `_spanning_edges` once found.
+    and `_sweep` keeps the result of its one single-linkage sweep
+    (`_linkage`): its tree's parts and its label walk, O(n) data.
     """
 
-    __slots__ = ("_a", "_ultra", "_mst")
+    __slots__ = ("_a", "_ultra", "_sweep")
 
     def __init__(self, entries):
         a = np.array(entries, dtype=float)
@@ -92,7 +93,7 @@ class SymMatrix:
                 )
             a = _midpoint(a, a.T)
         a.setflags(write=False)
-        self._a, self._ultra, self._mst = a, False, None
+        self._a, self._ultra, self._sweep = a, False, None
 
     @classmethod
     def _unchecked(cls, a: np.ndarray, ultra: bool = False) -> "SymMatrix":
@@ -100,7 +101,7 @@ class SymMatrix:
         construction, and marked ultra if it is built ultra too."""
         m = cls.__new__(cls)
         a.setflags(write=False)
-        m._a, m._ultra, m._mst = a, ultra, None
+        m._a, m._ultra, m._sweep = a, ultra, None
         return m
 
     @property
@@ -347,89 +348,82 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     Only the n - 1 edges of the minimum spanning tree under that order ever
     merge two components (single linkage is the MST), so at most
     ceil(log2 n) Borůvka rounds of O(n^2) numpy passes replace a sort of all
-    n(n-1)/2 pairs.  The matrix keeps those edges, so `ultrafy` and
-    `is_ultra` on it do not find them again.  The tree is built straight
-    from the sweep's ids and heights (`trees._trusted`), valid by
-    construction, and keeps the sweep's label walk: its `walk_spans`, and so
-    its labeled distances, are read from that walk with no depth-first walk.
+    n(n-1)/2 pairs.  The matrix is swept once (`_linkage`) and keeps the
+    tree's parts and its label walk, so `ultrafy`, `is_ultra` and later
+    calls on it do not sweep again.  Each call returns a fresh tree over
+    those shared immutable parts (`trees._trusted`), valid by construction,
+    that keeps the sweep's walk: its `walk_spans`, and so its labeled
+    distances, are read from that walk with no depth-first walk.
     """
-    return _linkage(m)[0]
+    parts, walk = _linkage(m)
+    return _trusted(*parts, walk)
 
 
-def _spanning_edges(m: SymMatrix) -> tuple:
-    """The `_mst_edges` of a valid matrix, found once per matrix object.
+def _linkage(m) -> tuple:
+    """Single linkage of a valid matrix: its tree's parts and its label walk.
 
+    Found once per matrix object and kept in its `_sweep` slot (O(n) data).
     A matrix marked ultra is valid by construction; any other passes one
-    `is_valid` check first.  The n - 1 triples are kept in the matrix's
-    `_mst` slot, which holds no n x n data.
-    """
-    if m._mst is None:
-        check = MatrixCheck(True) if m._ultra else is_valid(m)
-        if not check:
-            i, j = check.witness
-            raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
-        m._mst = tuple(_mst_edges(m.array))
-    return m._mst
-
-
-def _linkage(m, tree: bool = True) -> tuple:
-    """Single linkage of a valid matrix: its tree if `tree`, and its label walk.
-
-    One union-find sweep over the `_spanning_edges`.  Its walk half links
-    the two components of a merge at height h into one label list, kept in
-    walk order, with gap h: the first list's tail to the second's head, and
-    every gap inside either list is at most h.  Its tree half gives the two
-    components one top vertex: two tops at h collapse into one, a top at h
-    takes the other as its child, and otherwise a new vertex at h (ids n,
-    n + 1, ... in sweep order) takes both.  Vertex data sit in lists by id
-    (ids < 2n - 1), and collapsed tops are resolved once, after the sweep.
-    Returns ``(tree or None, (labels, own, gaps))``: the walk is what
-    `_walk_matrix` takes and the tree keeps.  Heights are copied.
+    `is_valid` check first.  Then one union-find sweep runs over the
+    `_mst_edges`.  A merge at height h links the two components' label
+    lists, kept in walk order, into one with gap h: the first list's tail
+    to the second's head, and every gap inside either list is at most h.
+    The same merge gives the two components one top vertex: two tops at h
+    collapse into one, a top at h takes the other as its child, and
+    otherwise a new vertex at h (ids n, n + 1, ... in sweep order) takes
+    both.  Vertex data sit in lists by id (ids < 2n - 1), and collapsed
+    tops are resolved once, after the sweep.  Returns ``((vertices, edges,
+    labels), (labels, own, gaps))``: the tree's parts in the normal form
+    `trees._trusted` takes, and the walk that `_walk_matrix` takes and the
+    tree keeps.  Heights are copied.
     """
     m = as_sym_matrix(m)
-    spanning = _spanning_edges(m)
+    if m._sweep is not None:
+        return m._sweep
+    check = MatrixCheck(True) if m._ultra else is_valid(m)
+    if not check:
+        i, j = check.witness
+        raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
     a = m.array
     n = a.shape[0]
-    if tree:
-        # births, by construction in label order: vertex i carries label i + 1
-        height = a.diagonal().tolist() + [0.0] * (n - 1)
-        parent = [-1] * (2 * n - 1)
-        into = list(range(2 * n - 1))  # a collapsed top -> the top it joined
-        collapsed = []
-        next_id = n
+    # births, by construction in label order: vertex i carries label i + 1
+    height = a.diagonal().tolist() + [0.0] * (n - 1)
+    parent = [-1] * (2 * n - 1)
+    into = list(range(2 * n - 1))  # a collapsed top -> the top it joined
+    collapsed = []
+    next_id = n
     # forest over labels; a root's top vertex and the ends of its label list
     root, top_of, head, tail = (list(range(n)) for _ in range(4))
     after, gap = [0] * n, [0.0] * n  # the label after each one, the gap between
     j = 0  # after the sweep, the root of the last merge and so of every label
-    for h, i, j in spanning:
+    for h, i, j in _mst_edges(a):
         while root[i] != i:  # the roots of i and j, halving their paths
             root[i] = i = root[root[i]]
         while root[j] != j:
             root[j] = j = root[root[j]]
-        if tree:
-            ta, tb = top_of[i], top_of[j]
-            if height[ta] != h:
-                ta, tb = tb, ta  # a top at the merge height, if any, comes first
-            if height[tb] == h:
-                # two tops at the merge height collapse into one vertex
-                into[tb] = ta
-                collapsed.append(tb)
-            elif height[ta] != h:
-                height[next_id] = h
-                parent[ta] = parent[tb] = next_id
-                ta, next_id = next_id, next_id + 1
-            else:
-                parent[tb] = ta
-            top_of[j] = ta
+        ta, tb = top_of[i], top_of[j]
+        if height[ta] != h:
+            ta, tb = tb, ta  # a top at the merge height, if any, comes first
+        if height[tb] == h:
+            # two tops at the merge height collapse into one vertex
+            into[tb] = ta
+            collapsed.append(tb)
+        elif height[ta] != h:
+            height[next_id] = h
+            parent[ta] = parent[tb] = next_id
+            ta, next_id = next_id, next_id + 1
+        else:
+            parent[tb] = ta
+        top_of[j] = ta
         after[tail[i]], gap[tail[i]] = head[j], h
         head[j] = head[i]
         root[i] = j
     order = [head[j]]
     for _ in range(n - 1):
         order.append(after[order[-1]])
-    walk = tuple(k + 1 for k in order), a.diagonal()[order], tuple(gap[k] for k in order[:-1])
-    if not tree:
-        return None, walk
+    own = a.diagonal()[order]
+    own.setflags(write=False)  # shared by the matrix, `ultrafy` and every tree
+    walk = tuple(k + 1 for k in order), own, tuple(gap[k] for k in order[:-1])
     # a top collapses into a live top at its height, which can collapse only
     # later; a label or child of a collapsed top belongs to where it ends
     for v in reversed(collapsed):
@@ -438,7 +432,8 @@ def _linkage(m, tree: bool = True) -> tuple:
     vertices = tuple((v, height[v]) for v in live)
     edges = tuple((c, into[parent[c]]) for c in live if parent[c] >= 0)
     labels = tuple((i + 1, into[i]) for i in range(n))
-    return _trusted(vertices, edges, labels, walk), walk
+    m._sweep = (vertices, edges, labels), walk
+    return m._sweep
 
 
 def ultrafy(m) -> SymMatrix:
@@ -447,11 +442,12 @@ def ultrafy(m) -> SymMatrix:
     The induced matrix of ``tree_of_matrix(m)``, with no tree built: entry
     (i, j) is the height where labels i and j first connect, the minimax
     path value over the complete graph.  O(n^2 log n) at most through the
-    minimum spanning tree, which the matrix keeps; only the walk half of
-    the sweep runs.  Identity on ultra matrices; entries are copied, and
+    minimum spanning tree.  The kernel reads the label walk of the matrix's
+    one sweep (`_linkage`), which also keeps the tree's parts for
+    `tree_of_matrix`.  Identity on ultra matrices; entries are copied, and
     the result is marked ultra.
     """
-    return _walk_matrix(*_linkage(m, tree=False)[1])
+    return _walk_matrix(*_linkage(m)[1])
 
 
 def linf_distance(a, b) -> float:

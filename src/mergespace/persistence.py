@@ -212,7 +212,6 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         cost = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in right] for b, d in left]
         cost_t = [[max(abs(b - b2), abs(d - d2)) for b, d in left] for b2, d2 in right]
         cands = sorted({0.0, inf_cost, *half_l, *half_r, *(x for row in cost for x in row)})
-        cands = [x for x in cands if x >= inf_cost]
         # each point's cheapest fate: its nearest partner or the diagonal
         fates = [min(h, min(row, default=INF)) for h, row in zip(half_l, cost)]
         fates += [min(h, min(col, default=INF)) for h, col in zip(half_r, cost_t)]
@@ -229,7 +228,6 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         )
         cost_t = cost.T
         cands = np.unique(np.concatenate(([0.0, inf_cost], half_l, half_r, cost.ravel())))
-        cands = cands[cands >= inf_cost]
         fates = np.concatenate((
             np.minimum(half_l, cost.min(axis=1, initial=INF)),
             np.minimum(half_r, cost.min(axis=0, initial=INF)),

@@ -141,8 +141,8 @@ class MergeTree:
 
     @cached_property
     def top(self) -> int:
-        """The unique vertex without a finite parent."""
-        return next(v for v, p in self.parent.items() if p is None)
+        """The highest vertex: edges climb, so it is unique and has no parent."""
+        return max(self.height, key=self.height.__getitem__)
 
     @cached_property
     def leaves(self) -> tuple:
@@ -244,7 +244,7 @@ def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
     height, children = t.height, t.children
     labels, heights, gaps = [], [], []
     meet = -math.inf  # highest vertex on the path since the last label
-    stack = [(max(height, key=height.__getitem__), -math.inf)]
+    stack = [(t.top, -math.inf)]
     while stack:
         v, up = stack.pop()
         if up > meet:

@@ -20,6 +20,7 @@ from mergespace import (
     PersistenceDiagram,
     PointOnTree,
     VertexMap,
+    induced_matrix,
     labeled_trees_equal,
     labeling_from_map,
     parse_diagram,
@@ -35,7 +36,7 @@ from mergespace import (
     write_tree,
 )
 from mergespace.fileio import fmt_num
-from test_matrices import valid_matrices
+from test_matrices import valid_matrices, zero_straddling_trees
 from util import (
     parse_matrix_rowwise,
     rand_diagram,
@@ -50,6 +51,17 @@ def test_fmt_num_prints_integral_floats_as_integers():
     assert fmt_num(-2.0) == "-2"
     assert fmt_num(2.5) == "2.5"
     assert fmt_num(1e-3) == "0.001"
+    assert fmt_num(0.0) == "0"
+    assert fmt_num(-0.0) == "-0.0"  # int() would drop the sign
+
+
+@given(zero_straddling_trees(40))
+def test_tree_and_matrix_text_property_keep_zero_signs(lt):
+    # heights and entries come back bit for bit, -0.0 as -0.0
+    back = parse_tree(write_tree(lt))
+    assert [h.hex() for _, h in back.tree.vertices] == [h.hex() for _, h in lt.tree.vertices]
+    m = induced_matrix(lt)
+    assert [x.hex() for x in parse_matrix(write_matrix(m)).array.flat] == [x.hex() for x in m.array.flat]
 
 
 def test_tree_round_trip_preserves_labels_and_shape():

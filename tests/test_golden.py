@@ -44,6 +44,10 @@ And `real-120` with the last entry of row 100 dropped, with the stderr of
 `ultrafy` on it, which exits 2: a file the bulk matrix read refuses is
 read again row by row, so the message names the short row's line.
 
+And a five-vertex labeled tree with heights -0.0 and 0.0 on distinct
+vertices, with the stdout of `induce` on it, which prints -0.0 where the
+matrix holds it: captured once number text kept the sign of a zero.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -174,6 +178,12 @@ def test_a_short_matrix_row_is_reported_by_its_line():
     assert err == (GOLDEN / "ultrafy-real-120-short-row.err").read_text()
 
 
+def test_induce_keeps_zero_signs():
+    want = (GOLDEN / "induce-signed-zero.out").read_text()
+    assert "-0.0" in want
+    assert _stdout(["induce", str(GOLDEN / "signed-zero.tree.json")]) == want
+
+
 def _write_inputs(rng):
     from mergespace import write_tree
     from util import rand_labeled_tree, rand_valid_matrix
@@ -218,6 +228,15 @@ def _write_short_row():
     lines = (GOLDEN / "real-120.matrix.txt").read_text().splitlines(keepends=True)
     lines[100] = lines[100].rsplit(" ", 1)[0] + "\n"  # row 100 loses its last entry
     (GOLDEN / "real-120-short-row.matrix.txt").write_text("".join(lines))
+
+
+def _write_signed_zero():
+    from mergespace import LabeledMergeTree, MergeTree, write_tree
+
+    t = MergeTree([(0, -1.0), (1, -2.0), (2, -0.0), (3, 0.0), (4, 1.0)],
+                  [(0, 2), (1, 2), (2, 4), (3, 4)])
+    lt = LabeledMergeTree(t, {1: 0, 2: 1, 3: 2, 4: 3})
+    (GOLDEN / "signed-zero.tree.json").write_text(write_tree(lt))
 
 
 def _write_maps():
@@ -276,3 +295,6 @@ if __name__ == "__main__":
     for name, code in MAPS.items():
         out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)
         (GOLDEN / f"checkmap-{name}.out").write_text(out)
+    _write_signed_zero()
+    out = _stdout(["induce", str(GOLDEN / "signed-zero.tree.json")])
+    (GOLDEN / "induce-signed-zero.out").write_text(out)

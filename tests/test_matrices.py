@@ -599,14 +599,19 @@ LINKAGE_CALLS = {
 @given(st.one_of(tie_heavy_matrices(max_n=30), valid_matrices()))
 def test_linkage_property_is_swept_once_per_matrix(m):
     # every order of the three calls on one object gives what each gives on
-    # a fresh copy, and the object's spanning tree is found once
+    # a fresh copy, the object is checked and its spanning tree found once,
+    # and each tree_of_matrix call returns a fresh, equal tree
     want = {name: call(SymMatrix(m.array.copy())) for name, call in LINKAGE_CALLS.items()}
     for order in permutations(LINKAGE_CALLS):
         shared = SymMatrix(m.array.copy())
-        with mock.patch.object(matrices, "_mst_edges", wraps=_mst_edges) as spanning:
+        with mock.patch.object(matrices, "_mst_edges", wraps=_mst_edges) as spanning, \
+                mock.patch.object(matrices, "is_valid", wraps=is_valid) as checked:
             for name in order:
                 assert LINKAGE_CALLS[name](shared) == want[name], (order, name)
+            a, b = tree_of_matrix(shared), tree_of_matrix(shared)
         assert spanning.call_count == 1, order
+        assert checked.call_count <= 1, order
+        assert a is not b and _tree_bits(a) == _tree_bits(b), order
 
 
 @given(st.one_of(tie_heavy_matrices(max_n=30), valid_matrices()), zero_straddling_trees(40))
