@@ -21,10 +21,10 @@ as soon as it is done, so no pass over the whole matrix symmetrizes it;
 once (`_linkage`): one union-find sweep over its spanning edges yields both
 its tree's parts and its labels in walk order, and the matrix keeps the two
 (O(n) data, no n x n data), whatever mix of `ultrafy`, `tree_of_matrix` and
-`is_ultra` it meets.  `ultrafy` hands the walk to the kernel, and
-`tree_of_matrix` wraps the parts in a fresh valid tree that keeps the walk,
-so neither caller throws half of the sweep away.  Every matrix built from a
-walk is ultra by construction, so `is_ultra` does not check it again.
+`is_ultra` it meets: `ultrafy` hands the walk to the kernel, `one_center`
+reads it for its radius, and `tree_of_matrix` wraps the parts in a fresh
+valid tree, whose distances come from its own walk.  Every matrix built
+from a walk is ultra by construction, so `is_ultra` does not check it again.
 
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
@@ -71,7 +71,8 @@ class SymMatrix:
     Two private slots, which equality and hashing ignore: `_ultra` marks a
     matrix built ultra (`_walk_matrix`), which `is_ultra` takes on trust,
     and `_sweep` keeps the result of its one single-linkage sweep
-    (`_linkage`): its tree's parts and its label walk, O(n) data.
+    (`_linkage`): its tree's parts and its label walk, O(n) data, or the
+    failed `is_valid` check of a matrix that has no sweep.
     """
 
     __slots__ = ("_a", "_ultra", "_sweep")
@@ -183,7 +184,7 @@ def is_ultra(m) -> MatrixCheck:
     try:
         closure = ultrafy(m)
     except InvalidMatrixError:
-        return is_valid(m)
+        return m._sweep  # the failed check `_linkage` kept
     a = m.array
     for i, j in np.argwhere(a != closure.array):
         bad = np.nonzero(a[i, j] > np.maximum(a[i, :], a[:, j]))[0]
@@ -351,38 +352,39 @@ def tree_of_matrix(m) -> LabeledMergeTree:
     n(n-1)/2 pairs.  The matrix is swept once (`_linkage`) and keeps the
     tree's parts and its label walk, so `ultrafy`, `is_ultra` and later
     calls on it do not sweep again.  Each call returns a fresh tree over
-    those shared immutable parts (`trees._trusted`), valid by construction,
-    that keeps the sweep's walk: its `walk_spans`, and so its labeled
-    distances, are read from that walk with no depth-first walk.
+    those shared immutable parts (`trees._trusted`), valid by construction;
+    its labeled distances are read off its own depth-first walk.
     """
-    parts, walk = _linkage(m)
-    return _trusted(*parts, walk)
+    return _trusted(*_linkage(m)[0])
 
 
 def _linkage(m) -> tuple:
     """Single linkage of a valid matrix: its tree's parts and its label walk.
 
-    Found once per matrix object and kept in its `_sweep` slot (O(n) data).
-    A matrix marked ultra is valid by construction; any other passes one
-    `is_valid` check first.  Then one union-find sweep runs over the
-    `_mst_edges`.  A merge at height h links the two components' label
-    lists, kept in walk order, into one with gap h: the first list's tail
-    to the second's head, and every gap inside either list is at most h.
-    The same merge gives the two components one top vertex: two tops at h
-    collapse into one, a top at h takes the other as its child, and
-    otherwise a new vertex at h (ids n, n + 1, ... in sweep order) takes
-    both.  Vertex data sit in lists by id (ids < 2n - 1), and collapsed
-    tops are resolved once, after the sweep.  Returns ``((vertices, edges,
-    labels), (labels, own, gaps))``: the tree's parts in the normal form
-    `trees._trusted` takes, and the walk that `_walk_matrix` takes and the
-    tree keeps.  Heights are copied.
+    Found once per matrix object and kept in its `_sweep` slot (O(n) data),
+    which holds the validity verdict until the sweep replaces it: a matrix
+    marked ultra is valid by construction, any other is checked once by
+    `is_valid`, and an invalid one raises on every call.  Then one
+    union-find sweep runs over the `_mst_edges`.  A merge at height h
+    links the two components' label lists, kept in walk order, into one
+    with gap h: the first list's tail to the second's head, and every gap
+    inside either list is at most h.  The same merge gives the two
+    components one top vertex: two tops at h collapse into one, a top at
+    h takes the other as its child, and otherwise a new vertex at h (ids
+    n, n + 1, ... in sweep order) takes both.  Vertex data sit in lists
+    by id (ids < 2n - 1), and collapsed tops are resolved once, after the
+    sweep.  Returns ``((vertices, edges, labels), (labels, own, gaps))``:
+    the tree's parts in the normal form `trees._trusted` takes, and the
+    walk that `_walk_matrix` and `metrics.one_center` read.  Heights are
+    copied.
     """
     m = as_sym_matrix(m)
-    if m._sweep is not None:
+    if m._sweep is None:
+        m._sweep = MatrixCheck(True) if m._ultra else is_valid(m)
+    if isinstance(m._sweep, tuple):
         return m._sweep
-    check = MatrixCheck(True) if m._ultra else is_valid(m)
-    if not check:
-        i, j = check.witness
+    if not m._sweep:
+        i, j = m._sweep.witness
         raise InvalidMatrixError(f"not a valid matrix: diagonal ({i},{i}) exceeds entry ({i},{j})")
     a = m.array
     n = a.shape[0]

@@ -5,10 +5,10 @@ labeled trees is the largest entrywise gap of their matrices, straight-line
 matrix interpolation projects back to a geodesic of trees, and the entrywise
 midrange of a collection gives a smallest enclosing ball.  Geodesics and
 centers build the inputs' matrices; the distance does not: it is read from
-the two trees' cached label walks, with O(n) arrays per tree and no n x n
-array.  The center's radius, its largest distance to the inputs, is read
-the same way, and so is tree equality (`trees.labeled_trees_equal`): a zero
-distance.
+the two trees' own label walks, with O(n) arrays per tree and no n x n
+array, and so is tree equality (`trees.labeled_trees_equal`).  The center's
+radius, its largest distance to the inputs, reads the walk of the midrange
+matrix's single-linkage sweep in place of the center's.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidMatrixError, MergespaceError
-from .matrices import SymMatrix, _midpoint, induced_matrix, linf_distance, tree_of_matrix, ultrafy
-from .trees import LabeledMergeTree, _walk_gap, height_tol
+from .matrices import (SymMatrix, _linkage, _midpoint, induced_matrix, linf_distance,
+                       tree_of_matrix, ultrafy)
+from .trees import LabeledMergeTree, _walk_gap, _walk_spans, height_tol
 
 __all__ = [
     "labeled_interleaving",
@@ -111,6 +112,7 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     its largest distance to the inputs, which equals half the largest
     entrywise range and cannot be improved by any other tree.  A running
     maximum and minimum keep the first of equal entries, as reductions do.
+    The radius reads the walk of the midrange matrix's sweep, not the center's.
 
     Returns (center, radius).
     """
@@ -126,4 +128,5 @@ def one_center(trees: Sequence[LabeledMergeTree]):
         np.minimum(lo, a, out=lo)
     mid = _wrap(_midpoint(hi, lo))
     center = tree_of_matrix(mid)
-    return center, max(labeled_interleaving(center, t) for t in trees)
+    spans = _walk_spans(*_linkage(mid)[1])
+    return center, max(_walk_gap(spans, t.walk_spans) for t in trees)

@@ -195,9 +195,8 @@ class LabeledMergeTree:
 
     @cached_property
     def walk_spans(self) -> tuple:
-        """(order, rank, own, gaps, spans) of `_walk_spans` over a label walk:
-        the one its builder seeded (`_trusted`), if any, else `label_walk`."""
-        return _walk_spans(*(self.__dict__.pop("_walk", None) or self.label_walk))
+        """`_walk_spans` of this tree's own `label_walk`."""
+        return _walk_spans(*self.label_walk)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -382,7 +381,7 @@ def _validate(t: MergeTree) -> ValidationReport:
 _VALID = ValidationReport(())
 
 
-def _trusted(vertices: tuple, edges: tuple, labels: tuple = None, walk: tuple = None):
+def _trusted(vertices: tuple, edges: tuple, labels: tuple = None):
     """A tree its builder made valid, from parts already in normal form.
 
     The parts are what the normalizing constructors would store: (id,
@@ -390,16 +389,15 @@ def _trusted(vertices: tuple, edges: tuple, labels: tuple = None, walk: tuple = 
     (label, vertex) pairs sorted by label, with int ids and float heights.
     With `labels` the result is a labeled tree over the bare one.  Each
     `validation` is seeded with an empty report, so first use skips
-    `_validate`.  A `walk` of the labels (as in `_label_walk`) is kept for
-    `walk_spans`, which then skips the depth-first walk; `label_walk`
-    itself is still that walk.
+    `_validate`; nothing else is seeded, so the tree's `label_walk` and
+    `walk_spans` come from its own depth-first walk.
     """
     t = object.__new__(MergeTree)
     t.__dict__.update(vertices=vertices, edges=edges, validation=_VALID)
     if labels is None:
         return t
     lt = object.__new__(LabeledMergeTree)
-    lt.__dict__.update(tree=t, labels=labels, validation=_VALID, _walk=walk)
+    lt.__dict__.update(tree=t, labels=labels, validation=_VALID)
     return lt
 
 
@@ -598,41 +596,19 @@ def refine_at(t: MergeTree, points: Sequence[PointOnTree]):
     """Insert vertices so every given point is a vertex.
 
     Returns (refined tree, mapping from each requested point to its vertex
-    id).  Points already at vertices map to the existing id; new ids are
-    allocated past the current maximum, deterministically by position.
+    id).  Points already at vertices map to the existing id; the others get
+    ids past the current maximum in (anchor, height) order, each spliced
+    into the parent map above the last vertex inserted over its anchor.
     """
     t.ensure_valid()
     points = [as_point(t, p) for p in points]
-    next_id = max(t.height) + 1
-    where = {}
-    inserts = {}  # anchor vertex -> sorted list of new heights on its parent edge/ray
-    for p in points:
-        if is_vertex_point(t, p):
-            where[p] = p.anchor
-        else:
-            inserts.setdefault(p.anchor, set()).add(p.height)
-
-    vertices = list(t.vertices)
-    edges = []
-    new_at = {}
-    for anchor in sorted(inserts):
-        for h in sorted(inserts[anchor]):
-            vertices.append((next_id, h))
-            new_at[(anchor, h)] = next_id
-            next_id += 1
-
-    for v, _ in t.vertices:
-        chain = [v] + [
-            new_at[(v, h)] for h in sorted(inserts.get(v, ()))
-        ]
-        par = t.parent[v]
-        for lower, upper in zip(chain, chain[1:]):
-            edges.append((lower, upper))
-        if par is not None:
-            edges.append((chain[-1], par))
-
-    out = MergeTree(vertices, edges)
-    for p in points:
-        if p not in where:
-            where[p] = new_at[(p.anchor, p.height)]
-    return out, where
+    vertices, parent = list(t.vertices), dict(t.parent)
+    ids, last = {}, {}  # (anchor, height) -> new id; anchor -> last vertex above it
+    new = sorted({tuple(p) for p in points if not is_vertex_point(t, p)})
+    for v, (anchor, h) in enumerate(new, max(t.height) + 1):
+        below = last.get(anchor, anchor)
+        parent[v], parent[below] = parent[below], v
+        ids[anchor, h] = last[anchor] = v
+        vertices.append((v, h))
+    out = MergeTree(vertices, [(c, p) for c, p in parent.items() if p is not None])
+    return out, {p: ids.get(tuple(p), p.anchor) for p in points}

@@ -48,6 +48,11 @@ And a five-vertex labeled tree with heights -0.0 and 0.0 on distinct
 vertices, with the stdout of `induce` on it, which prints -0.0 where the
 matrix holds it: captured once number text kept the sign of a zero.
 
+And the DOT file that `geodesic --lambda 0.5 --dot` writes for the 7- and
+120-label pairs, captured before a tree built from a matrix stopped keeping
+the single-linkage sweep's label walk: a change to `to_dot`, to the tree's
+ids, heights or labels, or to number text shows up as a diff.
+
 Regenerate the files (only when an output change is intended) with
 ``PYTHONPATH=src:tests python tests/test_golden.py``.
 """
@@ -148,6 +153,16 @@ def _pair(n) -> list:
 def test_geodesic_matches_golden(n):
     want = (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").read_text()
     assert _stdout(["geodesic", *_pair(n), "--lambda", "0.5"]) == want
+
+
+DOT_SIZES = (7, 120)
+
+
+@pytest.mark.parametrize("n", DOT_SIZES)
+def test_geodesic_dot_matches_golden(n, tmp_path):
+    dot = tmp_path / "geodesic.dot"
+    _stdout(["geodesic", *_pair(n), "--lambda", "0.5", "--dot", str(dot)])
+    assert dot.read_text() == (GOLDEN / f"geodesic-real-{n}-grid-{n}.dot").read_text()
 
 
 def test_geodesic_at_a_quarter_matches_golden():
@@ -286,6 +301,9 @@ if __name__ == "__main__":
         out, err = _outputs(["center", *_pair(n)])
         (GOLDEN / f"center-real-{n}-grid-{n}.out").write_text(out)
         (GOLDEN / f"center-real-{n}-grid-{n}.err").write_text(err)
+    for n in DOT_SIZES:
+        _stdout(["geodesic", *_pair(n), "--lambda", "0.5", "--dot",
+                 str(GOLDEN / f"geodesic-real-{n}-grid-{n}.dot")])
     out = _stdout(["geodesic", *_pair(LARGE), "--lambda", "0.25"])
     (GOLDEN / f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out").write_text(out)
     _write_short_row()

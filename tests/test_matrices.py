@@ -30,6 +30,7 @@ from mergespace import (
 )
 from mergespace import matrices
 from mergespace.matrices import _linkage, _mst_edges, _walk_matrix
+from mergespace.trees import _walk_spans
 from util import (
     induced_oracle,
     induced_rowwise_oracle,
@@ -159,6 +160,19 @@ def test_ultra_witness_names_the_broken_triple():
     assert a[i - 1, j - 1] > max(a[i - 1, k - 1], a[k - 1, j - 1])
     # an invalid matrix has no closure: the witness is `is_valid`'s pair
     assert is_ultra([[1.0, 0.0], [0.0, 0.0]]) == MatrixCheck(False, (1, 2))
+
+
+def test_an_invalid_matrix_is_checked_once():
+    # the failed check is kept on the matrix: later calls check nothing, and
+    # every route through the sweep still raises with its witness
+    m = SymMatrix([[2.0, 1.0], [1.0, 0.0]])
+    with mock.patch.object(matrices, "is_valid", wraps=is_valid) as checked:
+        for _ in range(3):
+            assert is_ultra(m) == MatrixCheck(False, (1, 2))
+        for build in (ultrafy, tree_of_matrix):
+            with pytest.raises(InvalidMatrixError, match=r"diagonal \(1,1\) exceeds entry \(1,2\)"):
+                build(m)
+    assert checked.call_count == 1
 
 
 def test_induced_matrix_on_shared_and_internal_labels():
@@ -629,15 +643,17 @@ def signed_zero_inputs(draw, max_labels=40):
     """A matrix with entries of both signs and zeros stored both as 0.0 and
     as -0.0, and a zero-straddling tree on as many labels.  The matrix is a
     zero-straddling tree's, shifted by one of its off-diagonal entries, with
-    up to three entry pairs raised, so it need not be ultra."""
+    up to three other entry pairs raised, so it need not be ultra."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, max_labels))
     a = induced_matrix(_zero_straddling(draw, rng, n)).array.copy()
     i, j = rng.choice(n, size=2, replace=False)
     a -= a[i, j]
     for _ in range(draw(st.integers(0, 3))):
-        i, j = rng.choice(n, size=2, replace=False)
-        a[i, j] = a[j, i] = a[i, j] + float(rng.integers(0, 3))  # stays valid
+        k, l = rng.choice(n, size=2, replace=False)
+        step = float(rng.integers(0, 3))
+        if {k, l} != {i, j}:  # raising the shifting pair could leave no zero
+            a[k, l] = a[l, k] = a[k, l] + step  # stays valid
     zero = np.flatnonzero(a == 0.0)  # at least the shifting pair
     negative = rng.random(zero.size) < 0.5
     negative[0], negative[-1] = True, False
@@ -646,15 +662,16 @@ def signed_zero_inputs(draw, max_labels=40):
 
 
 @given(signed_zero_inputs())
-def test_matrix_trees_property_read_distances_off_the_sweep_walk(pair):
+def test_matrix_trees_property_read_distances_off_their_own_walk(pair):
     m, t = pair
     want = _bytes(linf_distance(induced_matrix(tree_of_matrix(m)), induced_matrix(t)))
     for a, b in ((tree_of_matrix(m), t), (t, tree_of_matrix(m))):
         assert _bytes(labeled_interleaving(a, b)) == want
-    # the seeded walk was read: no depth-first walk was built
+    # the spans come from the tree's own depth-first walk, not the sweep's,
+    # whose order and zero signs can differ
     lt = tree_of_matrix(m)
-    labeled_interleaving(lt, t)
-    assert "label_walk" not in lt.__dict__
+    for got, own in zip(lt.walk_spans, _walk_spans(*lt.label_walk), strict=True):
+        assert got.dtype == own.dtype and got.tobytes() == own.tobytes()
     assert labeled_trees_equal(tree_of_matrix(induced_matrix(t)), t)
 
 

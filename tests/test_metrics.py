@@ -238,6 +238,8 @@ def test_one_center_property_is_bitwise_the_stacked_route(trees):
     assert write_tree(center) == write_tree(want_center)
     # the text prints -0.0 as 0, so the heights are compared bit for bit too
     assert [h.hex() for _, h in center.tree.vertices] == [h.hex() for _, h in want_center.tree.vertices]
+    # the radius came off the midrange matrix's sweep: the center kept no walk
+    assert "label_walk" not in center.__dict__ and "walk_spans" not in center.__dict__
 
 
 def test_one_center_of_three_wyes():

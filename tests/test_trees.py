@@ -43,6 +43,7 @@ from util import (
     rand_labeled_tree,
     rand_merge_tree,
     rand_point,
+    refine_at_oracle,
     tree_signature,
     validate_oracle,
     with_heights,
@@ -494,6 +495,42 @@ def test_refine_at_existing_vertices_is_a_no_op():
     refined, where = refine_at(t, [vertex_point(t, 1)])
     assert where[vertex_point(t, 1)] == 1
     assert trees_equal(refined, t)
+
+
+@st.composite
+def refinement_inputs(draw):
+    """A grid or real-height tree, shifted so an edge may straddle zero, and
+    0 to 6 points: vertices, edge points several to a branch, ray points and
+    zeros of both signs, some repeated or given as (anchor, height) pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = draw(st.booleans())
+    shift = float(rng.integers(0, 4))
+    t = with_heights(rand_merge_tree(rng, max_leaves=5, integral=grid), lambda h: h - shift)
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        v = int(rng.choice([u for u, _ in t.vertices]))
+        lo, par = t.height[v], t.parent[v]
+        hi = lo + 2.0 if par is None else t.height[par]
+        heights = [lo, lo + (hi - lo) / 4, lo + (hi - lo) / 2, lo + float(rng.uniform(0, hi - lo))]
+        if lo < 0.0 < hi:
+            heights += [0.0, -0.0]
+        h = heights[int(rng.integers(len(heights)))]
+        points.append(PointOnTree(v, h) if h < hi else vertex_point(t, v))
+        if rng.random() < 0.3:  # the same point again, as a pair
+            points.append((v, h) if h < hi else v)
+    return t, points
+
+
+@given(refinement_inputs())
+def test_refine_at_property_is_the_chain_oracle(inputs):
+    t, points = inputs
+    got, where = refine_at(t, points)
+    want, want_where = refine_at_oracle(t, points)
+    assert got == want
+    assert [h.hex() for _, h in got.vertices] == [h.hex() for _, h in want.vertices]
+    # the same keys, zero signs and all, to the same ids
+    assert sorted((p.anchor, p.height.hex(), v) for p, v in where.items()) == sorted(
+        (p.anchor, p.height.hex(), v) for p, v in want_where.items())
 
 
 def test_random_trees_validate(seed=5):

@@ -10,8 +10,9 @@ recursive preorder and ancestor chains, a 1-center from the stacked
 induced matrices, unlabeled distances
 from an ascending scan over every candidate shift with those meets, map
 verdicts from a sweep over every critical height, label transfers from
-ancestor chains, tree validation from a walk up every parent chain, and
-matrix text from float() on every entry, row by row.
+ancestor chains, tree validation from a walk up every parent chain,
+matrix text from float() on every entry, row by row, and a refinement from
+one chain of inserted heights per vertex.
 """
 
 from __future__ import annotations
@@ -544,6 +545,47 @@ def candidate_shifts_oracle(t1: MergeTree, t2: MergeTree) -> list:
             out.add(gap)
             out.add(gap / 2.0)
     return sorted(out)
+
+
+def refine_at_oracle(t: MergeTree, points):
+    """`trees.refine_at` as it was written before it spliced the parent map:
+    each vertex's new heights are sorted into a chain from the vertex up to
+    its old parent, and every edge is listed again from those chains."""
+    t.ensure_valid()
+    points = [as_point(t, p) for p in points]
+    next_id = max(t.height) + 1
+    where = {}
+    inserts = {}  # anchor vertex -> sorted list of new heights on its parent edge/ray
+    for p in points:
+        if is_vertex_point(t, p):
+            where[p] = p.anchor
+        else:
+            inserts.setdefault(p.anchor, set()).add(p.height)
+
+    vertices = list(t.vertices)
+    edges = []
+    new_at = {}
+    for anchor in sorted(inserts):
+        for h in sorted(inserts[anchor]):
+            vertices.append((next_id, h))
+            new_at[(anchor, h)] = next_id
+            next_id += 1
+
+    for v, _ in t.vertices:
+        chain = [v] + [
+            new_at[(v, h)] for h in sorted(inserts.get(v, ()))
+        ]
+        par = t.parent[v]
+        for lower, upper in zip(chain, chain[1:]):
+            edges.append((lower, upper))
+        if par is not None:
+            edges.append((chain[-1], par))
+
+    out = MergeTree(vertices, edges)
+    for p in points:
+        if p not in where:
+            where[p] = new_at[(p.anchor, p.height)]
+    return out, where
 
 
 def _vertex_chain_above(t: MergeTree, p: PointOnTree):
