@@ -262,7 +262,7 @@ def _walk_meets(own, gaps) -> np.ndarray:
         np.maximum.accumulate(block, axis=0, out=block)
         np.maximum(sq, sq.T.copy(), out=sq)
         w[c0 : c0 + k, c0 + k :] = block[k:].T
-    np.fill_diagonal(w, own)
+    w.flat[:: n + 1] = own
     w.setflags(write=False)
     return w
 

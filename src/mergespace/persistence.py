@@ -7,7 +7,12 @@ The global minimum never dies and yields the single infinite point.  One
 pass over the vertices in height order computes it: every child lies
 strictly below its parent, so each vertex has received its children's
 minima before it hands its own up through the parent map, and the younger
-of two minima meeting at a vertex dies there.
+of two minima meeting at a vertex dies there: one comparison per merge.
+A tree's diagram is built valid, from copied heights whose deaths lie
+above their births, so it skips the constructor's per-point checks: its
+points are sorted once and stored split into `finite` and `infinite`,
+the latter the top's essential point.  A diagram built from caller
+points is checked point by point and splits once, on first use.
 
 Bottleneck distance is computed exactly.  Essential points pair up in birth
 order, which fixes a floor on the cost.  For the finite points, one numpy
@@ -33,6 +38,9 @@ Each starts from the matchings of the largest refuted probe, valid at every
 later probe.  A probe costs one O(nl*nr) numpy comparison plus at worst
 O(V*E) Python work on the E edges at the V must-cover points; Hopcroft-Karp
 bounds that by O(E sqrt(V)) but measured no faster on merge-tree diagrams.
+It builds the adjacency of its must-cover points with ndarray methods
+(`nonzero`, `sum`, `cumsum`), which skip the Python-level wrappers that
+the `np.` functions of the same names pass through on every call.
 
 Diagrams with at most SMALL_DIAGRAM finite points per side take a plain
 Python path: the same candidates from the same IEEE operations, and the
@@ -47,6 +55,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Union
 
@@ -85,11 +94,11 @@ class PersistenceDiagram:
             norm.append((b, d))
         object.__setattr__(self, "points", tuple(sorted(norm)))
 
-    @property
+    @cached_property
     def finite(self) -> tuple:
         return tuple(p for p in self.points if math.isfinite(p[1]))
 
-    @property
+    @cached_property
     def infinite(self) -> tuple:
         return tuple(p for p in self.points if not math.isfinite(p[1]))
 
@@ -97,39 +106,62 @@ class PersistenceDiagram:
         return len(self.points)
 
 
+def _tree_diagram(finite: list, birth: float) -> PersistenceDiagram:
+    """The diagram of a tree's `finite` points and its essential `birth`.
+
+    The points are copied tree heights, finite floats whose deaths lie
+    above their births since edges climb, so none of the constructor's
+    checks can fail: the finite points are sorted once, and the one
+    essential point goes where `sorted` would put it (no finite point
+    compares equal to it).  `finite` and `infinite` are stored split.
+    """
+    finite.sort()
+    essential = (birth, INF)
+    k = bisect_left(finite, essential)
+    d = object.__new__(PersistenceDiagram)
+    d.__dict__.update(
+        points=(*finite[:k], essential, *finite[k:]),
+        finite=tuple(finite),
+        infinite=(essential,),
+    )
+    return d
+
+
 def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDiagram:
     """Elder-rule pairing of branches; exactly one infinite point."""
     t = _bare(t).ensure_valid()
     height, parent = t.height, t.parent
-    points = []
+    finite = []
     # minimum carried up to each vertex so far: (height, leaf id), whose
-    # order is the elder rule with ties to the smaller id.  Children lie
-    # strictly below their parent, so in height order a vertex has all its
-    # children's minima before it passes its own up.
+    # order is the elder rule with ties to the smaller id (ids differ, so two
+    # never compare equal).
+    # Children lie strictly below their parent, so in height order a vertex
+    # has all its children's minima before it passes its own up.
     carried = {}
     for v, h in sorted(t.vertices, key=itemgetter(1)):
         low = carried.pop(v, None) or (h, v)  # nothing carried: a leaf
         p = parent[v]
         if p is None:
-            points.append((low[0], INF))
-        elif p in carried:
-            young = max(low, carried[p])
-            points.append((young[0], height[p]))
-            carried[p] = min(low, carried[p])
-        else:
+            break  # the top: the highest vertex, so the last
+        other = carried.get(p)
+        if other is None:
             carried[p] = low
-    return PersistenceDiagram(points)
+        elif low < other:
+            finite.append((other[0], height[p]))
+            carried[p] = low
+        else:
+            finite.append((low[0], height[p]))
+    return _tree_diagram(finite, low[0])
 
 
 def _numpy_adjacency(cost, half, c):
     """Rows that must be covered at c (half-persistence above c) -> their
     columns within c, from one numpy comparison."""
-    must = np.flatnonzero(half > c)
+    must = (half > c).nonzero()[0]
     within = cost[must] <= c
-    deg = np.count_nonzero(within, axis=1)
-    cols = np.nonzero(within)[1].tolist()
+    cols = within.nonzero()[1].tolist()
     adj, start = {}, 0
-    for r, end in zip(must.tolist(), np.cumsum(deg).tolist()):
+    for r, end in zip(must.tolist(), within.sum(axis=1).cumsum().tolist()):
         adj[r] = cols[start:end]
         start = end
     return adj

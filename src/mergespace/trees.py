@@ -457,13 +457,15 @@ def points_at(t: MergeTree, h: float, tol: float):
     One point per branch: a vertex when its height is within tol of h,
     otherwise an interior edge (or ray) point.  Sorted by anchor id.
     """
+    parent, height = t.parent, t.height
     pts = []
     for v, hv in t.vertices:
-        par = t.parent[v]
         if abs(hv - h) <= tol:
-            pts.append(vertex_point(t, v))
-        elif hv < h and (par is None or h < t.height[par] and abs(t.height[par] - h) > tol):
-            pts.append(PointOnTree(v, h))
+            pts.append(PointOnTree(v, hv))
+        elif hv < h:
+            par = parent[v]
+            if par is None or h < height[par] and abs(height[par] - h) > tol:
+                pts.append(PointOnTree(v, h))
     return pts
 
 
@@ -529,10 +531,14 @@ def _contract(t: MergeTree, keep, labels: tuple = None):
 
 
 def canonicalize_tree(t: MergeTree) -> MergeTree:
-    """Remove every vertex with exactly one child (no labels to protect)."""
+    """Remove every vertex with exactly one child (no labels to protect).
+
+    A tree with no such vertex is already canonical and comes back as it is.
+    """
     t.ensure_valid()
-    keep = [v for v, _ in t.vertices if len(t.children[v]) != 1]
-    return _contract(t, keep)
+    children = t.children
+    keep = [v for v, _ in t.vertices if len(children[v]) != 1]
+    return t if len(keep) == len(t.vertices) else _contract(t, keep)
 
 
 def canonicalize(lt: LabeledMergeTree) -> LabeledMergeTree:

@@ -93,10 +93,13 @@ class UnlabeledDistance:
 
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
     """Sorted candidate values: 0 plus |a-b| and |a-b|/2 over all heights."""
-    h = np.unique(list(t1.height.values()) + list(t2.height.values()))
+    h = np.array(sorted({*t1.height.values(), *t2.height.values()}))
     gaps = np.subtract.outer(h, h)
     gaps = gaps[gaps > 0]
-    return np.unique(np.concatenate(([0.0], gaps, gaps / 2.0))).tolist()
+    c = np.concatenate(([0.0], gaps, gaps / 2.0))
+    c.sort()
+    # the first of each run of equal values, as `np.unique` keeps it
+    return c[np.concatenate(([True], c[1:] != c[:-1]))].tolist()
 
 
 class _Search:

@@ -24,6 +24,7 @@ from util import (
     rand_diagram,
     rand_grown_tree,
     rand_merge_tree,
+    straddling_zero,
 )
 
 INF = math.inf
@@ -99,6 +100,38 @@ def test_diagram_property_matches_the_ancestor_chain_oracle(seed, kind):
     else:
         t = rand_merge_tree(rng, max_leaves=8, integral=kind == "integral")
     assert persistence_diagram(t).points == diagram_oracle(t).points
+
+
+def _hexes(points) -> list:
+    return [(b.hex(), d.hex()) for b, d in points]
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["real", "integral", "grown", "grown-integral"]),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_diagram_property_is_the_validating_constructor_bit_for_bit(seed, kind, sign):
+    # a tree's diagram skips the constructor's checks and stores its points
+    # split; the heights straddle zero, and integral ties put zeros of both
+    # signs in one tree, which the sort must order as `sorted` does.  Which
+    # leaf id survives a tie shows only in such a zero's sign, so the
+    # points, as a multiset of bit patterns, are the oracle's.
+    rng = np.random.default_rng(seed)
+    if kind.startswith("grown"):
+        t = rand_grown_tree(rng, int(rng.integers(1, 41)), integral=kind.endswith("integral"))
+    else:
+        t = rand_merge_tree(rng, max_leaves=8, integral=kind == "integral")
+    t = straddling_zero(t, sign)
+    d = persistence_diagram(t)
+    want = PersistenceDiagram(d.points)
+    assert d == want
+    assert _hexes(d.points) == _hexes(want.points)
+    assert sorted(_hexes(d.points)) == sorted(_hexes(diagram_oracle(t).points))
+    assert _hexes(d.finite) == _hexes(want.finite) == _hexes(p for p in d.points if p[1] < INF)
+    assert _hexes(d.infinite) == _hexes(want.infinite) == _hexes(p for p in d.points if p[1] == INF)
+    assert len(d.infinite) == 1
+    assert d.infinite[0][0] == min(t.height.values())
 
 
 def test_single_vertex_diagram():

@@ -222,6 +222,17 @@ def test_canonical_tree_property_is_valid_by_construction(t):
     assert _validate(canonicalize_tree(t)).violations == ()
 
 
+@given(valid_bare_trees())
+def test_canonical_tree_property_is_its_input_exactly_when_nothing_is_removed(t):
+    # with no single-child vertex a tree is canonical already: it comes back
+    # as it is, not as a fresh copy whose maps are built again
+    single = any(len(c) == 1 for c in t.children.values())
+    got = canonicalize_tree(t)
+    assert (got is t) is not single
+    assert not any(len(c) == 1 for c in got.children.values())
+    assert canonicalize_tree(got) is got
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_canonical_labeled_tree_property_is_valid_by_construction(seed, n):
     c = canonicalize(rand_labeled_tree(np.random.default_rng(seed), n, max_leaves=n))

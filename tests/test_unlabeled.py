@@ -30,6 +30,7 @@ from util import (
     rand_grown_tree,
     rand_merge_tree,
     rand_point,
+    straddling_zero,
     unlabeled_scan_oracle,
     with_heights,
 )
@@ -427,9 +428,22 @@ def test_values_at_a_large_offset_stay_within_the_tolerance():
         assert abs(r.value - unlabeled_interleaving(*back).value) <= height_tol(a, b)
 
 
-@given(small_pairs)
-def test_candidate_shifts_property_equal_the_pairwise_loop(pair):
-    assert candidate_shifts(*pair) == candidate_shifts_oracle(*pair)
+def _moved_pair(pair, how: str, sign: float):
+    if how == "offset":  # one ULP of the heights is 2**-12
+        return [with_heights(t, lambda h: h + 2.0**40) for t in pair]
+    if how == "subnormal":  # gaps and their halves round in the subnormal range
+        return [with_heights(t, lambda h: h * 2.0**-1060) for t in pair]
+    if how == "straddle":  # zeros of both signs
+        return [straddling_zero(t, sign) for t in pair]
+    return pair
+
+
+@given(small_pairs, st.sampled_from(["as drawn", "offset", "subnormal", "straddle"]),
+       st.sampled_from([1.0, -1.0]))
+def test_candidate_shifts_property_equal_the_pairwise_loop(pair, how, sign):
+    a, b = _moved_pair(pair, how, sign)
+    got, want = candidate_shifts(a, b), candidate_shifts_oracle(a, b)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_candidate_shifts_equal_the_pairwise_loop_on_grown_trees():

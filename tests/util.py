@@ -240,6 +240,20 @@ def with_heights(t, f):
     return MergeTree([(v, f(h)) for v, h in t.vertices], t.edges)
 
 
+def straddling_zero(t: MergeTree, sign: float = 1.0) -> MergeTree:
+    """The same tree shifted so that its median height lands on zero.
+
+    Heights then straddle zero, and each vertex at the median gets a zero
+    whose sign alternates with the parity of its id, starting from the sign
+    of `sign` at even ids; ties at the median so carry both zero signs.
+    """
+    mid = sorted(h for _, h in t.vertices)[len(t.vertices) // 2]
+    zeros = (math.copysign(0.0, sign), math.copysign(0.0, -sign))
+    return MergeTree(
+        [(v, zeros[v % 2] if h == mid else h - mid) for v, h in t.vertices], t.edges
+    ).ensure_valid()
+
+
 def rand_point(rng, t: MergeTree) -> PointOnTree:
     """Uniformly messy point: a vertex, an edge interior, or the top ray."""
     ids = [v for v, _ in t.vertices]
