@@ -2,6 +2,15 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MergespaceError",
+    "InvalidTreeError",
+    "InvalidMatrixError",
+    "MalformedMapError",
+    "FormatError",
+    "BudgetExceededError",
+]
+
 
 class MergespaceError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -26,9 +26,7 @@ from .trees import (
 )
 
 __all__ = [
-    "fmt_num",
     "parse_tree",
-    "parse_tree_raw",
     "write_tree",
     "parse_matrix",
     "write_matrix",

@@ -57,6 +57,7 @@ __all__ = [
     "labeling_from_map",
     "map_from_labeling",
     "apply_pairing",
+    "map_point",
 ]
 
 

@@ -12,7 +12,7 @@ A tree's diagram is built valid, from copied heights whose deaths lie
 above their births, so it skips the constructor's per-point checks: its
 points are sorted once and stored split into `finite` and `infinite`,
 the latter the top's essential point.  A diagram built from caller
-points is checked point by point and splits once, on first use.
+points is checked point by point, then sorted and split the same way.
 
 Bottleneck distance is computed exactly.  Essential points pair up in birth
 order, which fixes a floor on the cost.  For the finite points, one numpy
@@ -55,7 +55,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from typing import Union
 
@@ -79,7 +78,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PersistenceDiagram:
-    """Multiset of (birth, death) points; death may be +inf."""
+    """Multiset of (birth, death) points, death maybe +inf; stored sorted,
+    and split into `finite` and `infinite` at construction."""
 
     points: tuple
 
@@ -92,15 +92,12 @@ class PersistenceDiagram:
             if not d > b:  # a NaN death fails this too
                 raise MergespaceError(f"point ({b}, {d}) has no persistence")
             norm.append((b, d))
-        object.__setattr__(self, "points", tuple(sorted(norm)))
-
-    @cached_property
-    def finite(self) -> tuple:
-        return tuple(p for p in self.points if math.isfinite(p[1]))
-
-    @cached_property
-    def infinite(self) -> tuple:
-        return tuple(p for p in self.points if not math.isfinite(p[1]))
+        points = tuple(sorted(norm))
+        self.__dict__.update(
+            points=points,
+            finite=tuple(p for p in points if p[1] < INF),
+            infinite=tuple(p for p in points if p[1] == INF),
+        )
 
     def __len__(self) -> int:
         return len(self.points)

@@ -29,22 +29,34 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidTreeError, MergespaceError
 
+__all__ = [
+    "MergeTree",
+    "LabeledMergeTree",
+    "PointOnTree",
+    "ValidationReport",
+    "vertex_point",
+    "point_at",
+    "lca",
+    "canonicalize_tree",
+    "canonicalize",
+    "trees_equal",
+    "labeled_trees_equal",
+    "refine_at",
+]
 
-@dataclass(frozen=True)
-class PointOnTree:
-    """A location on the geometric realization of a merge tree."""
+
+class PointOnTree(NamedTuple):
+    """A location on the geometric realization of a merge tree; equal to,
+    and hashed like, its (anchor, height) tuple."""
 
     anchor: int
     height: float
-
-    def __iter__(self):
-        return iter((self.anchor, self.height))
 
 
 @dataclass(frozen=True)
@@ -472,7 +484,7 @@ def points_at(t: MergeTree, h: float, tol: float):
 def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
     """Coerce a vertex id, (anchor, height) pair, or point to canonical form;
     an unknown vertex or a height off the tree raises MergespaceError."""
-    if isinstance(p, (PointOnTree, tuple)):
+    if isinstance(p, tuple):  # a PointOnTree too
         anchor, height = p
         anchor = _as_id(anchor)
     else:  # a vertex id; point_at refuses an unknown one before its height
@@ -610,11 +622,11 @@ def refine_at(t: MergeTree, points: Sequence[PointOnTree]):
     points = [as_point(t, p) for p in points]
     vertices, parent = list(t.vertices), dict(t.parent)
     ids, last = {}, {}  # (anchor, height) -> new id; anchor -> last vertex above it
-    new = sorted({tuple(p) for p in points if not is_vertex_point(t, p)})
+    new = sorted({p for p in points if not is_vertex_point(t, p)})
     for v, (anchor, h) in enumerate(new, max(t.height) + 1):
         below = last.get(anchor, anchor)
         parent[v], parent[below] = parent[below], v
         ids[anchor, h] = last[anchor] = v
         vertices.append((v, h))
     out = MergeTree(vertices, [(c, p) for c, p in parent.items() if p is not None])
-    return out, {p: ids.get(tuple(p), p.anchor) for p in points}
+    return out, {p: ids.get(p, p.anchor) for p in points}

@@ -499,6 +499,13 @@ def test_refine_at_interior_and_ray_points():
     assert trees_equal(canonicalize_tree(refined), canonicalize_tree(t))
     # the new ray vertex is now the top
     assert refined.height[refined.top] == 4.0
+    # a point is its (anchor, height) pair: equal, hashed alike, and a key
+    # of the point map under either spelling
+    assert PointOnTree(3, 1.5) == (3, 1.5)
+    assert hash(PointOnTree(3, 1.5)) == hash((3, 1.5))
+    assert where[(0, 1.5)] == where[pts[0]]
+    anchor, height = pts[0]
+    assert (anchor, height, repr(pts[0])) == (0, 1.5, "PointOnTree(anchor=0, height=1.5)")
 
 
 def test_refine_at_existing_vertices_is_a_no_op():

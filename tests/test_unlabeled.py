@@ -26,6 +26,7 @@ from mergespace.matrices import meet_table
 from mergespace.unlabeled import _Search
 from util import (
     candidate_shifts_oracle,
+    good_map_exists,
     lca_oracle,
     rand_grown_tree,
     rand_merge_tree,
@@ -333,6 +334,32 @@ def test_unlabeled_property_is_symmetric_and_obeys_the_triangle_inequality(tripl
     tol = height_tol(*triple)
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         assert d[i, k] <= d[i, j] + d[j, k] + 2 * tol
+
+
+def _canonical_pair(seed, grid, moved):
+    rng = np.random.default_rng(seed)
+    pair = [canonicalize_tree(rand_merge_tree(rng, 4, grid)) for _ in range(2)]
+    return [with_heights(t, lambda h: h + 2.0**40) for t in pair] if moved else pair
+
+
+@settings(max_examples=150)
+@given(st.builds(_canonical_pair, st.integers(0, 2**32 - 1), st.booleans(), st.booleans()))
+def test_unlabeled_property_good_maps_exist_at_the_value_and_not_below(pair):
+    # good_map_exists shares no code with the search.  Its map check
+    # compares heights within height_tol, so it can pass a map up to about
+    # height_tol below the value (at the 2**40 offset, 1.0625 height_tol at
+    # most over 400 pairs): only shifts more than 2 * height_tol below the
+    # value must have none
+    a, b = pair
+    r = unlabeled_interleaving(a, b)
+    assert good_map_exists(a, b, r.value) and good_map_exists(b, a, r.value)
+    if r.refuted_below is None:
+        return
+    assert r.refuted_below < r.value
+    tol = height_tol(a, b)
+    for delta in (r.refuted_below, (r.refuted_below + r.value) / 2):
+        if r.value - delta > 2 * tol:
+            assert not good_map_exists(a, b, delta) and not good_map_exists(b, a, delta)
 
 
 def _meet_tree(seed, leaves, grid, canonical):

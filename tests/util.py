@@ -8,7 +8,8 @@ Hopcroft-Karp), induced entries and meets from walking ancestor chains,
 a walk's matrix from one running maximum per row, a label walk from a
 recursive preorder and ancestor chains, a 1-center from the stacked
 induced matrices, unlabeled distances
-from an ascending scan over every candidate shift with those meets, map
+from an ascending scan over every candidate shift with those meets, or
+from enumerating good maps by their leaf images, map
 verdicts from a sweep over every critical height, label transfers from
 ancestor chains, tree validation from a walk up every parent chain,
 matrix text from float() on every entry, row by row, and a refinement from
@@ -32,6 +33,7 @@ from mergespace import (
     PersistenceDiagram,
     PointOnTree,
     SymMatrix,
+    VertexMap,
     as_sym_matrix,
     canonicalize_tree,
     induced_matrix,
@@ -213,8 +215,6 @@ def rand_leaf_up_map(rng, s: MergeTree, t: MergeTree, delta: float):
     """A map built leaf-up: each vertex delta above itself, a leaf (or, one
     time in ten, an inner vertex) on a random branch of the target, an inner
     vertex otherwise on the upward path of a random child's image."""
-    from mergespace import VertexMap
-
     order, stack = [], [s.top]  # depth-first, each child before its parent
     while stack:
         v = stack.pop()
@@ -805,6 +805,49 @@ def unlabeled_scan_oracle(t1, t2):
         recheck = _scan_probe(a, b, delta - 1e-6 * delta, tol)
         return delta, recheck is None, refuted, witness
     raise AssertionError("no feasible candidate shift")
+
+
+def _crossings(t: MergeTree, h: float, tol: float) -> list:
+    """The points of t at height h, read off its vertices and edges: each
+    vertex within tol of h, then one point per edge, or the top's ray, that
+    crosses h with neither end within tol.  Sorted by anchor."""
+    height, parent = dict(t.vertices), dict(t.edges)
+    near = {v for v, hv in t.vertices if abs(hv - h) <= tol}
+    pts = [PointOnTree(v, height[v]) for v in near]
+    for c, hc in t.vertices:
+        p = parent.get(c)  # None at the top, whose ray climbs forever
+        if hc < h < height.get(p, INF) and not near & {c, p}:
+            pts.append(PointOnTree(c, h))
+    return sorted(pts)
+
+
+def good_map_exists(s: MergeTree, t: MergeTree, delta: float) -> bool:
+    """Whether some delta-good map s -> t exists, judged by
+    `verify_delta_good_oracle` on every map with leaf images at leaf height
+    + delta (Touli & Wang, ESA 2019).
+
+    A good map shifts heights by delta and is continuous, so its leaf images
+    fix it: each inner vertex goes to the point at its own height + delta
+    above the image of a leaf below it.  One map per combination of leaf
+    images, so small trees only.
+    """
+    tol = height_tol(s, t)
+    leaf_below = {}
+    for leaf in s.leaves:
+        v = leaf
+        while v is not None and v not in leaf_below:
+            leaf_below[v] = leaf
+            v = s.parent[v]
+    options = [_crossings(t, s.height[leaf] + delta, tol) for leaf in s.leaves]
+    for choice in itertools.product(*options):
+        at = dict(zip(s.leaves, choice))
+        images = {}
+        for v, h in s.vertices:
+            base = at[leaf_below[v]]
+            images[v] = base if v in at else ancestor_at(t, base, max(h + delta, base.height))
+        if verify_delta_good_oracle(VertexMap(s, t, delta, images)):
+            return True
+    return False
 
 
 def diagram_oracle(t) -> PersistenceDiagram:
