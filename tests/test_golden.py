@@ -1,67 +1,31 @@
-"""Byte-for-byte CLI output against files captured from the earlier code.
+"""Byte-for-byte CLI output against `tests/golden/`, from one table of rows.
 
-`tests/golden/` holds seeded inputs and the stdout that `treeify`,
-`ultrafy` and `induce` printed for them before the matrix layer was
-rewritten around the minimum spanning tree.  Real-valued inputs are in
-general position; integer-grid inputs are full of ties, so labels land on
-merge vertices and several components merge at one height.  Any change to
-vertex ids, tie handling, label placement or number formatting shows up
-here as a diff.
+Each row of `ROWS` is one `mergespace` invocation: its argv, the golden
+files of its stdout and stderr (a stream with none must stay empty), its
+exit code, and the golden of each file it writes (`--witness`, `--dot`).
+In the argv, `In` names a golden input and `Writes` a written file.
 
-It also holds seeded bare tree pairs with 2 to 5 leaves, with the stdout
-and the `--witness` file of `dist unlabeled` as printed by the ascending
-scan over candidate shifts, before the search was bisected.  A change to
-the value, the witness placement or its order shows up here.
+Three runners read the same rows:
 
-Finally it holds the stdout of `pd` and `dist bottleneck` as printed while
-the bottleneck matchings were grown by Hopcroft-Karp.  The 120-vertex
-trees take the numpy path of `bottleneck_distance`, the unlabeled pairs the
-plain-list path for small diagrams.
-
-And it holds three shift maps with the stdout and exit code of `checkmap`:
-a good one, one that misses a target branch too deep (missed-depth) and
-one that sends two branches to one point too far below their merge
-(merge-spread), captured before the missed-depth check read subtree
-heights from the meet table.
-
-Last, it holds the stdout of `dist labeled` between the real and the grid
-tree of each size, captured while the distance was the largest entry gap of
-two built matrices, before it was read off the two label walks.
-
-And the stdout of `geodesic --lambda 0.5` and of `center` between the real
-and the grid tree of sizes 7, 40 and 120, with the `radius` line `center`
-writes to stderr, captured while the center's radius was the largest entry
-gap of the center's matrix against the inputs' matrices.
-
-And the same two `geodesic` points and `center`'s output between two
-200-label trees, `real-200` and `grid-200`, captured before the meet kernel
-filled the upper triangle block by block and before the single-linkage
-sweep kept its vertices in lists: at 200 labels the kernel runs through
-four column blocks and Borůvka through more rounds than at 120 labels.
-`geodesic --lambda 0.25` is pinned there too.
-
-And `real-120` with the last entry of row 100 dropped, with the stderr of
-`ultrafy` on it, which exits 2: a file the bulk matrix read refuses is
-read again row by row, so the message names the short row's line.
-
-And a five-vertex labeled tree with heights -0.0 and 0.0 on distinct
-vertices, with the stdout of `induce` on it, which prints -0.0 where the
-matrix holds it: captured once number text kept the sign of a zero.
-
-And the DOT file that `geodesic --lambda 0.5 --dot` writes for the 7- and
-120-label pairs, captured before a tree built from a matrix stopped keeping
-the single-linkage sweep's label walk: a change to `to_dot`, to the tree's
-ids, heights or labels, or to number text shows up as a diff.
-
-Regenerate the files (only when an output change is intended) with
-``PYTHONPATH=src:tests python tests/test_golden.py``.
+- pytest runs each row in-process through `cli.main`;
+- ``python tests/test_golden.py`` runs each row through the installed
+  `mergespace` executable, prints every mismatch and exits 1 if a row fails;
+- ``python tests/test_golden.py --regenerate`` rewrites the seeded inputs
+  and every golden output from the rows through `cli.main`.  Nothing else
+  writes them; run it only when an output change is intended.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import difflib
 import io
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -70,133 +34,200 @@ from mergespace import write_matrix
 from mergespace.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+class In(str):
+    """An argv word naming a golden input file."""
+
+
+class Writes(str):
+    """An argv word naming the golden of the file the command writes there."""
+
+
+class Row(NamedTuple):
+    test: str  # the pytest test that runs the row
+    id: str | None  # its parameter id; None for a test of one row
+    argv: tuple
+    out: str | None  # golden stdout
+    err: str | None = None  # golden stderr
+    code: int = 0
+    shows: str = ""  # text the stdout golden must hold
+
+
 SIZES = (1, 2, 7, 40, 120)
 KINDS = ("real", "grid")
-CASES = [(kind, n) for kind in KINDS for n in SIZES]
-COMMANDS = {"treeify": "matrix.txt", "ultrafy": "matrix.txt", "induce": "tree.json"}
-
-
-def _stdout(argv, code=0) -> str:
-    return _outputs(argv, code)[0]
-
-
-def _outputs(argv, code=0) -> tuple:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        assert main(argv) == code
-    return out.getvalue(), err.getvalue()
-
-
 UNLABELED = [(kind, leaves) for kind in KINDS for leaves in (2, 3, 4, 5)]
-
-
-@pytest.mark.parametrize("kind,leaves", UNLABELED)
-def test_dist_unlabeled_matches_golden(kind, leaves, tmp_path):
-    stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
-    witness = tmp_path / "witness.json"
-    argv = ["dist", "unlabeled", f"{stem}.a.tree.json", f"{stem}.b.tree.json",
-            "--witness", str(witness)]
-    assert _stdout(argv) == (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").read_text()
-    assert witness.read_text() == Path(f"{stem}.witness.json").read_text()
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_pd_matches_golden(kind):
-    want = (GOLDEN / f"pd-{kind}-120.out").read_text()
-    assert _stdout(["pd", str(GOLDEN / f"{kind}-120.tree.json")]) == want
-
-
-BOTTLENECK = {
-    "real-120-grid-120": (GOLDEN / "real-120.tree.json", GOLDEN / "grid-120.tree.json"),
-    **{
-        f"unlabeled-{kind}-{leaves}": (
-            GOLDEN / f"unlabeled-{kind}-{leaves}.a.tree.json",
-            GOLDEN / f"unlabeled-{kind}-{leaves}.b.tree.json",
-        )
-        for kind, leaves in UNLABELED
-    },
-}
-
-
-@pytest.mark.parametrize("name", sorted(BOTTLENECK))
-def test_dist_bottleneck_matches_golden(name):
-    a, b = BOTTLENECK[name]
-    want = (GOLDEN / f"dist-bottleneck-{name}.out").read_text()
-    assert _stdout(["dist", "bottleneck", str(a), str(b)]) == want
-
-
+PAIR_SIZES = (7, 40, 120, 200)
+DOT_SIZES = (7, 120)
+LARGE = 200  # tree inputs only, drawn apart so the smaller files stay as they are
 MAPS = {"good": 0, "missed-depth": 2, "merge-spread": 2}  # name -> exit code
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
-def test_checkmap_matches_golden(name):
-    want = (GOLDEN / f"checkmap-{name}.out").read_text()
-    assert _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], MAPS[name]) == want
+def _pair(n) -> tuple:
+    return tuple(In(f"{kind}-{n}.tree.json") for kind in KINDS)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_dist_labeled_matches_golden(n):
-    a, b = (GOLDEN / f"{kind}-{n}.tree.json" for kind in KINDS)
-    want = (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").read_text()
-    assert _stdout(["dist", "labeled", str(a), str(b)]) == want
+def _bare_pair(kind, leaves) -> tuple:
+    return tuple(In(f"unlabeled-{kind}-{leaves}.{side}.tree.json") for side in "ab")
 
 
-PAIR_SIZES = (7, 40, 120, 200)
-LARGE = 200  # tree inputs only, drawn apart so the smaller files stay as they are
+ROWS = [
+    # seeded matrices and labeled trees, real-valued in general position or on
+    # an integer grid full of ties (labels on merge vertices, several
+    # components merging at one height): vertex ids, tie handling, label
+    # placement and number text; 120 labels take the meet kernel through more
+    # than one block, and the grid matrices the single-linkage sweep's ties
+    *(Row("test_cli_output_matches_golden", f"{kind}-{n}-{command}",
+          (command, In(f"{kind}-{n}.{source}")), f"{command}-{kind}-{n}.out")
+      for kind in KINDS for n in SIZES
+      for command, source in (("induce", "tree.json"), ("treeify", "matrix.txt"),
+                              ("ultrafy", "matrix.txt"))),
+    # bare tree pairs with 2 to 5 leaves: the value, and in the witness the
+    # order in which the search places labels; the grid pairs' tied heights
+    # pin how the meet table breaks ties
+    *(Row("test_dist_unlabeled_matches_golden", f"{kind}-{leaves}",
+          ("dist", "unlabeled", *_bare_pair(kind, leaves),
+           "--witness", Writes(f"unlabeled-{kind}-{leaves}.witness.json")),
+          f"dist-unlabeled-{kind}-{leaves}.out")
+      for kind, leaves in UNLABELED),
+    # the elder rule on 120 vertices; the grid tree's tied heights make equal
+    # minima meet, and each merge must still pair one death
+    *(Row("test_pd_matches_golden", kind, ("pd", In(f"{kind}-120.tree.json")),
+          f"pd-{kind}-120.out")
+      for kind in KINDS),
+    # bottleneck matchings: the 120-vertex pair takes the numpy path, the bare
+    # pairs the plain-list path for small diagrams
+    Row("test_dist_bottleneck_matches_golden", "real-120-grid-120",
+        ("dist", "bottleneck", *_pair(120)), "dist-bottleneck-real-120-grid-120.out"),
+    *(Row("test_dist_bottleneck_matches_golden", f"unlabeled-{kind}-{leaves}",
+          ("dist", "bottleneck", *_bare_pair(kind, leaves)),
+          f"dist-bottleneck-unlabeled-{kind}-{leaves}.out")
+      for kind, leaves in UNLABELED),
+    # checkmap's verdict and exit code on a good map, one that misses a target
+    # branch too deep and one that sends two branches to one point too far
+    # below their merge
+    *(Row("test_checkmap_matches_golden", name, ("checkmap", In(f"checkmap-{name}.map.json")),
+          f"checkmap-{name}.out", code=code)
+      for name, code in MAPS.items()),
+    # the labeled distance between the real and the grid tree of each size
+    *(Row("test_dist_labeled_matches_golden", str(n), ("dist", "labeled", *_pair(n)),
+          f"dist-labeled-real-{n}-grid-{n}.out")
+      for n in SIZES),
+    # geodesic points and 1-centers, the center's radius on stderr; at 200
+    # labels the meet kernel runs through four column blocks and Borůvka
+    # through more rounds than at 120
+    *(Row("test_geodesic_matches_golden", str(n), ("geodesic", *_pair(n), "--lambda", "0.5"),
+          f"geodesic-real-{n}-grid-{n}.out")
+      for n in PAIR_SIZES),
+    # the same midpoints with `--dot`: the DOT files pin `to_dot` on a tree
+    # built from a matrix, and `--dot` leaves stdout as it is
+    *(Row("test_geodesic_dot_matches_golden", str(n),
+          ("geodesic", *_pair(n), "--lambda", "0.5",
+           "--dot", Writes(f"geodesic-real-{n}-grid-{n}.dot")),
+          f"geodesic-real-{n}-grid-{n}.out")
+      for n in DOT_SIZES),
+    Row("test_geodesic_at_a_quarter_matches_golden", None,
+        ("geodesic", *_pair(LARGE), "--lambda", "0.25"),
+        f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out"),
+    *(Row("test_center_matches_golden", str(n), ("center", *_pair(n)),
+          f"center-real-{n}-grid-{n}.out", f"center-real-{n}-grid-{n}.err")
+      for n in PAIR_SIZES),
+    # a matrix the bulk read refuses is read again row by row, so the message
+    # names the short row's line
+    Row("test_a_short_matrix_row_is_reported_by_its_line", None,
+        ("ultrafy", In("real-120-short-row.matrix.txt")), None,
+        "ultrafy-real-120-short-row.err", code=2),
+    # heights -0.0 and 0.0 on distinct vertices: number text keeps a zero's sign
+    Row("test_induce_keeps_zero_signs", None, ("induce", In("signed-zero.tree.json")),
+        "induce-signed-zero.out", shows="-0.0"),
+]
 
 
-def _pair(n) -> list:
-    return [str(GOLDEN / f"{kind}-{n}.tree.json") for kind in KINDS]
+def _written(row) -> list:
+    """The golden files of the files the row's command writes."""
+    return [word for word in row.argv if isinstance(word, Writes)]
 
 
-@pytest.mark.parametrize("n", PAIR_SIZES)
-def test_geodesic_matches_golden(n):
-    want = (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").read_text()
-    assert _stdout(["geodesic", *_pair(n), "--lambda", "0.5"]) == want
+def _command(row) -> tuple:
+    """The row's argv without the files it writes and the flags that name them."""
+    after = row.argv[1:] + ("",)
+    return tuple(word for word, next_word in zip(row.argv, after)
+                 if not isinstance(word, Writes) and not isinstance(next_word, Writes))
 
 
-DOT_SIZES = (7, 120)
+def _argv(row, outdir: Path) -> list:
+    return [str(GOLDEN / word) if isinstance(word, In)
+            else str(outdir / word) if isinstance(word, Writes)
+            else word for word in row.argv]
 
 
-@pytest.mark.parametrize("n", DOT_SIZES)
-def test_geodesic_dot_matches_golden(n, tmp_path):
-    dot = tmp_path / "geodesic.dot"
-    _stdout(["geodesic", *_pair(n), "--lambda", "0.5", "--dot", str(dot)])
-    assert dot.read_text() == (GOLDEN / f"geodesic-real-{n}-grid-{n}.dot").read_text()
+def _in_process(row, outdir: Path) -> tuple:
+    """Exit code, stdout and stderr of the row run through `cli.main`."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(_argv(row, outdir))
+    return code, out.getvalue(), err.getvalue()
 
 
-def test_geodesic_at_a_quarter_matches_golden():
-    want = (GOLDEN / f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out").read_text()
-    assert _stdout(["geodesic", *_pair(LARGE), "--lambda", "0.25"]) == want
+def _installed(row, outdir: Path) -> tuple:
+    """Exit code, stdout and stderr of the row run through the `mergespace` executable."""
+    done = subprocess.run(["mergespace", *_argv(row, outdir)], capture_output=True)
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
 
 
-@pytest.mark.parametrize("n", PAIR_SIZES)
-def test_center_matches_golden(n):
-    stem = GOLDEN / f"center-real-{n}-grid-{n}"
-    out, err = _outputs(["center", *_pair(n)])
-    assert out == Path(f"{stem}.out").read_text()
-    assert err == Path(f"{stem}.err").read_text()
+def _golden(name: str | None) -> str:
+    return (GOLDEN / name).read_bytes().decode() if name else ""
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@pytest.mark.parametrize("kind,n", CASES)
-def test_cli_output_matches_golden(command, kind, n):
-    source = GOLDEN / f"{kind}-{n}.{COMMANDS[command]}"
-    want = (GOLDEN / f"{command}-{kind}-{n}.out").read_text()
-    assert _stdout([command, str(source)]) == want
+def _mismatches(row, code, out, err, outdir: Path) -> list:
+    """Each way a run of the row differs from its goldens, as text to print."""
+    found = [] if code == row.code else [f"exit code {code}, golden {row.code}"]
+    if row.shows not in _golden(row.out):
+        found.append(f"{row.out} does not show {row.shows!r}")
+    streams = {"stdout": (out, row.out), "stderr": (err, row.err)}
+    for name in _written(row):
+        path = outdir / name
+        streams[name] = (path.read_bytes().decode() if path.exists() else None, name)
+    for stream, (got, name) in streams.items():
+        want = _golden(name)
+        if got is None:
+            found.append(f"{stream} not written")
+        elif got != want:
+            diff = difflib.unified_diff(want.splitlines(), got.splitlines(),
+                                        name or "(empty)", stream, lineterm="")
+            found.append(f"{stream} differs:\n" + "\n".join(list(diff)[:20]))
+    return found
 
 
-def test_a_short_matrix_row_is_reported_by_its_line():
-    source = GOLDEN / "real-120-short-row.matrix.txt"
-    out, err = _outputs(["ultrafy", str(source)], 2)
-    assert out == ""
-    assert err == (GOLDEN / "ultrafy-real-120-short-row.err").read_text()
+def _golden_test(rows):
+    """A pytest test that runs `rows` in-process, one parameter per row id."""
+
+    def test(row, tmp_path):
+        found = _mismatches(row, *_in_process(row, tmp_path), tmp_path)
+        assert not found, "\n".join(found)
+
+    if rows[0].id is None:
+        return lambda tmp_path: test(rows[0], tmp_path)
+    return pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])(test)
 
 
-def test_induce_keeps_zero_signs():
-    want = (GOLDEN / "induce-signed-zero.out").read_text()
-    assert "-0.0" in want
-    assert _stdout(["induce", str(GOLDEN / "signed-zero.tree.json")]) == want
+# one pytest test per `Row.test`, so a row's node id names what it pins
+for _name in dict.fromkeys(row.test for row in ROWS):
+    globals()[_name] = _golden_test([row for row in ROWS if row.test == _name])
+
+
+def test_every_golden_file_belongs_to_the_table():
+    commands = {}  # output golden -> the commands whose output it is
+    for row in ROWS:
+        for name in (row.out, row.err, *_written(row)):
+            if name:
+                commands.setdefault(name, set()).add(_command(row))
+    shared = sorted(name for name, seen in commands.items() if len(seen) > 1)
+    assert not shared, f"output goldens of two commands: {shared}"
+    written = [name for row in ROWS for name in (row.err, *_written(row)) if name]
+    assert len(written) == len(set(written)), "a stderr or written golden belongs to two rows"
+    inputs = {word for row in ROWS for word in row.argv if isinstance(word, In)}
+    assert {path.name for path in GOLDEN.iterdir()} == inputs | set(commands)
 
 
 def _write_inputs(rng):
@@ -272,47 +303,37 @@ def _write_maps():
         (GOLDEN / f"checkmap-{name}.map.json").write_text(write_map(vm))
 
 
+def _run_rows(run, regenerate=False) -> int:
+    """Run every row, print each mismatch, and return 1 if any row failed."""
+    failed = 0
+    for row in ROWS:
+        with tempfile.TemporaryDirectory() as tmp:
+            outdir = GOLDEN if regenerate else Path(tmp)
+            code, out, err = run(row, outdir)
+            if regenerate:
+                for name, text in ((row.out, out), (row.err, err)):
+                    if name:
+                        (GOLDEN / name).write_text(text)
+            found = _mismatches(row, code, out, err, outdir)
+        if found:
+            failed += 1
+            print("FAIL: mergespace " + " ".join(row.argv), *found, sep="\n")
+    print(f"{len(ROWS) - failed} of {len(ROWS)} golden rows pass")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Run every golden row through the installed `mergespace` executable.")
+    parser.add_argument("--regenerate", action="store_true",
+                        help="rewrite the seeded inputs and every golden output through `cli.main`")
+    if not parser.parse_args().regenerate:
+        sys.exit(_run_rows(_installed))
     GOLDEN.mkdir(exist_ok=True)
     _write_inputs(np.random.default_rng(20191))
-    for kind, n in CASES:
-        for command, suffix in COMMANDS.items():
-            out = _stdout([command, str(GOLDEN / f"{kind}-{n}.{suffix}")])
-            (GOLDEN / f"{command}-{kind}-{n}.out").write_text(out)
     _write_pairs(np.random.default_rng(20192))
     _write_large_trees(np.random.default_rng(20193))
-    for kind, leaves in UNLABELED:
-        stem = GOLDEN / f"unlabeled-{kind}-{leaves}"
-        out = _stdout(["dist", "unlabeled", f"{stem}.a.tree.json",
-                       f"{stem}.b.tree.json", "--witness", f"{stem}.witness.json"])
-        (GOLDEN / f"dist-unlabeled-{kind}-{leaves}.out").write_text(out)
-    for kind in KINDS:
-        out = _stdout(["pd", str(GOLDEN / f"{kind}-120.tree.json")])
-        (GOLDEN / f"pd-{kind}-120.out").write_text(out)
-    for name, (a, b) in BOTTLENECK.items():
-        out = _stdout(["dist", "bottleneck", str(a), str(b)])
-        (GOLDEN / f"dist-bottleneck-{name}.out").write_text(out)
-    for n in SIZES:
-        out = _stdout(["dist", "labeled", *(str(GOLDEN / f"{kind}-{n}.tree.json") for kind in KINDS)])
-        (GOLDEN / f"dist-labeled-real-{n}-grid-{n}.out").write_text(out)
-    for n in PAIR_SIZES:
-        out = _stdout(["geodesic", *_pair(n), "--lambda", "0.5"])
-        (GOLDEN / f"geodesic-real-{n}-grid-{n}.out").write_text(out)
-        out, err = _outputs(["center", *_pair(n)])
-        (GOLDEN / f"center-real-{n}-grid-{n}.out").write_text(out)
-        (GOLDEN / f"center-real-{n}-grid-{n}.err").write_text(err)
-    for n in DOT_SIZES:
-        _stdout(["geodesic", *_pair(n), "--lambda", "0.5", "--dot",
-                 str(GOLDEN / f"geodesic-real-{n}-grid-{n}.dot")])
-    out = _stdout(["geodesic", *_pair(LARGE), "--lambda", "0.25"])
-    (GOLDEN / f"geodesic-quarter-real-{LARGE}-grid-{LARGE}.out").write_text(out)
     _write_short_row()
-    _, err = _outputs(["ultrafy", str(GOLDEN / "real-120-short-row.matrix.txt")], 2)
-    (GOLDEN / "ultrafy-real-120-short-row.err").write_text(err)
     _write_maps()
-    for name, code in MAPS.items():
-        out = _stdout(["checkmap", str(GOLDEN / f"checkmap-{name}.map.json")], code)
-        (GOLDEN / f"checkmap-{name}.out").write_text(out)
     _write_signed_zero()
-    out = _stdout(["induce", str(GOLDEN / "signed-zero.tree.json")])
-    (GOLDEN / "induce-signed-zero.out").write_text(out)
+    sys.exit(_run_rows(_in_process, regenerate=True))
