@@ -13,13 +13,12 @@ import sys
 from pathlib import Path
 
 from .dot import to_dot
-from .errors import BudgetExceededError, MergespaceError
+from .errors import BudgetExceededError, InvalidTreeError, MergespaceError
 from .fileio import (
     fmt_num,
     parse_map,
     parse_matrix,
     parse_tree,
-    parse_tree_raw,
     write_diagram,
     write_matrix,
     write_pairing,
@@ -57,14 +56,14 @@ def _labeled(path: str) -> LabeledMergeTree:
 
 
 def _cmd_validate(ns) -> int:
-    tree, labels = parse_tree_raw(_read(ns.tree))
-    report = (LabeledMergeTree(tree, labels) if labels else tree).validation
-    if report.ok:
-        print("ok")
-        return 0
-    for v in report.violations:
-        print(v, file=sys.stderr)
-    return 2
+    try:
+        _tree(ns.tree)
+    except InvalidTreeError as exc:
+        for v in exc.violations:
+            print(v, file=sys.stderr)
+        return 2
+    print("ok")
+    return 0
 
 
 def _cmd_induce(ns) -> int:

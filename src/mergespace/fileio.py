@@ -75,11 +75,6 @@ def _load_json(text: str):
         raise FormatError(f"not valid JSON: {exc.msg}", line=exc.lineno) from None
 
 
-def parse_tree_raw(text: str):
-    """Decode tree JSON without validating; returns (MergeTree, labels dict)."""
-    return _tree_from_json(_load_json(text))
-
-
 def _tree_from_json(obj):
     if not isinstance(obj, dict):
         raise FormatError("top level must be an object")
@@ -126,7 +121,7 @@ def _tree_from_json(obj):
 
 def parse_tree(text: str) -> Union[MergeTree, LabeledMergeTree]:
     """Validated tree from JSON; labeled when any labels are present."""
-    tree, labels = parse_tree_raw(text)
+    tree, labels = _tree_from_json(_load_json(text))
     if labels:
         return LabeledMergeTree(tree, labels).ensure_valid()
     return tree.ensure_valid()

@@ -77,12 +77,15 @@ def _as_id(x, what: str = "vertex id") -> int:
     """An integer id (numpy integers too) as an int; anything else raises.
 
     `operator.index` refuses floats and strings, which `int()` would
-    truncate or parse.
+    truncate or parse, and numpy bools; a Python bool it reads as 0 or 1,
+    so that one is refused here.
     """
-    try:
-        return index(x)
-    except TypeError:
-        raise MergespaceError(f"{what} {x!r} is not an integer") from None
+    if x.__class__ is not bool:
+        try:
+            return index(x)
+        except TypeError:
+            pass
+    raise MergespaceError(f"{what} {x!r} is not an integer")
 
 
 def _normalize_vertices(vertices) -> tuple:

@@ -185,10 +185,16 @@ def test_validation_property_equals_the_ancestry_walk_oracle(parts):
         (lambda i: as_point(_wye(), i), 0.9, np.int64(0)),
         (lambda i: as_point(_wye(), (i, 1.5)), 1.0, np.int64(1)),
         (lambda i: as_point(_wye(), PointOnTree(i, 1.5)), 1.0, np.int64(1)),
+        # a bool is an int to operator.index, but never an id
+        (lambda i: MergeTree([(i, 1.0), (2, 2.0)], [(i, 2)]), True, np.int64(1)),
+        (lambda i: MergeTree([(0, 1.0), (1, 2.0)], [(0, i)]), True, np.int64(1)),
+        (lambda i: LabeledMergeTree(_wye(), {i: 0, 2: 1}), True, np.int64(1)),
+        (lambda i: as_point(_wye(), i), False, np.int64(0)),
     ],
     ids=[
         "MergeTree-vertex", "LabeledMergeTree-label", "VertexMap-key", "as_point",
-        "as_point-pair-anchor", "as_point-point-anchor",
+        "as_point-pair-anchor", "as_point-point-anchor", "MergeTree-vertex-bool",
+        "MergeTree-edge-end-bool", "LabeledMergeTree-label-bool", "as_point-bool",
     ],
 )
 def test_non_integer_ids_are_refused_not_truncated(build, bad, good):

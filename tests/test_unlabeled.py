@@ -32,7 +32,6 @@ from util import (
     rand_merge_tree,
     rand_point,
     straddling_zero,
-    unlabeled_scan_oracle,
     with_heights,
 )
 
@@ -237,21 +236,47 @@ def _pairs(seed, count, max_leaves, grid=None):
         )
 
 
+def _assert_good_maps_pin(r, a, b):
+    """Check the result r on the canonical pair a, b against
+    `good_map_exists`, which shares no code with the search.
+
+    Good maps stay good at every larger shift, so maps both ways at the
+    value, none either way at the candidate below it, and a witness that
+    realizes the value pin it as the smallest feasible candidate: the
+    value, bracket and certificate of an ascending scan over the candidates.
+    """
+
+    def either_way(delta):
+        return good_map_exists(a, b, delta) or good_map_exists(b, a, delta)
+
+    shifts = candidate_shifts_oracle(a, b)
+    k = shifts.index(r.value)
+    assert good_map_exists(a, b, r.value) and good_map_exists(b, a, r.value)
+    assert r.refuted_below == (shifts[k - 1] if k else None)
+    assert not k or not either_way(shifts[k - 1])
+    assert r.certified == (r.value == 0 or not either_way(r.value * (1 - 1e-6)))
+    # the witness pairs each leaf of a, then each leaf of b, with a point
+    # across; which points it picks is the search's own business
+    n = len(a.leaves)
+    assert [p for p, _ in r.witness.pairs[:n]] == [vertex_point(a, v) for v in a.leaves]
+    assert [q for _, q in r.witness.pairs[n:]] == [vertex_point(b, v) for v in b.leaves]
+    assert abs(labeled_interleaving(*apply_pairing(r.witness)) - r.value) <= height_tol(a, b)
+
+
 @pytest.mark.parametrize("rel_tol", [trees.REL_TOL, 1e-4])
 def test_bisection_equals_the_ascending_scan(rel_tol):
     # the coarse tolerance admits the re-test just below the value, which
-    # leaves results uncertified: the bracket must match there too
+    # leaves results uncertified: the bracket must hold there too
     uncertified = 0
     saved = trees.REL_TOL
     trees.REL_TOL = rel_tol
     try:
-        for a, b in _pairs(157, 60, 4):
-            r = unlabeled_interleaving(a, b)
-            value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b)
-            uncertified += not certified
-            assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
-            assert r.witness.pairs == witness.pairs
-            n = len(candidate_shifts(canonicalize_tree(a), canonicalize_tree(b)))
+        for pair in _pairs(157, 60, 4):
+            r = unlabeled_interleaving(*pair)
+            a, b = (canonicalize_tree(t) for t in pair)
+            _assert_good_maps_pin(r, a, b)
+            uncertified += not r.certified
+            n = len(candidate_shifts(a, b))
             assert 1 <= r.probes <= n.bit_length() + 1
             if r.certified and r.value > 0:
                 assert r.refuted_below < r.value
@@ -319,12 +344,15 @@ def test_unlabeled_property_translating_both_trees_keeps_the_value(pair, shift):
 
 
 def _triple(seed, leaves, grid):
+    """Three random trees of at most `leaves` leaves, or, past 4, three
+    grown ones of exactly that many."""
     rng = np.random.default_rng(seed)
-    return tuple(rand_merge_tree(rng, max_leaves=leaves, integral=grid) for _ in range(3))
+    make = rand_grown_tree if leaves > 4 else rand_merge_tree
+    return tuple(make(rng, leaves, grid) for _ in range(3))
 
 
 @settings(max_examples=100)
-@given(st.builds(_triple, st.integers(0, 2**32 - 1), st.integers(1, 4), st.booleans()))
+@given(st.builds(_triple, st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans()))
 def test_unlabeled_property_is_symmetric_and_obeys_the_triangle_inequality(triple):
     d = {
         (i, j): unlabeled_interleaving(triple[i], triple[j]).value
@@ -398,13 +426,11 @@ def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t):
 @settings(max_examples=200)
 @given(small_pairs)
 def test_unlabeled_property_bound_first_equals_the_ascending_scan(pair):
-    a, b = pair
-    r = unlabeled_interleaving(a, b)
-    value, certified, refuted_below, witness = unlabeled_scan_oracle(a, b)
-    assert (r.value, r.certified, r.refuted_below) == (value, certified, refuted_below)
-    assert r.witness.pairs == witness.pairs
-    assert r.lower_bound == bottleneck_tree_distance(a, b)
-    slack = height_tol(canonicalize_tree(a), canonicalize_tree(b))
+    r = unlabeled_interleaving(*pair)
+    a, b = (canonicalize_tree(t) for t in pair)
+    _assert_good_maps_pin(r, a, b)
+    assert r.lower_bound == bottleneck_tree_distance(*pair)
+    slack = height_tol(a, b)
     if r.value == 0.0:
         assert r.certified_by == "zero"
     elif r.value - 1e-6 * r.value + 2 * slack < r.lower_bound:
@@ -421,7 +447,7 @@ def test_bound_first_does_not_start_at_the_float_bound():
     assert r.lower_bound == 0.7000000000000002
     assert r.value == 0.7
     assert (r.certified, r.certified_by, r.probes) == (True, "bound", 1)
-    assert (r.value, r.certified, r.refuted_below) == unlabeled_scan_oracle(BUDGET_A, BUDGET_B)[:3]
+    _assert_good_maps_pin(r, *(canonicalize_tree(t) for t in (BUDGET_A, BUDGET_B)))
 
 
 def test_near_copies_are_certified():

@@ -7,13 +7,11 @@ enumerating matchings (or, for larger diagrams, from scipy's
 Hopcroft-Karp), induced entries and meets from walking ancestor chains,
 a walk's matrix from one running maximum per row, a label walk from a
 recursive preorder and ancestor chains, a 1-center from the stacked
-induced matrices, unlabeled distances
-from an ascending scan over every candidate shift with those meets, or
-from enumerating good maps by their leaf images, map
-verdicts from a sweep over every critical height, label transfers from
-ancestor chains, tree validation from a walk up every parent chain,
-matrix text from float() on every entry, row by row, and a refinement from
-one chain of inserted heights per vertex.
+induced matrices, unlabeled distances from enumerating good maps by their
+leaf images, map verdicts from a sweep over every critical height, label
+transfers from ancestor chains, tree validation from a walk up every parent
+chain, matrix text from float() on every entry, row by row, and a
+refinement from one chain of inserted heights per vertex.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from mergespace import (
     SymMatrix,
     VertexMap,
     as_sym_matrix,
-    canonicalize_tree,
     induced_matrix,
     linf_distance,
     map_point,
@@ -737,74 +734,6 @@ def labeling_from_map_oracle(vm) -> LabelPairing:
         x = ancestor_at(s, u, max(attach.height - vm.delta, s.height[u]))
         pairs.append((_snap_point(s, x, tol), vertex_point(t, w)))
     return LabelPairing(s, t, tuple(pairs))
-
-
-def _scan_probe(t1: MergeTree, t2: MergeTree, delta: float, tol: float):
-    """One feasibility test: depth-first placement, meets from `lca_oracle`."""
-    left = [vertex_point(t1, v) for v in t1.leaves]
-    right = [vertex_point(t2, v) for v in t2.leaves]
-    n1 = len(left)
-    labels = list(range(n1 + len(right)))
-    pos1 = dict(enumerate(left))
-    pos2 = {n1 + k: p for k, p in enumerate(right)}
-    cands = [points_at(t2, p.height + delta, tol) for p in left]
-    cands += [points_at(t1, p.height + delta, tol) for p in right]
-    if not all(cands):
-        return None
-    order = sorted(labels, key=lambda k: (len(cands[k]), k))
-    assigned = []
-
-    def fits(x):
-        return all(
-            abs(
-                lca_oracle(t1, pos1[x], pos1[y]).height
-                - lca_oracle(t2, pos2[x], pos2[y]).height
-            )
-            <= delta + tol
-            for y in assigned
-        )
-
-    def dfs(i):
-        if i == len(order):
-            return True
-        k = order[i]
-        store = pos2 if k < n1 else pos1
-        for cand in cands[k]:
-            store[k] = cand
-            if fits(k):
-                assigned.append(k)
-                if dfs(i + 1):
-                    return True
-                assigned.pop()
-        store.pop(k, None)
-        return False
-
-    if not dfs(0):
-        return None
-    return LabelPairing(t1, t2, tuple((pos1[k], pos2[k]) for k in labels))
-
-
-def unlabeled_scan_oracle(t1, t2):
-    """(value, certified, refuted_below, witness) by the ascending scan.
-
-    Every candidate shift is tested in increasing order until the first
-    feasible one, then feasibility is re-tested at value * (1 - 1e-6).
-    Heights compare within `height_tol`, as in `unlabeled_interleaving`.
-    """
-    a = canonicalize_tree(_bare(t1))
-    b = canonicalize_tree(_bare(t2))
-    tol = height_tol(a, b)
-    refuted = None
-    for delta in candidate_shifts_oracle(a, b):
-        witness = _scan_probe(a, b, delta, tol)
-        if witness is None:
-            refuted = delta
-            continue
-        if delta == 0.0:
-            return 0.0, True, None, witness
-        recheck = _scan_probe(a, b, delta - 1e-6 * delta, tol)
-        return delta, recheck is None, refuted, witness
-    raise AssertionError("no feasible candidate shift")
 
 
 def _crossings(t: MergeTree, h: float, tol: float) -> list:
