@@ -2,6 +2,8 @@
 
 All writers are deterministic (sorted ids, fixed key order, shortest
 round-trip numbers) so identical inputs produce byte-identical files.
+Tree JSON is read in one pass: each field is checked once and the tree is
+stored as read, and validation leaves its id -> height map on the tree.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from .trees import (
     LabeledMergeTree,
     MergeTree,
     PointOnTree,
+    _bare,
+    _stored,
     as_point,
     is_vertex_point,
 )
@@ -75,56 +79,63 @@ def _load_json(text: str):
         raise FormatError(f"not valid JSON: {exc.msg}", line=exc.lineno) from None
 
 
-def _tree_from_json(obj):
+def _tree_from_json(obj, where: str = ""):
+    """The tree of decoded tree JSON, labeled when any vertex has labels.
+
+    Each field's type is checked once, here, so the parts are stored as the
+    constructors would normalize them.  Each FormatError starts with `where`.
+    """
     if not isinstance(obj, dict):
-        raise FormatError("top level must be an object")
+        raise FormatError(f"{where}top level must be an object")
     for key in ("vertices", "edges"):
         if key not in obj or not isinstance(obj[key], list):
-            raise FormatError(f"missing or non-list '{key}'")
+            raise FormatError(f"{where}missing or non-list '{key}'")
     vertices = []
-    labels = {}
+    labels = {}  # label -> number of the vertex that lists it
     for k, entry in enumerate(obj["vertices"], start=1):
         if not isinstance(entry, dict):
-            raise FormatError(f"vertex #{k} is not an object")
-        vid = entry.get("id")
-        try:
-            height = _number(entry["height"], "'height'")
-        except (KeyError, TypeError):
-            vid = None
-        except ValueError as exc:
-            raise FormatError(f"vertex #{k}: {exc}")
+            raise FormatError(f"{where}vertex #{k} is not an object")
+        vid, height = entry.get("id"), entry.get("height")
+        if type(height) is not float:
+            try:
+                height = _number(height, "'height'")
+            except TypeError:
+                vid = None
+            except ValueError as exc:
+                raise FormatError(f"{where}vertex #{k}: {exc}")
         # `type(x) is int` throughout: JSON true and false decode as bools,
         # which isinstance counts as ints
         if type(vid) is not int:
-            raise FormatError(f"vertex #{k} needs integer 'id' and numeric 'height'")
+            raise FormatError(f"{where}vertex #{k} needs integer 'id' and numeric 'height'")
         vertices.append((vid, height))
         labs = entry.get("labels", [])
         if not isinstance(labs, list):
-            raise FormatError(f"vertex #{k}: 'labels' must be a list")
+            raise FormatError(f"{where}vertex #{k}: 'labels' must be a list")
         for lab in labs:
             if type(lab) is not int:
-                raise FormatError(f"vertex #{k}: label {lab!r} is not an integer")
+                raise FormatError(f"{where}vertex #{k}: label {lab!r} is not an integer")
             if lab in labels:
-                raise FormatError(f"label {lab} appears on two vertices")
-            labels[lab] = vid
+                if labels[lab] == k:
+                    raise FormatError(f"{where}vertex #{k}: label {lab} is listed twice")
+                raise FormatError(f"{where}label {lab} appears on two vertices")
+            labels[lab] = k
     edges = []
     for k, entry in enumerate(obj["edges"], start=1):
         if (
             not isinstance(entry, list)
             or len(entry) != 2
-            or not all(type(x) is int for x in entry)
+            or type(entry[0]) is not int
+            or type(entry[1]) is not int
         ):
-            raise FormatError(f"edge #{k} must be a [childId, parentId] pair")
-        edges.append((entry[0], entry[1]))
-    return MergeTree(vertices, edges), labels
+            raise FormatError(f"{where}edge #{k} must be a [childId, parentId] pair")
+        edges.append(tuple(entry))
+    labels = tuple(sorted((lab, vertices[k - 1][0]) for lab, k in labels.items())) or None
+    return _stored(tuple(sorted(vertices)), tuple(sorted(edges)), labels)
 
 
 def parse_tree(text: str) -> Union[MergeTree, LabeledMergeTree]:
     """Validated tree from JSON; labeled when any labels are present."""
-    tree, labels = _tree_from_json(_load_json(text))
-    if labels:
-        return LabeledMergeTree(tree, labels).ensure_valid()
-    return tree.ensure_valid()
+    return _tree_from_json(_load_json(text)).ensure_valid()
 
 
 def write_tree(t: Union[MergeTree, LabeledMergeTree]) -> str:
@@ -353,8 +364,8 @@ def parse_map(text: str) -> VertexMap:
     for key in ("source", "target", "delta", "images"):
         if key not in obj:
             raise FormatError(f"missing '{key}'")
-    source, _ = _tree_from_json(obj["source"])
-    target, _ = _tree_from_json(obj["target"])
+    source = _bare(_tree_from_json(obj["source"], "source: "))
+    target = _bare(_tree_from_json(obj["target"], "target: "))
     source.ensure_valid()
     target.ensure_valid()
     try:

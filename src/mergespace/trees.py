@@ -343,6 +343,8 @@ def _walk_excess(a, b) -> float:
 
 
 def _validate(t: MergeTree) -> ValidationReport:
+    """Every structural violation of `t`, in a fixed order.  On a valid
+    tree the id -> height map built here is kept as `t.height`."""
     problems = []
     if not t.vertices:
         return ValidationReport(("tree has no vertices",))
@@ -360,12 +362,13 @@ def _validate(t: MergeTree) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     parents = {}
-    seen_edges = set()
-    for c, p in t.edges:
-        if (c, p) in seen_edges:
+    last = None  # edges are sorted as whole pairs: a repeat follows its first
+    for edge in t.edges:
+        c, p = edge
+        if edge == last:
             problems.append(f"duplicate edge ({c}, {p})")
             continue
-        seen_edges.add((c, p))
+        last = edge
         if c not in heights or p not in heights:
             problems.append(f"edge ({c}, {p}) references an unknown vertex")
             continue
@@ -384,36 +387,46 @@ def _validate(t: MergeTree) -> ValidationReport:
         return ValidationReport(tuple(problems))
 
     # every edge climbs strictly and no vertex has two parents: parent chains
-    # end, so there is no cycle and the highest vertex is a top
-    tops = [v for v in heights if v not in parents]
-    if len(tops) > 1:
-        problems.append(
-            "disconnected: multiple top vertices " + str(tuple(sorted(tops)))
-        )
+    # end, so there is no cycle, the highest vertex is a top, and so is every
+    # other vertex without a parent
+    if len(parents) < len(heights) - 1:
+        tops = tuple(sorted(v for v in heights if v not in parents))
+        problems.append(f"disconnected: multiple top vertices {tops}")
+    else:
+        t.__dict__["height"] = heights
     return ValidationReport(tuple(problems))
 
 
 _VALID = ValidationReport(())
 
 
-def _trusted(vertices: tuple, edges: tuple, labels: tuple = None):
-    """A tree its builder made valid, from parts already in normal form.
+def _stored(vertices: tuple, edges: tuple, labels: tuple = None):
+    """A tree over parts already in normal form, stored as they are.
 
     The parts are what the normalizing constructors would store: (id,
-    height) pairs sorted by id, (child, parent) pairs sorted by child, and
+    height) pairs sorted by id, (child, parent) pairs sorted as whole pairs
+    (so `_validate` finds a repeated edge right after its first copy), and
     (label, vertex) pairs sorted by label, with int ids and float heights.
-    With `labels` the result is a labeled tree over the bare one.  Each
-    `validation` is seeded with an empty report, so first use skips
-    `_validate`; nothing else is seeded, so the tree's `label_walk` and
-    `walk_spans` come from its own depth-first walk.
+    With `labels` the result is a labeled tree over the bare one.  Nothing
+    is checked: `validation` runs `_validate` on first use as usual.
     """
     t = object.__new__(MergeTree)
-    t.__dict__.update(vertices=vertices, edges=edges, validation=_VALID)
+    t.__dict__.update(vertices=vertices, edges=edges)
     if labels is None:
         return t
     lt = object.__new__(LabeledMergeTree)
-    lt.__dict__.update(tree=t, labels=labels, validation=_VALID)
+    lt.__dict__.update(tree=t, labels=labels)
     return lt
+
+
+def _trusted(vertices: tuple, edges: tuple, labels: tuple = None):
+    """`_stored`, for parts its builder made valid: each `validation` is
+    seeded with an empty report, so first use skips `_validate`; nothing
+    else is seeded, so `label_walk` and `walk_spans` come from a tree's own
+    depth-first walk."""
+    out = _stored(vertices, edges, labels)
+    out.__dict__["validation"] = _bare(out).__dict__["validation"] = _VALID
+    return out
 
 
 def _bare(t: Union[MergeTree, LabeledMergeTree]) -> MergeTree:

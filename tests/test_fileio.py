@@ -35,14 +35,18 @@ from mergespace import (
     write_pairing,
     write_tree,
 )
-from mergespace.fileio import fmt_num
+import mergespace.trees
+from mergespace.fileio import _tree_from_json, fmt_num
+from mergespace.trees import _bare
 from test_matrices import valid_matrices, zero_straddling_trees
 from util import (
     parse_matrix_rowwise,
     rand_diagram,
+    rand_grown_tree,
     rand_labeled_tree,
     rand_merge_tree,
     rand_valid_matrix,
+    straddling_zero,
 )
 
 
@@ -105,6 +109,16 @@ def test_tree_writes_are_deterministic():
             "label 1 appears on two vertices",
         ),
         (
+            '{"vertices": [{"id": 0, "height": 0, "labels": [1, 1]}], "edges": []}',
+            "vertex #1: label 1 is listed twice",
+        ),
+        # the first repeat found is with the earlier vertex
+        (
+            '{"vertices": [{"id": 0, "height": 0, "labels": [1]},'
+            ' {"id": 1, "height": 2, "labels": [1, 1]}], "edges": [[0, 1]]}',
+            "label 1 appears on two vertices",
+        ),
+        (
             '{"vertices": [{"id": 0, "height": 0}], "edges": [[0]]}',
             "edge #1",
         ),
@@ -139,6 +153,104 @@ def test_parse_tree_rejects_invalid_trees():
     text = '{"vertices": [{"id": 0, "height": 0}, {"id": 1, "height": 1}], "edges": []}'
     with pytest.raises(InvalidTreeError):
         parse_tree(text)
+
+
+_PLANTS = (
+    None,
+    "duplicate id",
+    "repeated edge",
+    "unknown vertex",
+    "self loop",
+    "equal heights",
+    "downward edge",
+    "second parent",
+    "second top",
+    "1e999 height",
+)
+
+
+@st.composite
+def tree_json_objects(draw):
+    """Decoded tree JSON of a random bare, grown or labeled tree, its heights
+    sometimes shifted to straddle zero (0.0 and -0.0 both), as written or
+    with one planted violation, its vertex and edge lists in any order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind, integral = draw(st.sampled_from(["merge", "grown", "labeled"])), draw(st.booleans())
+    if kind == "merge":
+        t = rand_merge_tree(rng, max_leaves=6, integral=integral)
+    elif kind == "grown":
+        t = rand_grown_tree(rng, draw(st.integers(1, 8)), integral)
+    else:
+        t = rand_labeled_tree(rng, draw(st.integers(1, 8)), max_leaves=6, integral=integral)
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        if kind == "labeled":
+            t = LabeledMergeTree(straddling_zero(t.tree, sign), t.labels)
+        else:
+            t = straddling_zero(t, sign)
+    obj = json.loads(write_tree(t))
+    vs, es = obj["vertices"], obj["edges"]
+
+    def pick(seq):
+        return seq[draw(st.integers(0, len(seq) - 1))]
+
+    plant, v, fresh = draw(st.sampled_from(_PLANTS)), pick(vs), len(vs)
+    height = {e["id"]: e["height"] for e in vs}
+    if plant == "duplicate id":
+        vs.append({"id": v["id"], "height": draw(st.sampled_from([v["height"], 9]))})
+    elif plant == "unknown vertex":
+        es.append(draw(st.permutations([v["id"], fresh])))
+    elif plant == "self loop":
+        es.append([v["id"], v["id"]])
+    elif plant == "second top":
+        vs.append({"id": fresh, "height": draw(st.integers(-1, 9))})
+    elif plant == "1e999 height":
+        v["height"] = json.loads("1e999")
+    elif es and plant == "repeated edge":
+        es.extend([list(pick(es)) for _ in range(draw(st.integers(1, 2)))])
+    elif es and plant in ("equal heights", "downward edge"):
+        c, p = pick(es)
+        rise = 0 if plant == "equal heights" else 1
+        next(e for e in vs if e["id"] == c)["height"] = height[p] + rise
+    elif es and plant == "second parent":
+        c, p = pick(es)
+        es.append([c, pick([u for u in height if u not in (c, p)] or [fresh])])
+    shuffle = draw(st.randoms()).shuffle
+    shuffle(vs)
+    shuffle(es)
+    return obj
+
+
+@settings(max_examples=300)
+@given(tree_json_objects())
+def test_read_path_property_builds_what_the_constructors_build(obj):
+    got = _tree_from_json(obj)
+    want = MergeTree([(e["id"], e["height"]) for e in obj["vertices"]], obj["edges"])
+    labels = {i: e["id"] for e in obj["vertices"] for i in e.get("labels", [])}
+    if labels:
+        want = LabeledMergeTree(want, labels)
+    assert type(got) is type(want) and got == want
+    g, w = _bare(got), _bare(want)
+    assert [(type(v), float.hex(h)) for v, h in g.vertices] == [(int, float.hex(h)) for _, h in w.vertices]
+    assert all(type(x) is int for e in g.edges for x in e)
+    assert got.validation.violations == want.validation.violations
+    if got.validation.ok:
+        # validation keeps its map as the tree's heights, in the vertices' order
+        assert list(g.__dict__["height"].items()) == list(dict(g.vertices).items())
+
+
+def test_parse_tree_never_calls_as_id(monkeypatch):
+    # the parser checks each id's type itself, so no id is checked again
+    rng = np.random.default_rng(83)
+    labeled = write_tree(rand_labeled_tree(rng, 6, max_leaves=4))
+    bare = write_tree(rand_merge_tree(rng, max_leaves=4))
+
+    def refuse(x, what="vertex id"):
+        raise AssertionError(f"{what} {x!r} checked again")
+
+    monkeypatch.setattr(mergespace.trees, "_as_id", refuse)
+    assert isinstance(parse_tree(labeled), LabeledMergeTree)
+    assert isinstance(parse_tree(bare), MergeTree)
 
 
 def test_matrix_round_trip():
@@ -518,8 +630,18 @@ def test_pairing_structure_errors(text, needle):
             _edited_map(lambda obj: obj["images"].append([0, {"vertex": 0, "height": 1.5}])),
             "image #4: vertex 0 already has an image",
         ),
+        # an error in an inline tree names that tree
+        (_edited_map(lambda obj: obj.update(source=5)), "source: top level must be an object"),
+        (_edited_map(lambda obj: obj["target"].pop("edges")), "target: missing or non-list 'edges'"),
+        (
+            _edited_map(lambda obj: obj["source"]["vertices"][0].update(height="0")),
+            "source: vertex #1 needs integer 'id' and numeric 'height'",
+        ),
     ],
-    ids=["top-level", "images-not-a-list", "image-not-a-pair", "image-listed-twice"],
+    ids=[
+        "top-level", "images-not-a-list", "image-not-a-pair", "image-listed-twice",
+        "source-not-an-object", "target-without-edges", "source-string-height",
+    ],
 )
 def test_map_structure_errors(text, needle):
     with pytest.raises(FormatError, match=re.escape(needle)):
