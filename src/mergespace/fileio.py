@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import FormatError, MergespaceError
+from .errors import FormatError, InvalidTreeError, MergespaceError
 from .goodmaps import LabelPairing, VertexMap
 from .matrices import SymMatrix, as_sym_matrix
 from .persistence import PersistenceDiagram
@@ -366,8 +366,11 @@ def parse_map(text: str) -> VertexMap:
             raise FormatError(f"missing '{key}'")
     source = _bare(_tree_from_json(obj["source"], "source: "))
     target = _bare(_tree_from_json(obj["target"], "target: "))
-    source.ensure_valid()
-    target.ensure_valid()
+    for where, t in (("source: ", source), ("target: ", target)):
+        try:
+            t.ensure_valid()
+        except InvalidTreeError as exc:
+            raise FormatError(f"{where}{exc}") from exc
     try:
         delta = _number(obj["delta"], "delta")
     except (TypeError, ValueError) as exc:

@@ -275,7 +275,7 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
     s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
     img = vm.image_of
 
-    for v in sorted(s.height):
+    for v in s.height:  # id order, as every tree stores its vertices
         want = s.height[v] + d
         got = img[v].height
         if abs(got - want) > tol:
@@ -298,7 +298,7 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
         return spread
 
     rows, h = vm.meets[1]
-    for w, attach, _ in _missed_branches(vm, sorted(t.height)):
+    for w, attach, _ in _missed_branches(vm, list(t.height)):
         below = h[rows[w]] <= t.height[w]  # w's subtree: it meets w at w
         gap = attach.height - float(np.diag(h)[below].min())
         if gap > 2 * d + tol:

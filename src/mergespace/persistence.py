@@ -8,11 +8,10 @@ pass over the vertices in height order computes it: every child lies
 strictly below its parent, so each vertex has received its children's
 minima before it hands its own up through the parent map, and the younger
 of two minima meeting at a vertex dies there: one comparison per merge.
-A tree's diagram is built valid, from copied heights whose deaths lie
-above their births, so it skips the constructor's per-point checks: its
-points are sorted once and stored split into `finite` and `infinite`,
-the latter the top's essential point.  A diagram built from caller
-points is checked point by point, then sorted and split the same way.
+Every diagram goes through one store, which sorts its finite and its
+essential points once each and merges them into `points`.  Caller points
+are checked point by point first; a tree's points are copied heights whose
+deaths lie above their births, so they skip those checks.
 
 Bottleneck distance is computed exactly.  Essential points pair up in birth
 order, which fixes a floor on the cost.  For the finite points, one numpy
@@ -84,48 +83,40 @@ class PersistenceDiagram:
     points: tuple
 
     def __init__(self, points):
-        norm = []
+        finite, infinite = [], []
         for b, d in points:
             b, d = float(b), float(d)
             if not math.isfinite(b):
                 raise MergespaceError(f"non-finite birth {b}")
             if not d > b:  # a NaN death fails this too
                 raise MergespaceError(f"point ({b}, {d}) has no persistence")
-            norm.append((b, d))
-        points = tuple(sorted(norm))
-        self.__dict__.update(
-            points=points,
-            finite=tuple(p for p in points if p[1] < INF),
-            infinite=tuple(p for p in points if p[1] == INF),
-        )
+            (finite if d < INF else infinite).append((b, d))
+        _store(self, finite, infinite)
 
     def __len__(self) -> int:
         return len(self.points)
 
 
-def _tree_diagram(finite: list, birth: float) -> PersistenceDiagram:
-    """The diagram of a tree's `finite` points and its essential `birth`.
-
-    The points are copied tree heights, finite floats whose deaths lie
-    above their births since edges climb, so none of the constructor's
-    checks can fail: the finite points are sorted once, and the one
-    essential point goes where `sorted` would put it (no finite point
-    compares equal to it).  `finite` and `infinite` are stored split.
-    """
+def _store(d: PersistenceDiagram, finite: list, infinite: list) -> PersistenceDiagram:
+    """Store checked `finite` and `infinite` points in `d`, each sorted once,
+    and `points`, their `sorted` merge: each essential point is bisected into
+    the finite ones past the last (none equals it), O(n + k log n) in all."""
     finite.sort()
-    essential = (birth, INF)
-    k = bisect_left(finite, essential)
-    d = object.__new__(PersistenceDiagram)
-    d.__dict__.update(
-        points=(*finite[:k], essential, *finite[k:]),
-        finite=tuple(finite),
-        infinite=(essential,),
-    )
+    infinite.sort()
+    points, k = [], 0
+    for p in infinite:
+        j = bisect_left(finite, p, k)
+        points += (*finite[k:j], p)
+        k = j
+    points += finite[k:]
+    d.__dict__.update(points=tuple(points), finite=tuple(finite), infinite=tuple(infinite))
     return d
 
 
 def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDiagram:
-    """Elder-rule pairing of branches; exactly one infinite point."""
+    """Elder-rule pairing of branches; exactly one infinite point.  The
+    points are copied tree heights whose deaths lie above their births
+    (edges climb), so none of the constructor's checks can fail."""
     t = _bare(t).ensure_valid()
     height, parent = t.height, t.parent
     finite = []
@@ -148,7 +139,7 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
             carried[p] = low
         else:
             finite.append((low[0], height[p]))
-    return _tree_diagram(finite, low[0])
+    return _store(object.__new__(PersistenceDiagram), finite, [(low[0], INF)])
 
 
 def _numpy_adjacency(cost, half, c):
@@ -226,8 +217,8 @@ def _covers(adj, match_row: list, match_col: list) -> bool:
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Exact bottleneck distance; +inf when infinite points cannot pair up."""
-    inf1 = sorted(b for b, _ in d1.infinite)
-    inf2 = sorted(b for b, _ in d2.infinite)
+    inf1 = [b for b, _ in d1.infinite]
+    inf2 = [b for b, _ in d2.infinite]
     if len(inf1) != len(inf2):
         return INF
     inf_cost = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
@@ -239,7 +230,7 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         half_l = [(d - b) / 2.0 for b, d in left]
         half_r = [(d - b) / 2.0 for b, d in right]
         cost = [[max(abs(b - b2), abs(d - d2)) for b2, d2 in right] for b, d in left]
-        cost_t = [[max(abs(b - b2), abs(d - d2)) for b, d in left] for b2, d2 in right]
+        cost_t = [[row[j] for row in cost] for j in range(nr)]  # |x - y| == |y - x|
         cands = sorted({0.0, inf_cost, *half_l, *half_r, *(x for row in cost for x in row)})
         # each point's cheapest fate: its nearest partner or the diagonal
         fates = [min(h, min(row, default=INF)) for h, row in zip(half_l, cost)]

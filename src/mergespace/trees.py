@@ -132,9 +132,9 @@ class MergeTree:
 
     @cached_property
     def height(self) -> dict:
-        """Vertex id -> height."""
+        """Vertex id -> height; validation's own map when it built one."""
         self.ensure_valid()
-        return dict(self.vertices)
+        return self.__dict__.get("height") or dict(self.vertices)
 
     @cached_property
     def parent(self) -> dict:
@@ -633,6 +633,8 @@ def refine_at(t: MergeTree, points: Sequence[PointOnTree]):
     id).  Points already at vertices map to the existing id; the others get
     ids past the current maximum in (anchor, height) order, each spliced
     into the parent map above the last vertex inserted over its anchor.
+    Each lies strictly inside its edge or on the ray, and the parent map
+    keeps id order, so the parts are valid and sorted: stored as built.
     """
     t.ensure_valid()
     points = [as_point(t, p) for p in points]
@@ -644,5 +646,5 @@ def refine_at(t: MergeTree, points: Sequence[PointOnTree]):
         parent[v], parent[below] = parent[below], v
         ids[anchor, h] = last[anchor] = v
         vertices.append((v, h))
-    out = MergeTree(vertices, [(c, p) for c, p in parent.items() if p is not None])
-    return out, {p: ids.get(p, p.anchor) for p in points}
+    edges = tuple((c, p) for c, p in parent.items() if p is not None)
+    return _trusted(tuple(vertices), edges), {p: ids.get(p, p.anchor) for p in points}

@@ -183,8 +183,8 @@ def unlabeled_interleaving(
     """
     if budget < 1:
         raise MergespaceError(f"search budget must be at least 1, got {budget}")
-    a = canonicalize_tree(_bare(t1).ensure_valid())
-    b = canonicalize_tree(_bare(t2).ensure_valid())
+    a = canonicalize_tree(_bare(t1))
+    b = canonicalize_tree(_bare(t2))
     shifts = candidate_shifts(a, b)
     slack = height_tol(a, b)
     search = _Search(a, b, budget, slack)

@@ -637,10 +637,19 @@ def test_pairing_structure_errors(text, needle):
             _edited_map(lambda obj: obj["source"]["vertices"][0].update(height="0")),
             "source: vertex #1 needs integer 'id' and numeric 'height'",
         ),
+        (
+            _edited_map(lambda obj: obj["target"]["edges"].pop()),
+            "target: invalid merge tree: disconnected: multiple top vertices (1, 2)",
+        ),
+        (
+            _edited_map(lambda obj: obj["source"]["edges"].__setitem__(1, [2, 1])),
+            "source: invalid merge tree: edge (2, 1) runs downward: child above parent",
+        ),
     ],
     ids=[
         "top-level", "images-not-a-list", "image-not-a-pair", "image-listed-twice",
         "source-not-an-object", "target-without-edges", "source-string-height",
+        "target-missing-an-edge", "source-downward-edge",
     ],
 )
 def test_map_structure_errors(text, needle):

@@ -12,7 +12,9 @@ from mergespace import (
     MergeTree,
     PersistenceDiagram,
     bottleneck_distance,
+    parse_diagram,
     persistence_diagram,
+    write_diagram,
 )
 from util import (
     _diag_cost,
@@ -132,6 +134,30 @@ def test_diagram_property_is_the_validating_constructor_bit_for_bit(seed, kind, 
     assert _hexes(d.infinite) == _hexes(want.infinite) == _hexes(p for p in d.points if p[1] == INF)
     assert len(d.infinite) == 1
     assert d.infinite[0][0] == min(t.height.values())
+
+
+# births tie often and carry zeros of both signs, which compare equal
+_BIRTHS = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]) | st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_BIRTHS, _BIRTHS).filter(lambda p: p[0] < p[1]), max_size=11),
+    st.lists(_BIRTHS.map(lambda b: (b, INF)), max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_diagram_property_stores_the_sorted_points_split(finite, essential, random):
+    # the store merges each essential point into the sorted finite ones; the
+    # result must be `sorted` of the caller's points, equal ties in the
+    # caller's order, with `finite` and `infinite` its filtered tuples
+    points = finite + essential
+    random.shuffle(points)
+    want = sorted(points)
+    stored = PersistenceDiagram(points)
+    for d in (stored, parse_diagram(write_diagram(stored))):
+        assert _hexes(d.points) == _hexes(want)
+        assert _hexes(d.finite) == _hexes(p for p in want if p[1] < INF)
+        assert _hexes(d.infinite) == _hexes(p for p in want if p[1] == INF)
 
 
 def test_single_vertex_diagram():

@@ -261,6 +261,23 @@ def test_trees_built_valid_are_not_validated_again(monkeypatch):
     mergespace.tree_of_matrix(m).ensure_valid()
     center, _ = mergespace.one_center([lt, lt])
     center.ensure_valid()
+    refine_at(t, [(t.top, t.height[t.top] + 1.0)])[0].ensure_valid()
+
+
+def test_height_read_first_is_the_map_validation_built(monkeypatch):
+    built, validate = [], mergespace.trees._validate
+
+    def spy(tree):
+        report = validate(tree)
+        built.append(tree.__dict__.get("height"))
+        return report
+
+    monkeypatch.setattr(mergespace.trees, "_validate", spy)
+    t = MergeTree([(2, 2.0), (0, 0.0), (1, 0.5)], [(1, 2), (0, 2)])
+    height = t.height
+    assert len(built) == 1 and height is built[0]
+    assert list(height.items()) == list(dict(t.vertices).items())
+    assert t.height is height and t.ensure_valid() is t and len(built) == 1
 
 
 def test_ensure_valid_raises_with_the_violations():
@@ -550,6 +567,12 @@ def test_refine_at_property_is_the_chain_oracle(inputs):
     t, points = inputs
     got, where = refine_at(t, points)
     want, want_where = refine_at_oracle(t, points)
+    # stored as built, so the parts must be what validation and the
+    # normalizing constructor would accept and store
+    assert _validate(got).ok
+    assert all(type(v) is int and type(h) is float for v, h in got.vertices)
+    assert all(type(c) is int and type(p) is int for c, p in got.edges)
+    assert list(got.vertices) == sorted(got.vertices) and list(got.edges) == sorted(got.edges)
     assert got == want
     assert [h.hex() for _, h in got.vertices] == [h.hex() for _, h in want.vertices]
     # the same keys, zero signs and all, to the same ids

@@ -164,17 +164,8 @@ def rand_labeled_tree(
     Extra labels land on arbitrary vertices, so repeats on a shared vertex
     and labels on internal vertices both occur.
     """
-    t = rand_merge_tree(
-        rng, max_leaves=min(max_leaves, n_labels), integral=integral
-    )
-    leaves = list(t.leaves)
-    ids = [v for v, _ in t.vertices]
-    targets = list(leaves)
-    while len(targets) < n_labels:
-        targets.append(ids[int(rng.integers(len(ids)))])
-    perm = rng.permutation(n_labels)
-    labels = {int(i + 1): targets[int(perm[i])] for i in range(n_labels)}
-    return LabeledMergeTree(t, labels).ensure_valid()
+    t = rand_merge_tree(rng, max_leaves=min(max_leaves, n_labels), integral=integral)
+    return _label_tree(rng, t, n_labels)
 
 
 def rand_labeled_pair(rng, max_leaves: int = 4, integral: bool = False):
