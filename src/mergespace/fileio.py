@@ -18,7 +18,7 @@ import numpy as np
 from .errors import FormatError, InvalidTreeError, MergespaceError
 from .goodmaps import LabelPairing, VertexMap
 from .matrices import SymMatrix, as_sym_matrix
-from .persistence import PersistenceDiagram
+from .persistence import PersistenceDiagram, _checked, _store
 from .trees import (
     LabeledMergeTree,
     MergeTree,
@@ -242,7 +242,7 @@ def write_matrix(m) -> str:
 
 def parse_diagram(text: str) -> PersistenceDiagram:
     """'birth death' lines, inf only as written; a bad point names its line."""
-    points = []
+    finite, infinite = [], []
     for k, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts:
@@ -253,10 +253,10 @@ def parse_diagram(text: str) -> PersistenceDiagram:
             birth, death = float(parts[0]), float(parts[1])
             if math.isinf(death) and parts[1] != "inf":
                 raise ValueError(f"death {parts[1]} is infinite but not written inf")
-            points += PersistenceDiagram([(birth, death)]).points
+            _checked(((birth, death),), finite, infinite)
         except (ValueError, MergespaceError) as exc:
             raise FormatError(str(exc), line=k) from None
-    return PersistenceDiagram(points)
+    return _store(object.__new__(PersistenceDiagram), finite, infinite)
 
 
 def write_diagram(d: PersistenceDiagram) -> str:

@@ -207,7 +207,7 @@ def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
 def meet_table(t: MergeTree):
     """(vertex id -> row, meet heights of every vertex pair): the walk of `t`
     with each vertex as its own label.  Rows follow the walk, so no gather."""
-    vertices, own, gaps = _label_walk(t.ensure_valid(), {v: (v,) for v in t.height})
+    vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
     return {v: k for k, v in enumerate(vertices)}, _walk_meets(own, gaps)
 
 

@@ -9,9 +9,9 @@ strictly below its parent, so each vertex has received its children's
 minima before it hands its own up through the parent map, and the younger
 of two minima meeting at a vertex dies there: one comparison per merge.
 Every diagram goes through one store, which sorts its finite and its
-essential points once each and merges them into `points`.  Caller points
-are checked point by point first; a tree's points are copied heights whose
-deaths lie above their births, so they skip those checks.
+essential points once each and merges them into `points`.  Caller points,
+to the constructor or in diagram text, pass one per-point check first; a
+tree's points skip it, being copied heights whose deaths exceed births.
 
 Bottleneck distance is computed exactly.  Essential points pair up in birth
 order, which fixes a floor on the cost.  For the finite points, one numpy
@@ -84,17 +84,23 @@ class PersistenceDiagram:
 
     def __init__(self, points):
         finite, infinite = [], []
-        for b, d in points:
-            b, d = float(b), float(d)
-            if not math.isfinite(b):
-                raise MergespaceError(f"non-finite birth {b}")
-            if not d > b:  # a NaN death fails this too
-                raise MergespaceError(f"point ({b}, {d}) has no persistence")
-            (finite if d < INF else infinite).append((b, d))
+        _checked(points, finite, infinite)
         _store(self, finite, infinite)
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _checked(points, finite: list, infinite: list) -> None:
+    """Check caller points (b, d) in order and append each, as floats, to
+    `finite` or `infinite`; the constructor and the text reader share it."""
+    for b, d in points:
+        b, d = float(b), float(d)
+        if not math.isfinite(b):
+            raise MergespaceError(f"non-finite birth {b}")
+        if not d > b:  # a NaN death fails this too
+            raise MergespaceError(f"point ({b}, {d}) has no persistence")
+        (finite if d < INF else infinite).append((b, d))
 
 
 def _store(d: PersistenceDiagram, finite: list, infinite: list) -> PersistenceDiagram:
@@ -117,7 +123,7 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
     """Elder-rule pairing of branches; exactly one infinite point.  The
     points are copied tree heights whose deaths lie above their births
     (edges climb), so none of the constructor's checks can fail."""
-    t = _bare(t).ensure_valid()
+    t = _bare(t)
     height, parent = t.height, t.parent
     finite = []
     # minimum carried up to each vertex so far: (height, leaf id), whose

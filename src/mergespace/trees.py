@@ -88,18 +88,6 @@ def _as_id(x, what: str = "vertex id") -> int:
     raise MergespaceError(f"{what} {x!r} is not an integer")
 
 
-def _normalize_vertices(vertices) -> tuple:
-    if isinstance(vertices, Mapping):
-        items = vertices.items()
-    else:
-        items = vertices
-    return tuple(sorted((_as_id(v), float(h)) for v, h in items))
-
-
-def _normalize_edges(edges) -> tuple:
-    return tuple(sorted((_as_id(c), _as_id(p)) for c, p in edges))
-
-
 @dataclass(frozen=True)
 class MergeTree:
     """Finite part of a merge tree: (id, height) vertices and child->parent edges.
@@ -114,8 +102,11 @@ class MergeTree:
     edges: tuple
 
     def __init__(self, vertices: Union[Mapping, Iterable], edges: Iterable):
-        object.__setattr__(self, "vertices", _normalize_vertices(vertices))
-        object.__setattr__(self, "edges", _normalize_edges(edges))
+        if isinstance(vertices, Mapping):
+            vertices = vertices.items()
+        vertices = tuple(sorted((_as_id(v), float(h)) for v, h in vertices))
+        edges = tuple(sorted((_as_id(c), _as_id(p)) for c, p in edges))
+        self.__dict__.update(vertices=vertices, edges=edges)
 
     # -- validation ------------------------------------------------------
 
@@ -238,10 +229,7 @@ class LabeledMergeTree:
                     problems.append(f"leaf {leaf} carries no label")
         return ValidationReport(tuple(problems))
 
-    def ensure_valid(self) -> "LabeledMergeTree":
-        if not self.validation.ok:
-            raise InvalidTreeError(self.validation.violations)
-        return self
+    ensure_valid = MergeTree.ensure_valid  # the same function; no subclassing
 
 
 def _label_walk(t: MergeTree, labels_of: Mapping) -> tuple:
@@ -563,7 +551,6 @@ def canonicalize_tree(t: MergeTree) -> MergeTree:
 
     A tree with no such vertex is already canonical and comes back as it is.
     """
-    t.ensure_valid()
     children = t.children
     keep = [v for v, _ in t.vertices if len(children[v]) != 1]
     return t if len(keep) == len(t.vertices) else _contract(t, keep)

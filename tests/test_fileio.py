@@ -35,10 +35,13 @@ from mergespace import (
     write_pairing,
     write_tree,
 )
+import mergespace.fileio
+import mergespace.persistence
 import mergespace.trees
 from mergespace.fileio import _tree_from_json, fmt_num
 from mergespace.trees import _bare
 from test_matrices import valid_matrices, zero_straddling_trees
+from test_persistence import _BIRTHS, _hexes
 from util import (
     parse_matrix_rowwise,
     rand_diagram,
@@ -429,6 +432,72 @@ def test_diagram_rejects_a_nan_death():
     # NaN is neither <= its birth nor finite, so it would pass as essential
     with pytest.raises(MergespaceError, match=r"\(0\.0, nan\)"):
         parse_diagram("0 nan\n1 inf\n")
+
+
+def test_diagram_text_is_checked_and_stored_once(monkeypatch):
+    stores, inits = [], []
+    store, init = mergespace.persistence._store, PersistenceDiagram.__init__
+
+    def store_spy(*args):
+        stores.append(args)
+        return store(*args)
+
+    def init_spy(self, points):
+        inits.append(points)
+        init(self, points)
+
+    monkeypatch.setattr(mergespace.persistence, "_store", store_spy)
+    monkeypatch.setattr(mergespace.fileio, "_store", store_spy)
+    monkeypatch.setattr(PersistenceDiagram, "__init__", init_spy)
+    d = parse_diagram("0 1\n\n-0 inf\n0.5 2\n")
+    assert len(stores) == 1 and not inits
+    assert _hexes(d.points) == _hexes([(0.0, 1.0), (-0.0, math.inf), (0.5, 2.0)])
+
+
+# one defect per kind: the line planted at birth b, and the message it gets
+_DEFECTS = {
+    "nan birth": lambda b: ("nan 1", "non-finite birth nan"),
+    "infinite birth": lambda b: ("-inf 1", "non-finite birth -inf"),
+    "death at birth": lambda b: (f"{b!r} {b!r}", f"point ({b}, {b}) has no persistence"),
+    "death below birth": lambda b: (f"{b!r} {b - 1!r}", f"point ({b}, {b - 1}) has no persistence"),
+    "nan death": lambda b: (f"{b!r} nan", f"point ({b}, nan) has no persistence"),
+    "death written Infinity": lambda b: (
+        f"{b!r} Infinity",
+        "death Infinity is infinite but not written inf",
+    ),
+    "three fields": lambda b: (f"{b!r} {b + 1!r} 1", "expected 'birth death'"),
+    "non-numeric token": lambda b: (f"{b!r} x", "could not convert string to float: 'x'"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_BIRTHS, _BIRTHS).filter(lambda p: p[0] < p[1]), max_size=11),
+    st.lists(_BIRTHS.map(lambda b: (b, math.inf)), max_size=3),
+    st.none() | st.sampled_from(sorted(_DEFECTS)),
+    _BIRTHS,
+    st.randoms(use_true_random=False),
+)
+def test_diagram_text_property_reads_as_the_checked_constructor(
+    finite, essential, defect, birth, random
+):
+    # each line is checked once, where it is read: a clean text stores what
+    # the constructor stores, and a planted defect is reported at its line
+    lines = write_diagram(PersistenceDiagram(finite + essential)).splitlines()
+    if defect is None:
+        d = parse_diagram("\n".join(lines))
+        want = PersistenceDiagram([tuple(map(float, line.split())) for line in lines])
+        assert _hexes(d.points) == _hexes(want.points)
+        assert _hexes(d.finite) == _hexes(want.finite)
+        assert _hexes(d.infinite) == _hexes(want.infinite)
+        return
+    k = random.randint(0, len(lines))
+    bad, message = _DEFECTS[defect](birth)
+    lines.insert(k, bad)
+    with pytest.raises(FormatError) as err:
+        parse_diagram("\n".join(lines))
+    assert err.value.line == k + 1
+    assert str(err.value) == f"line {k + 1}: {message}"
 
 
 def test_map_round_trip():

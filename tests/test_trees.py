@@ -286,6 +286,60 @@ def test_ensure_valid_raises_with_the_violations():
     assert "disconnected" in str(err.value)
 
 
+# entry point -> call with the tree under test and a valid partner; a pair
+# takes the tree second, so the partner is read first
+_BARE_ENTRY_POINTS = {
+    "persistence_diagram": lambda t, ok: mergespace.persistence_diagram(t),
+    "bottleneck_tree_distance": lambda t, ok: mergespace.bottleneck_tree_distance(ok, t),
+    "canonicalize_tree": lambda t, ok: canonicalize_tree(t),
+    "meet_table": lambda t, ok: mergespace.matrices.meet_table(t),
+    "trees_equal": lambda t, ok: trees_equal(ok, t),
+    "unlabeled_interleaving": lambda t, ok: mergespace.unlabeled_interleaving(ok, t),
+    "refine_at": lambda t, ok: refine_at(t, [(2, 4.0)]),
+    "to_dot": lambda t, ok: to_dot(t),
+}
+_LABELED_ENTRY_POINTS = {
+    "induced_matrix": lambda t, ok: mergespace.induced_matrix(t),
+    "labeled_interleaving": lambda t, ok: labeled_interleaving(ok, t),
+    "canonicalize": lambda t, ok: canonicalize(t),
+    "to_dot": lambda t, ok: to_dot(t),
+}
+
+
+def _second_top():
+    return MergeTree([(0, 0.0), (1, 1.0), (2, 3.0), (3, 0.5)], [(0, 2), (1, 2)])
+
+
+def _labeled_wye(labels=((1, 0), (2, 1))):
+    return LabeledMergeTree(_wye(), labels)
+
+
+# case -> (the invalid tree, a valid partner), each built fresh
+_INVALID_CASES = {
+    "second-top": (_second_top, _wye),
+    "labeled-second-top": (lambda: LabeledMergeTree(_second_top(), {1: 0, 2: 1}), _labeled_wye),
+    "unlabeled-leaf": (lambda: _labeled_wye({1: 0}), _labeled_wye),
+}
+
+
+@pytest.mark.parametrize(
+    "call, case",
+    [pytest.param(call, "second-top", id=f"{name}-second-top") for name, call in _BARE_ENTRY_POINTS.items()]
+    + [
+        pytest.param(call, case, id=f"{name}-{case}")
+        for name, call in _LABELED_ENTRY_POINTS.items()
+        for case in ("labeled-second-top", "unlabeled-leaf")
+    ],
+)
+def test_every_tree_entry_point_refuses_an_invalid_tree(call, case):
+    # each raises the tree's own violations, whether it checks the tree
+    # itself or reads a part that validates it
+    bad, ok = (make() for make in _INVALID_CASES[case])
+    with pytest.raises(InvalidTreeError) as err:
+        call(bad, ok)
+    assert err.value.violations == bad.validation.violations != ()
+
+
 def test_labeled_validation():
     t = _wye()
     assert LabeledMergeTree(t, {1: 0, 2: 1}).validation.ok
