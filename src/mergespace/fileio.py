@@ -4,6 +4,8 @@ All writers are deterministic (sorted ids, fixed key order, shortest
 round-trip numbers) so identical inputs produce byte-identical files.
 Tree JSON is read in one pass: each field is checked once and the tree is
 stored as read, and validation leaves its id -> height map on the tree.
+A JSON number is read by the rule for every caller real, `trees._number`,
+so strings and booleans are refused where a number belongs.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .trees import (
     MergeTree,
     PointOnTree,
     _bare,
+    _number,
     _stored,
     as_point,
     is_vertex_point,
@@ -57,18 +60,6 @@ def _jsonable_num(x: float):
     return x
 
 
-def _number(x, name: str) -> float:
-    """A JSON number as a float.  Strings and booleans raise TypeError:
-    float() would read "1.5" as 1.5 and JSON true as 1.0.  An integer too
-    large for a float raises ValueError.  Both messages say which `name`."""
-    if type(x) not in (int, float):
-        raise TypeError(f"non-numeric {name}")
-    try:
-        return float(x)
-    except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
-
-
 # -- tree JSON ------------------------------------------------------------
 
 
@@ -99,10 +90,10 @@ def _tree_from_json(obj, where: str = ""):
         if type(height) is not float:
             try:
                 height = _number(height, "'height'")
-            except TypeError:
+            except MergespaceError as exc:
+                if type(height) is int:  # too large for a float
+                    raise FormatError(f"{where}vertex #{k}: {exc}")
                 vid = None
-            except ValueError as exc:
-                raise FormatError(f"{where}vertex #{k}: {exc}")
         # `type(x) is int` throughout: JSON true and false decode as bools,
         # which isinstance counts as ints
         if type(vid) is not int:
@@ -286,8 +277,8 @@ def _point_from_json(t: MergeTree, obj, what: str) -> PointOnTree:
     if not isinstance(obj, dict) or "height" not in obj:
         raise FormatError(f"{what}: point needs a 'height'")
     try:
-        height = _number(obj["height"], "height")
-    except (TypeError, ValueError) as exc:
+        height = _number(obj["height"])
+    except MergespaceError as exc:
         raise FormatError(f"{what}: {exc}")
     if "vertex" in obj:
         anchor = obj["vertex"]
@@ -373,7 +364,7 @@ def parse_map(text: str) -> VertexMap:
             raise FormatError(f"{where}{exc}") from exc
     try:
         delta = _number(obj["delta"], "delta")
-    except (TypeError, ValueError) as exc:
+    except MergespaceError as exc:
         raise FormatError(str(exc))
     if not isinstance(obj["images"], list):
         raise FormatError("'images' must be a list")

@@ -40,6 +40,7 @@ from .trees import (
     MergeTree,
     PointOnTree,
     _as_id,
+    _number,
     as_point,
     height_tol,
     point_at,
@@ -61,6 +62,14 @@ __all__ = [
 ]
 
 
+def _shift(delta) -> float:
+    """A caller's shift by `trees._number`; MalformedMapError unless finite and >= 0."""
+    delta = _number(delta, "shift")
+    if not 0 <= delta < math.inf:
+        raise MalformedMapError(f"shift {delta} is not finite and nonnegative")
+    return delta
+
+
 @dataclass(frozen=True)
 class VertexMap:
     """A height-shifting map given by the images of all source vertices."""
@@ -73,9 +82,7 @@ class VertexMap:
     def __init__(self, source, target, delta, images: Union[Mapping, tuple]):
         source.ensure_valid()
         target.ensure_valid()
-        delta = float(delta)
-        if not 0 <= delta < math.inf:
-            raise MalformedMapError(f"shift {delta} is not finite and nonnegative")
+        delta = _shift(delta)
         if isinstance(images, Mapping):
             items = images.items()
         else:
@@ -369,9 +376,7 @@ def map_from_labeling(t1: LabeledMergeTree, t2: LabeledMergeTree, delta: float):
     """
     t1.ensure_valid()
     t2.ensure_valid()
-    delta = float(delta)
-    if not 0 <= delta < math.inf:
-        raise MergespaceError(f"shift {delta} is not finite and nonnegative")
+    delta = _shift(delta)
     _same_label_count(t1, t2)
     a, b = induced_matrix(t1).array, induced_matrix(t2).array
     gaps = np.abs(a - b)

@@ -78,7 +78,10 @@ class SymMatrix:
     __slots__ = ("_a", "_ultra", "_sweep")
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        a = np.array(entries)
+        if a.dtype.kind not in "iuf":  # as `trees._number`: no bools, strings or bytes
+            raise InvalidMatrixError(f"matrix entries must be real numbers, got {a.dtype}")
+        a = a.astype(float, copy=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] == 0:

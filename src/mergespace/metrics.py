@@ -20,7 +20,7 @@ import numpy as np
 from .errors import InvalidMatrixError, MergespaceError
 from .matrices import (SymMatrix, _linkage, _midpoint, induced_matrix, linf_distance,
                        tree_of_matrix, ultrafy)
-from .trees import LabeledMergeTree, _walk_gap, _walk_spans, height_tol
+from .trees import LabeledMergeTree, _as_id, _number, _walk_gap, _walk_spans, height_tol
 
 __all__ = [
     "labeled_interleaving",
@@ -73,6 +73,7 @@ def geodesic_point(
     construction applies at every lam in [0, 1]; the endpoints reproduce the
     inputs up to canonical form.
     """
+    lam = _number(lam, "interpolation parameter")
     if not 0.0 <= lam <= 1.0:
         raise MergespaceError(f"interpolation parameter {lam} outside [0, 1]")
     _same_label_count(t1, t2)
@@ -87,6 +88,7 @@ def geodesic_length(
     Any partition reproduces the endpoint distance; the function checks that
     identity within `height_tol` per rounded step, as a guard on the construction.
     """
+    samples = _as_id(samples, "sample count")
     if samples < 1:
         raise MergespaceError("need at least one sample segment")
     _same_label_count(t1, t2)

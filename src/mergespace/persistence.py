@@ -60,7 +60,7 @@ from typing import Union
 import numpy as np
 
 from .errors import MergespaceError
-from .trees import LabeledMergeTree, MergeTree, _bare
+from .trees import LabeledMergeTree, MergeTree, _bare, _number
 
 INF = math.inf
 # finite points per side up to which bottleneck_distance stays in plain
@@ -92,10 +92,12 @@ class PersistenceDiagram:
 
 
 def _checked(points, finite: list, infinite: list) -> None:
-    """Check caller points (b, d) in order and append each, as floats, to
-    `finite` or `infinite`; the constructor and the text reader share it."""
+    """Check caller points (b, d) in order and append each, as floats
+    (`trees._number`, which the text reader's floats skip), to `finite` or
+    `infinite`; the constructor and the text reader share it."""
     for b, d in points:
-        b, d = float(b), float(d)
+        if b.__class__ is not float or d.__class__ is not float:
+            b, d = _number(b, "birth"), _number(d, "death")
         if not math.isfinite(b):
             raise MergespaceError(f"non-finite birth {b}")
         if not d > b:  # a NaN death fails this too

@@ -21,6 +21,9 @@ equality.  Every coercion to a point goes through :func:`point_at`.
 
 Vertex ids are opaque nonnegative integers and survive canonicalization, so
 references held by callers stay meaningful.
+
+Every caller id, label and count goes through `_as_id`, and every caller
+real (height, birth, death, shift, interpolation parameter) through `_number`.
 """
 
 from __future__ import annotations
@@ -88,6 +91,20 @@ def _as_id(x, what: str = "vertex id") -> int:
     raise MergespaceError(f"{what} {x!r} is not an integer")
 
 
+def _number(x, what: str = "height") -> float:
+    """A real (int, float, numpy integer or floating) as a float; float()
+    would also read "1.5", b"3" and True.  Any other type (bools too), or an
+    int too large for a float, raises MergespaceError naming `what`."""
+    if x.__class__ is float:  # as the text readers give: kept as it is
+        return x
+    if isinstance(x, (int, float, np.integer, np.floating)) and x.__class__ is not bool:
+        try:
+            return float(x)
+        except OverflowError:
+            raise MergespaceError(f"{what} is too large for a float") from None
+    raise MergespaceError(f"non-numeric {what}")
+
+
 @dataclass(frozen=True)
 class MergeTree:
     """Finite part of a merge tree: (id, height) vertices and child->parent edges.
@@ -104,7 +121,7 @@ class MergeTree:
     def __init__(self, vertices: Union[Mapping, Iterable], edges: Iterable):
         if isinstance(vertices, Mapping):
             vertices = vertices.items()
-        vertices = tuple(sorted((_as_id(v), float(h)) for v, h in vertices))
+        vertices = tuple(sorted((_as_id(v), _number(h)) for v, h in vertices))
         edges = tuple(sorted((_as_id(c), _as_id(p)) for c, p in edges))
         self.__dict__.update(vertices=vertices, edges=edges)
 
@@ -452,7 +469,7 @@ def point_at(t: MergeTree, anchor: int, height: float) -> PointOnTree:
     point.  The anchor must be a vertex of t and the height finite and at or
     above it, or MergespaceError is raised.
     """
-    h = float(height)
+    anchor, h = _as_id(anchor), _number(height)
     if anchor not in t.height:
         raise MergespaceError(f"unknown vertex {anchor}")
     if not t.height[anchor] <= h < math.inf:
@@ -490,7 +507,6 @@ def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:
     an unknown vertex or a height off the tree raises MergespaceError."""
     if isinstance(p, tuple):  # a PointOnTree too
         anchor, height = p
-        anchor = _as_id(anchor)
     else:  # a vertex id; point_at refuses an unknown one before its height
         anchor = _as_id(p)
         height = t.height.get(anchor, 0.0)

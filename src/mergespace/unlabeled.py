@@ -9,7 +9,8 @@ one per crossing branch.  So each leaf of either tree carries one label,
 whose options are those placements.  A pruned exhaustive search picks one
 option per label, fewest options first, and checks each against the options
 already chosen; it runs depth-first on an explicit stack, so no leaf count
-meets the recursion limit.
+meets the recursion limit.  Its budget, the states a probe may explore, is
+an integer: `trees._as_id` refuses any other, NaN included.
 
 The search starts from a lower bound.  The bottleneck distance between the
 trees' persistence diagrams never exceeds the interleaving distance, and
@@ -51,6 +52,7 @@ from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
     MergeTree,
+    _as_id,
     _bare,
     canonicalize_tree,
     height_tol,
@@ -181,6 +183,7 @@ def unlabeled_interleaving(
     bracket established so far, rather than guessing.  A feasible test tries
     at least one option, so a budget below 1 raises MergespaceError.
     """
+    budget = _as_id(budget, "search budget")
     if budget < 1:
         raise MergespaceError(f"search budget must be at least 1, got {budget}")
     a = canonicalize_tree(_bare(t1))

@@ -28,6 +28,7 @@ from mergespace import (
     parse_matrix,
     parse_pairing,
     parse_tree,
+    point_at,
     trees_equal,
     write_diagram,
     write_map,
@@ -573,6 +574,21 @@ def test_parse_pairing_refuses_a_boolean_point_anchor():
     text = _edited_pairing(lambda obj: obj["pairs"][1][0].update(vertex=True))
     with pytest.raises(FormatError, match="vertex id must be an integer"):
         parse_pairing(text, WYE, WYE_UP)
+
+
+def test_a_pairing_of_point_at_points_round_trips_and_point_at_anchors_are_ids():
+    # point_at stores an int anchor, so numpy ids write as JSON integers; a
+    # float or bool anchor once came back as the anchor and wrote a
+    # "vertex": 1.0 or an "edge": [true, 2] that parse_pairing refused
+    pairing = LabelPairing(WYE, WYE_UP, (
+        (point_at(WYE, np.int64(1), 1.0), point_at(WYE_UP, np.uint8(1), 2.0)),
+        (point_at(WYE, np.int32(0), 1.5), point_at(WYE_UP, 0, 4.5)),
+    ))
+    assert all(type(p.anchor) is int for pair in pairing.pairs for p in pair)
+    assert parse_pairing(write_pairing(pairing), WYE, WYE_UP).pairs == pairing.pairs
+    for anchor in (1.0, True, np.True_):
+        with pytest.raises(MergespaceError, match="vertex id .* is not an integer"):
+            point_at(WYE, anchor, 1.5)
 
 
 def test_parse_map_refuses_a_boolean_image_id():
