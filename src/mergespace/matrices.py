@@ -23,8 +23,8 @@ its tree's parts and its labels in walk order, and the matrix keeps the two
 (O(n) data, no n x n data), whatever mix of `ultrafy`, `tree_of_matrix` and
 `is_ultra` it meets: `ultrafy` hands the walk to the kernel, `one_center`
 reads it for its radius, and `tree_of_matrix` wraps the parts in a fresh
-valid tree, whose distances come from its own walk.  Every matrix built
-from a walk is ultra by construction, so `is_ultra` does not check it again.
+valid tree.  A computed matrix (a walk's, a blend, a midrange) is valid and
+never checked, and a walk's is ultra too; a caller's matrix is checked once.
 
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
@@ -40,11 +40,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrixError
+from .errors import InvalidMatrixError, MergespaceError
 from .trees import (
     LabeledMergeTree,
     MergeTree,
     _label_walk,
+    _number,
     _trusted,
     slack_of,
 )
@@ -66,26 +67,32 @@ class SymMatrix:
     """Immutable square symmetric matrix of finite floats.
 
     Thin wrapper around a read-only numpy array.  Indexing is zero-based and
-    delegates to numpy; label-facing reports elsewhere are one-based.
-    An asymmetry within `trees.slack_of` the entries is averaged away.
-    Two private slots, which equality and hashing ignore: `_ultra` marks a
-    matrix built ultra (`_walk_matrix`), which `is_ultra` takes on trust,
-    and `_sweep` keeps the result of its one single-linkage sweep
-    (`_linkage`): its tree's parts and its label walk, O(n) data, or the
-    failed `is_valid` check of a matrix that has no sweep.
+    delegates to numpy; label-facing reports elsewhere are one-based.  An
+    ndarray is read by its dtype kind, a nested sequence entry by entry by
+    `trees._number`; an asymmetry within `trees.slack_of` the entries is averaged.
+    Private slots, which equality and hashing ignore: `_ultra` marks a matrix
+    built ultra (`_walk_matrix`), which `is_ultra` takes on trust, and `_sweep`
+    the validity verdict (true from the start for a computed matrix), then
+    its sweep (`_linkage`): its tree's parts and label walk, O(n) data.
     """
 
     __slots__ = ("_a", "_ultra", "_sweep")
 
     def __init__(self, entries):
-        a = np.array(entries)
-        if a.dtype.kind not in "iuf":  # as `trees._number`: no bools, strings or bytes
+        bulk = isinstance(entries, np.ndarray)  # checked by dtype kind, as `parse_matrix` hands it
+        a = np.array(entries, dtype=None if bulk else object)
+        if bulk and a.dtype.kind not in "iuf":  # as `trees._number`: no bools, strings or bytes
             raise InvalidMatrixError(f"matrix entries must be real numbers, got {a.dtype}")
-        a = a.astype(float, copy=False)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidMatrixError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] == 0:
             raise InvalidMatrixError("empty matrix")
+        if not bulk:  # a nested sequence entry by entry, each to `trees._number`
+            try:
+                a = np.array([_number(x, "matrix entries") for x in a.flat]).reshape(a.shape)
+            except MergespaceError as err:
+                raise InvalidMatrixError(str(err)) from None
+        a = a.astype(float, copy=False)
         if not np.isfinite(a).all():
             raise InvalidMatrixError("matrix entries must be finite")
         if not (a == a.T).all():
@@ -101,11 +108,11 @@ class SymMatrix:
 
     @classmethod
     def _unchecked(cls, a: np.ndarray, ultra: bool = False) -> "SymMatrix":
-        """Wrap a fresh array that is square, finite and symmetric by
-        construction, and marked ultra if it is built ultra too."""
+        """Wrap, never to check, a fresh array built square, finite, symmetric and
+        valid (a walk's, or valid matrices' by monotone, correctly rounded steps)."""
         m = cls.__new__(cls)
         a.setflags(write=False)
-        m._a, m._ultra, m._sweep = a, ultra, None
+        m._a, m._ultra, m._sweep = a, ultra, MatrixCheck(True)
         return m
 
     @property
@@ -365,9 +372,9 @@ def _linkage(m) -> tuple:
     """Single linkage of a valid matrix: its tree's parts and its label walk.
 
     Found once per matrix object and kept in its `_sweep` slot (O(n) data),
-    which holds the validity verdict until the sweep replaces it: a matrix
-    marked ultra is valid by construction, any other is checked once by
-    `is_valid`, and an invalid one raises on every call.  Then one
+    which holds the validity verdict until the sweep replaces it: a computed
+    matrix's is true from the start (`SymMatrix._unchecked`), a caller's is
+    found once by `is_valid`, and an invalid one raises on every call.  Then one
     union-find sweep runs over the `_mst_edges`.  A merge at height h
     links the two components' label lists, kept in walk order, into one
     with gap h: the first list's tail to the second's head, and every gap
@@ -383,7 +390,7 @@ def _linkage(m) -> tuple:
     """
     m = as_sym_matrix(m)
     if m._sweep is None:
-        m._sweep = MatrixCheck(True) if m._ultra else is_valid(m)
+        m._sweep = is_valid(m)
     if isinstance(m._sweep, tuple):
         return m._sweep
     if not m._sweep:

@@ -6,9 +6,9 @@ matrix interpolation projects back to a geodesic of trees, and the entrywise
 midrange of a collection gives a smallest enclosing ball.  Geodesics and
 centers build the inputs' matrices; the distance does not: it is read from
 the two trees' own label walks, with O(n) arrays per tree and no n x n
-array, and so is tree equality (`trees.labeled_trees_equal`).  The center's
-radius, its largest distance to the inputs, reads the walk of the midrange
-matrix's single-linkage sweep in place of the center's.
+array, and so is tree equality (`trees.labeled_trees_equal`).  A blend,
+clipped between its ends, and a midrange are valid by construction and not
+checked.  The center's radius reads the midrange matrix's walk.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidMatrixError, MergespaceError
+from .errors import MergespaceError
 from .matrices import (SymMatrix, _linkage, _midpoint, induced_matrix, linf_distance,
                        tree_of_matrix, ultrafy)
 from .trees import LabeledMergeTree, _as_id, _number, _walk_gap, _walk_spans, height_tol
@@ -52,16 +52,14 @@ def labeled_interleaving(t1: LabeledMergeTree, t2: LabeledMergeTree) -> float:
     return _walk_gap(t1.walk_spans, t2.walk_spans)
 
 
-def _wrap(a: np.ndarray) -> SymMatrix:
-    """A fresh array of elementwise operations on exactly symmetric arrays,
-    so exactly symmetric too: checked finite, then wrapped without a copy."""
-    if not np.isfinite(a).all():
-        raise InvalidMatrixError("matrix entries must be finite")
-    return SymMatrix._unchecked(a)
-
-
 def _blend(m1: SymMatrix, m2: SymMatrix, lam: float) -> SymMatrix:
-    return _wrap((1.0 - lam) * m1.array + lam * m2.array)
+    """(1 - lam) a + lam b, clipped in place to [min(a, b), max(a, b)]: monotone
+    steps, so valid ends give a valid blend, and equal ends give that end."""
+    a, b = m1.array, m2.array
+    with np.errstate(over="ignore"):  # an overflow is clipped to its end
+        mix = (1.0 - lam) * a + lam * b
+    np.maximum(mix, np.minimum(a, b), out=mix)
+    return SymMatrix._unchecked(np.minimum(mix, np.maximum(a, b), out=mix))
 
 
 def geodesic_point(
@@ -128,7 +126,7 @@ def one_center(trees: Sequence[LabeledMergeTree]):
     for a in rest:
         np.maximum(hi, a, out=hi)
         np.minimum(lo, a, out=lo)
-    mid = _wrap(_midpoint(hi, lo))
+    mid = SymMatrix._unchecked(_midpoint(hi, lo))
     center = tree_of_matrix(mid)
     spans = _walk_spans(*_linkage(mid)[1])
     return center, max(_walk_gap(spans, t.walk_spans) for t in trees)

@@ -1,0 +1,142 @@
+"""Planted faults: each row is a fault that some tests must catch.
+
+    python tests/faults.py
+
+A row names a file of the checkout, an exact text in it, the text that
+replaces it, and the pytest node ids that must fail once it is planted.
+The runner first runs every listed test on an unplanted copy, where all
+must pass.  Then, for each row, it copies `src/`, `tests/` and
+`pyproject.toml` to a fresh temporary directory outside the checkout,
+plants the fault and runs that row's tests with `-x`.  It exits nonzero
+when a fault survives (its tests all pass), when a row's old text is not
+found exactly once, or when the unplanted run fails.  pytest does not
+collect this file: its name does not match `test_*.py`.
+
+A change that plants a fault by hand adds it here as a row, so that a later
+refactor which leaves the catching tests vacuous fails in CI.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file, old text, new text, node ids that must fail)
+FAULTS = [
+    (
+        "blend without the clip",
+        "src/mergespace/metrics.py",
+        "    np.maximum(mix, np.minimum(a, b), out=mix)\n"
+        "    return SymMatrix._unchecked(np.minimum(mix, np.maximum(a, b), out=mix))\n",
+        "    return SymMatrix._unchecked(mix)\n",
+        [
+            "tests/test_metrics.py::test_blend_property_keeps_each_entry_between_its_ends",
+            "tests/test_metrics.py::test_geodesic_property_from_a_tree_to_itself_stays_at_the_tree",
+            "tests/test_metrics.py::test_blend_near_the_largest_float_stays_between_its_ends",
+        ],
+    ),
+    (
+        "SymMatrix trusts a caller's matrix",
+        "src/mergespace/matrices.py",
+        "self._a, self._ultra, self._sweep = a, False, None",
+        "self._a, self._ultra, self._sweep = a, False, MatrixCheck(True)",
+        ["tests/test_matrices.py::test_an_invalid_matrix_is_checked_once"],
+    ),
+    (
+        "a computed matrix is checked again",
+        "src/mergespace/matrices.py",
+        "m._a, m._ultra, m._sweep = a, ultra, MatrixCheck(True)",
+        "m._a, m._ultra, m._sweep = a, ultra, None",
+        ["tests/test_metrics.py::test_a_computed_matrix_is_never_checked"],
+    ),
+    (
+        "a nested sequence read by numpy's common dtype",
+        "src/mergespace/matrices.py",
+        "bulk = isinstance(entries, np.ndarray)",
+        "bulk = True",
+        [
+            "tests/test_api.py::test_every_entry_point_refuses_a_value_that_is_not_its_kind_of_number",
+            "tests/test_api.py::test_a_matrix_entry_beyond_the_64_bit_range_is_read_as_its_float",
+            "tests/test_matrices.py::test_sym_matrix_refuses_a_ragged_list_by_its_shape",
+        ],
+    ),
+    (
+        "candidate_shifts without the half-gaps",
+        "src/mergespace/unlabeled.py",
+        "c = np.concatenate(([0.0], gaps, gaps / 2.0))",
+        "c = np.concatenate(([0.0], gaps))",
+        ["tests/test_unlabeled.py::test_candidate_shifts_cover_height_gaps_and_halves"],
+    ),
+    (
+        "refuted_below one candidate low",
+        "src/mergespace/unlabeled.py",
+        "delta, witness, by is not None, shifts[hi - 1], search.probes, bound, by",
+        "delta, witness, by is not None, shifts[hi - 2], search.probes, bound, by",
+        [
+            "tests/test_unlabeled.py::test_bound_first_does_not_start_at_the_float_bound",
+            "tests/test_cli.py::test_dist_unlabeled_warns_when_uncertified",
+        ],
+    ),
+]
+
+
+def _copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=skip)
+    shutil.copy2(ROOT / "pyproject.toml", dest)
+
+
+def _pytest(where: Path, ids) -> int:
+    """Exit code of pytest on `ids` in the copy, importing the copy's package."""
+    env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
+    found = subprocess.run(
+        [sys.executable, "-c", "import mergespace; print(mergespace.__file__)"],
+        cwd=where, env=env, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    if not Path(found).resolve().is_relative_to(where.resolve()):
+        sys.exit(f"mergespace resolves to {found}, outside the copy {where}")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids]
+    return subprocess.run(cmd, cwd=where, env=env, capture_output=True).returncode
+
+
+def main() -> int:
+    bad, stale = [], set()
+    for name, file, old, _, _ in FAULTS:
+        count = (ROOT / file).read_text().count(old)
+        if count != 1:
+            stale.add(name)
+            bad.append(f"stale row {name!r}: its old text occurs {count} times in {file}")
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp)
+        _copy(clean)
+        ids = sorted({i for *_, row_ids in FAULTS for i in row_ids})
+        if _pytest(clean, ids):
+            bad.append("the listed tests fail with no fault planted")
+    for name, file, old, new, row_ids in FAULTS:
+        if name in stale:
+            continue
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp)
+            _copy(copy)
+            path = copy / file
+            path.write_text(path.read_text().replace(old, new))
+            caught = _pytest(copy, row_ids) != 0
+        print(f"{'caught' if caught else 'SURVIVED'}  {name}  ({time.perf_counter() - start:.1f} s)")
+        if not caught:
+            bad.append(f"fault survived: {name}")
+    for b in bad:
+        print(b, file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -99,6 +99,9 @@ REALS = {
     "PersistenceDiagram birth": (lambda x: PersistenceDiagram([(x, math.inf)]), "birth"),
     "PersistenceDiagram death": (lambda x: PersistenceDiagram([(0.0, x)]), "death"),
     "SymMatrix entries": (lambda x: SymMatrix([[x, x], [x, x]]), "matrix entries"),
+    "SymMatrix entry among floats": (
+        lambda x: SymMatrix([[0.0, x], [x, 0.0]]), "matrix entries"
+    ),
     "point_at height": (lambda x: point_at(WYE, 0, x), "height"),
     "as_point height": (lambda x: as_point(WYE, (0, x)), "height"),
     "refine_at height": (lambda x: refine_at(WYE, [(0, x)]), "height"),
@@ -176,6 +179,12 @@ def test_an_accepted_number_keeps_the_bytes_of_its_float(xs, lam, shift):
     )
     got, want = map_from_labeling(LA, LB, shift), map_from_labeling(LA, LB, float(shift))
     assert got == want and float.hex(got.delta) == float.hex(want.delta)
+
+
+def test_a_matrix_entry_beyond_the_64_bit_range_is_read_as_its_float():
+    # as a height of that size is: each entry of a nested list is a caller number
+    assert SymMatrix([[0.0, 10**20], [10**20, 0.0]]).array.tolist() == [[0.0, 1e20], [1e20, 0.0]]
+    assert MergeTree([(0, 10**20)], []).height[0] == 1e20
 
 
 def _outcome(run):

@@ -175,6 +175,29 @@ def test_an_invalid_matrix_is_checked_once():
     assert checked.call_count == 1
 
 
+def test_a_caller_matrix_is_checked_once():
+    # a matrix built by the constructor is checked on its first sweep, and
+    # only then; a computed one (a walk's, a blend, a midrange) never is
+    rng = np.random.default_rng(131)
+    for _ in range(10):
+        m = SymMatrix(rand_valid_matrix(rng, int(rng.integers(1, 9))).array.tolist())
+        with mock.patch.object(matrices, "is_valid", wraps=is_valid) as checked:
+            tree_of_matrix(m)
+            ultrafy(m)
+            induced_matrix(tree_of_matrix(ultrafy(m)))
+        assert checked.call_count == 1
+
+
+def test_sym_matrix_refuses_a_ragged_list_by_its_shape():
+    # a nested list is read entry by entry (the refusal table of test_api has
+    # its entries); a ragged one is a shape error, where numpy raised a bare
+    # ValueError, and an ndarray keeps its bulk check by dtype kind
+    with pytest.raises(InvalidMatrixError, match=r"expected a square matrix, got shape \(2,\)"):
+        SymMatrix([[0.0, 1.0], [1.0]])
+    with pytest.raises(InvalidMatrixError, match="must be real numbers, got bool"):
+        SymMatrix(np.array([[True]]))
+
+
 def test_induced_matrix_on_shared_and_internal_labels():
     lt = LabeledMergeTree(
         MergeTree(

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +13,7 @@ from mergespace import (
     LabeledMergeTree,
     MergeTree,
     MergespaceError,
+    SymMatrix,
     as_sym_matrix,
     canonicalize,
     geodesic_length,
@@ -23,14 +28,17 @@ from mergespace import (
     ultrafy,
     write_tree,
 )
-from mergespace import matrices
+from mergespace import matrices, metrics
 from mergespace.trees import height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
+    exact_gap,
+    exact_half_range,
     one_center_stacked,
     rand_labeled_collection,
     rand_labeled_pair,
     rand_labeled_tree,
+    rand_labeled_triple,
     rand_ultra_matrix,
     rand_valid_matrix,
     with_heights,
@@ -326,3 +334,102 @@ def test_geodesic_length_at_a_large_offset():
         a, b = (with_heights(t, lambda h: h + 1e12) for t in pair)
         gap = geodesic_length(a, b) - labeled_interleaving(a, b)
         assert abs(gap) <= 10 * height_tol(a, b)
+
+
+# -- exact oracle: the labeled layer against `fractions.Fraction` -----------
+
+OFFSETS = [0.0, 2.0**40, 1e12, -3e-7]  # 0.0: the raw heights, not shifted
+LAMBDAS = st.one_of(st.sampled_from([0.1, 0.3, 0.7, 1 / 3]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def offset_collections(draw, size=2, max_leaves=6):
+    """`size` trees over one label set, on the grid or real, raw or with
+    every height shifted by one of `OFFSETS`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trees = rand_labeled_collection(
+        rng, size, max_leaves=draw(st.integers(1, max_leaves)), integral=draw(st.booleans())
+    )
+    offset = draw(st.sampled_from(OFFSETS))
+    return [with_heights(t, lambda h: h + offset) if offset else t for t in trees]
+
+
+@given(offset_collections(size=1), LAMBDAS)
+def test_geodesic_property_from_a_tree_to_itself_stays_at_the_tree(trees, lam):
+    (t,) = trees
+    got = induced_matrix(geodesic_point(t, t, lam)).array
+    assert got.tobytes() == induced_matrix(t).array.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.sampled_from(OFFSETS), LAMBDAS)
+def test_blend_property_keeps_each_entry_between_its_ends(seed, n, offset, lam):
+    # ends 0 to 7 ULPs apart, either way, where (1 - lam) a + lam b rounds
+    # past an end for a few entries in a thousand
+    rng = np.random.default_rng(seed)
+    a = induced_matrix(rand_labeled_tree(rng, n, max_leaves=n)).array + offset
+    steps = np.triu(rng.integers(0, 8, size=(n, n)))
+    steps = steps + np.triu(steps, 1).T
+    toward = np.where(rng.random((n, n)) < 0.5, -np.inf, np.inf)
+    toward = np.triu(toward) + np.triu(toward, 1).T
+    b = a.copy()
+    for k in range(7):
+        b = np.where(steps > k, np.nextafter(b, toward), b)
+    got = metrics._blend(SymMatrix(a), SymMatrix(b), lam).array
+    assert (np.minimum(a, b) <= got).all() and (got <= np.maximum(a, b)).all()
+    assert got[steps == 0].tobytes() == a[steps == 0].tobytes()
+
+
+@given(offset_collections())
+def test_labeled_interleaving_property_is_the_rounded_exact_gap(pair):
+    a, b = pair
+    exact = exact_gap(induced_matrix(a), induced_matrix(b))
+    assert labeled_interleaving(a, b) == float(exact)
+
+
+@given(st.integers(1, 4).flatmap(offset_collections))
+def test_one_center_property_reach_is_within_half_an_ulp_above_the_exact_radius(trees):
+    # the center's exact distance to the inputs lies in [exact, exact + 1/2
+    # ULP of the largest height], and the radius is that distance rounded
+    # once; the float itself can round below an exact value that is not a
+    # float, or more than 1/2 ULP above it
+    center, radius = one_center(trees)
+    exact = exact_half_range([induced_matrix(t) for t in trees])
+    reach = max(exact_gap(induced_matrix(center), induced_matrix(t)) for t in trees)
+    top = max(abs(h) for t in trees for _, h in t.tree.vertices)
+    assert exact <= reach <= exact + Fraction(math.ulp(top)) / 2
+    assert radius == float(reach)
+
+
+# -- a computed matrix is never checked ---------------------------------------
+
+COMPUTED = {
+    "geodesic_point": lambda a, b, c: geodesic_point(a, b, 0.3),
+    "one_center": lambda a, b, c: one_center([a, b, c]),
+    "geodesic_length": lambda a, b, c: geodesic_length(a, b, samples=6),
+}
+
+
+@pytest.mark.parametrize("call", COMPUTED.values(), ids=COMPUTED)
+def test_a_computed_matrix_is_never_checked(call):
+    # a blend or a midrange of induced matrices is valid by construction:
+    # `_linkage` sweeps it with no `is_valid` pass
+    rng = np.random.default_rng(127)
+    for _ in range(5):
+        trees = rand_labeled_triple(rng, max_leaves=5)
+        with mock.patch.object(matrices, "is_valid", wraps=matrices.is_valid) as checked:
+            call(*trees)
+        assert checked.call_count == 0
+
+
+@pytest.mark.parametrize("ends", [(1.0, 1.0), (1.0, 1 - 2**-53)])
+def test_blend_near_the_largest_float_stays_between_its_ends(ends):
+    # (1 - lam) a + lam b rounds up to inf for some lam; the clip takes it
+    # back to the larger end, with no overflow warning (warnings are errors)
+    top = np.finfo(float).max
+    m1, m2 = (SymMatrix(np.full((3, 3), top * e)) for e in ends)
+    for lam in [k / 97 for k in range(98)] + [1 / 3, 0.1, 0.7]:
+        got = metrics._blend(m1, m2, lam).array
+        assert np.isfinite(got).all()
+        assert ((min(ends) * top <= got) & (got <= max(ends) * top)).all()
+        if ends[0] == ends[1]:
+            assert got.tobytes() == m1.array.tobytes()

@@ -6,11 +6,12 @@ nested signatures, diagrams from ancestor chains, bottleneck cost from
 enumerating matchings (or, for larger diagrams, from scipy's
 Hopcroft-Karp), induced entries and meets from walking ancestor chains,
 a walk's matrix from one running maximum per row, a label walk from a
-recursive preorder and ancestor chains, a 1-center from the stacked
-induced matrices, unlabeled distances from enumerating good maps by their
-leaf images, map verdicts from a sweep over every critical height, label
-transfers from ancestor chains, tree validation from a walk up every parent
-chain, matrix text from float() on every entry, row by row, and a
+recursive preorder and ancestor chains, a 1-center from the exact midrange
+of the stacked induced matrices, rounded once, exact entry gaps and ranges
+from `fractions.Fraction`, unlabeled distances from enumerating good maps
+by their leaf images, map verdicts from a sweep over every critical height,
+label transfers from ancestor chains, tree validation from a walk up every
+parent chain, matrix text from float() on every entry, row by row, and a
 refinement from one chain of inserted heights per vertex.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -504,13 +506,31 @@ def label_walk_oracle(lt: LabeledMergeTree) -> tuple:
 
 def one_center_stacked(trees) -> tuple:
     """(center, radius) through the stacked induced matrices: their `max`
-    and `min` over the stack, the tree of the midpoint of the two, and the
-    largest entry gap of the center's matrix to any input's."""
-    from mergespace.matrices import _midpoint
-
+    and `min` over the stack, the tree of their exact midrange, rounded once,
+    and the largest entry gap of the center's matrix to any input's.  A
+    midrange that rounds to zero takes the sign IEEE arithmetic gives hi + lo."""
     stack = np.stack([induced_matrix(t).array for t in trees])
-    center = tree_of_matrix(_midpoint(stack.max(axis=0), stack.min(axis=0)))
+    mid = [
+        [math.copysign(float((Fraction(h) + Fraction(l)) / 2), h + l) for h, l in zip(hs, ls)]
+        for hs, ls in zip(stack.max(axis=0).tolist(), stack.min(axis=0).tolist())
+    ]
+    center = tree_of_matrix(mid)
     return center, max(linf_distance(induced_matrix(center), induced_matrix(t)) for t in trees)
+
+
+def exact_gap(a, b) -> Fraction:
+    """The exact largest |A_ij - B_ij| of two matrices' float entries."""
+    return max(
+        abs(Fraction(x) - Fraction(y))
+        for x, y in zip(as_sym_matrix(a).array.flat, as_sym_matrix(b).array.flat)
+    )
+
+
+def exact_half_range(matrices) -> Fraction:
+    """Half the exact largest range max_k M_ij - min_k M_ij of one entry over
+    the matrices: the radius of their smallest enclosing L-infinity ball."""
+    stack = np.stack([as_sym_matrix(m).array for m in matrices]).reshape(len(matrices), -1)
+    return max(Fraction(max(col)) - Fraction(min(col)) for col in stack.T.tolist()) / 2
 
 
 def induced_rowwise_oracle(lt: LabeledMergeTree) -> np.ndarray:
