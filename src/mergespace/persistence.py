@@ -4,14 +4,15 @@ The diagram of a merge tree pairs each non-oldest branch with the merge
 that absorbs it: at every merge vertex the component carrying the lowest
 minimum survives (ties to the smaller leaf id) and the others die there.
 The global minimum never dies and yields the single infinite point.  One
-pass over the vertices in height order computes it: every child lies
-strictly below its parent, so each vertex has received its children's
-minima before it hands its own up through the parent map, and the younger
-of two minima meeting at a vertex dies there: one comparison per merge.
-Every diagram goes through one store, which sorts its finite and its
-essential points once each and merges them into `points`.  Caller points,
-to the constructor or in diagram text, pass one per-point check first; a
-tree's points skip it, being copied heights whose deaths exceed births.
+pass over the tree's stored edges, in their child's height order, computes
+it: every child lies strictly below its parent, so each vertex has received
+its children's minima before its own edge hands its minimum up, and the
+younger of two minima meeting at a vertex dies there: one comparison per
+merge.  Every diagram goes through one store, which sorts its finite and
+its essential points once each, and then both together, once, as `points`.
+Caller points, to the constructor or in diagram text, pass one per-point
+check first; a tree's points skip it, being copied heights whose deaths
+exceed births.
 
 Bottleneck distance is computed exactly.  Essential points pair up in birth
 order, which fixes a floor on the cost.  For the finite points, one numpy
@@ -54,7 +55,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Union
 
 import numpy as np
@@ -107,17 +107,10 @@ def _checked(points, finite: list, infinite: list) -> None:
 
 def _store(d: PersistenceDiagram, finite: list, infinite: list) -> PersistenceDiagram:
     """Store checked `finite` and `infinite` points in `d`, each sorted once,
-    and `points`, their `sorted` merge: each essential point is bisected into
-    the finite ones past the last (none equals it), O(n + k log n) in all."""
+    and `points`, all of them sorted."""
     finite.sort()
     infinite.sort()
-    points, k = [], 0
-    for p in infinite:
-        j = bisect_left(finite, p, k)
-        points += (*finite[k:j], p)
-        k = j
-    points += finite[k:]
-    d.__dict__.update(points=tuple(points), finite=tuple(finite), infinite=tuple(infinite))
+    d.__dict__.update(points=tuple(sorted(finite + infinite)), finite=tuple(finite), infinite=tuple(infinite))
     return d
 
 
@@ -126,19 +119,17 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
     points are copied tree heights whose deaths lie above their births
     (edges climb), so none of the constructor's checks can fail."""
     t = _bare(t)
-    height, parent = t.height, t.parent
+    height = t.height
     finite = []
     # minimum carried up to each vertex so far: (height, leaf id), whose
     # order is the elder rule with ties to the smaller id (ids differ, so two
     # never compare equal).
-    # Children lie strictly below their parent, so in height order a vertex
-    # has all its children's minima before it passes its own up.
+    # Children lie strictly below their parent, so with the edges in their
+    # child's height order a vertex has all its children's minima before its
+    # own edge passes its minimum up.
     carried = {}
-    for v, h in sorted(t.vertices, key=itemgetter(1)):
-        low = carried.pop(v, None) or (h, v)  # nothing carried: a leaf
-        p = parent[v]
-        if p is None:
-            break  # the top: the highest vertex, so the last
+    for c, p in sorted(t.edges, key=lambda e: height[e[0]]):
+        low = carried.pop(c, None) or (height[c], c)  # nothing carried: a leaf
         other = carried.get(p)
         if other is None:
             carried[p] = low
@@ -147,7 +138,10 @@ def persistence_diagram(t: Union[MergeTree, LabeledMergeTree]) -> PersistenceDia
             carried[p] = low
         else:
             finite.append((low[0], height[p]))
-    return _store(object.__new__(PersistenceDiagram), finite, [(low[0], INF)])
+    # every vertex but the top has passed its minimum up, so only the top's
+    # is left; a single vertex has no edge and is its own minimum
+    birth = carried.popitem()[1][0] if carried else t.vertices[0][1]
+    return _store(object.__new__(PersistenceDiagram), finite, [(birth, INF)])
 
 
 def _numpy_adjacency(cost, half, c):

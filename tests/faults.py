@@ -84,7 +84,97 @@ FAULTS = [
             "tests/test_cli.py::test_dist_unlabeled_warns_when_uncertified",
         ],
     ),
+    (
+        "re-test skipped",
+        "src/mergespace/unlabeled.py",
+        'by = "retest" if probe(below) is None else None',
+        'by = "retest"',
+        [
+            "tests/test_unlabeled.py::test_bisection_equals_the_ascending_scan[0.0001]",
+            "tests/test_cli.py::test_dist_unlabeled_warns_when_uncertified",
+        ],
+    ),
+    (
+        "bound without its slack",
+        "src/mergespace/unlabeled.py",
+        "lo, hi = bisect_left(shifts, bound - slack), len(shifts)",
+        "lo, hi = bisect_left(shifts, bound), len(shifts)",
+        ["tests/test_unlabeled.py::test_bound_first_does_not_start_at_the_float_bound"],
+    ),
+    (
+        "_walk_gap without the diagonal",
+        "src/mergespace/trees.py",
+        "max(d, _walk_excess(a, b), _walk_excess(b, a))",
+        "max(_walk_excess(a, b), _walk_excess(b, a))",
+        [
+            "tests/test_metrics.py::test_labeled_interleaving_property_is_the_rounded_exact_gap",
+            "tests/test_metrics.py::test_distance_never_exceeds_the_matrix_gap",
+            "tests/test_trees.py::test_labeled_trees_equal_property_agrees_with_signatures",
+        ],
+    ),
+    (
+        "labeled equality with a tolerance",
+        "src/mergespace/trees.py",
+        "_walk_gap(a.walk_spans, b.walk_spans) == 0.0",
+        "_walk_gap(a.walk_spans, b.walk_spans) <= 1e-9",
+        ["tests/test_matrices.py::test_labeled_trees_equal_property_agrees_with_signatures"],
+    ),
+    (
+        "parse_diagram appending without _checked",
+        "src/mergespace/fileio.py",
+        "_checked(((birth, death),), finite, infinite)",
+        "(finite if death < math.inf else infinite).append((birth, death))",
+        [
+            "tests/test_fileio.py::test_diagram_rejects_a_nan_death",
+            "tests/test_fileio.py::test_diagram_text_property_reads_as_the_checked_constructor",
+        ],
+    ),
+    (
+        "diagram points stored unsorted",
+        "src/mergespace/persistence.py",
+        "points=tuple(sorted(finite + infinite))",
+        "points=tuple(finite + infinite)",
+        [
+            "tests/test_persistence.py::test_diagram_normalizes_and_sorts",
+            "tests/test_persistence.py::test_wye_diagram",
+            "tests/test_persistence.py::test_diagram_property_stores_the_sorted_points_split",
+            "tests/test_fileio.py::test_diagram_text_is_checked_and_stored_once",
+        ],
+    ),
+    (
+        "elder rule walks the edges in stored order",
+        "src/mergespace/persistence.py",
+        "sorted(t.edges, key=lambda e: height[e[0]])",
+        "t.edges",
+        [
+            "tests/test_persistence.py::test_ties_multiway_merges_and_subdivisions_follow_the_elder_rule",
+            "tests/test_persistence.py::test_diagram_property_matches_the_ancestor_chain_oracle",
+        ],
+    ),
+    (
+        "bottleneck list path ignores the essential floor",
+        "src/mergespace/persistence.py",
+        "lo = bisect_left(cands, max([inf_cost, *fates]))",
+        "lo = 0",
+        [
+            "tests/test_persistence.py::test_bottleneck_pairs_essential_points_by_birth_order",
+            "tests/test_persistence.py::test_bottleneck_property_small_path_is_bit_identical",
+            "tests/test_acceptance.py::test_criterion_09_bottleneck_matches_exhaustive_matching",
+        ],
+    ),
 ]
+
+# Known equivalent mutants: each changes no result, so no test can catch it
+# and it is kept out of FAULTS.
+# - `matrices._walk_meets` accumulating each block from its second row
+#   (`block[1:]`): the block's first row lies wholly on or above the
+#   diagonal of its square, so it is all -inf.  From the third row on
+#   (`block[2:]`) it is a fault, and the walk-kernel tests catch it.
+# - `low <= other` for `low < other` in `persistence_diagram`: two carried
+#   minima never compare equal, since each carries its own leaf id.
+# - `sorted(infinite + finite)` in `persistence._store`: no finite point
+#   equals an essential one, so the stable sort's order among equal points
+#   is the same either way.
 
 
 def _copy(dest: Path) -> None:

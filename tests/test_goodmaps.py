@@ -24,7 +24,7 @@ from mergespace import (
     verify_delta_good,
 )
 from mergespace.goodmaps import preimage_of
-from mergespace.trees import height_tol
+from mergespace.trees import REL_TOL, height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
     _label_tree,
@@ -178,6 +178,27 @@ def test_map_from_labeling_reports_the_blocking_entry():
     i, j = got.entry
     assert got.gap > 0.5
     assert 1 <= i <= 2 and 1 <= j <= 2
+
+
+def test_map_from_labeling_refuses_labels_that_split_in_the_rounding_slack():
+    # near 2**40 a height's ULP g is 2**-12, and the heights span 8.7 g /
+    # REL_TOL, so the slack is 8.7 g.  Labels 1 and 2 share the source leaf
+    # at H; in the target label 2 sits 9 g above label 1, within delta (0.4 g)
+    # plus the slack, so no matrix entry blocks.  But H + delta rounds down
+    # to H, and the two labels, each lifted to H + delta on its own target
+    # path, land 9 g apart: they split, and the pair is reported
+    h, g = 2.0**40, 2.0**-12
+    top, low = h + 10.0, h + 10.0 - 8.7 * g / REL_TOL
+    a = LabeledMergeTree(MergeTree([(0, h), (1, low), (2, top)], [(0, 2), (1, 2)]), {1: 0, 2: 0, 3: 1})
+    b = LabeledMergeTree(
+        MergeTree([(0, h), (1, h + 9 * g), (2, low), (3, top)], [(0, 1), (1, 3), (2, 3)]),
+        {1: 0, 2: 1, 3: 2},
+    )
+    delta = 0.4 * g
+    assert height_tol(a, b) == pytest.approx(8.7 * g)
+    assert linf_distance(induced_matrix(a), induced_matrix(b)) <= delta + height_tol(a, b)
+    assert h + delta == h
+    assert map_from_labeling(a, b, delta) == InfeasibleLabeling((1, 2), 9 * g, delta)
 
 
 def test_map_from_labeling_blocks_at_the_first_offending_entry():

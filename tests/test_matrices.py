@@ -107,6 +107,15 @@ def test_sym_matrix_keeps_an_exactly_symmetric_matrix_as_given():
     assert np.signbit(kept[0, 1]) and not np.signbit(kept[1, 0])
 
 
+def test_sym_matrix_repr_evaluates_to_an_equal_matrix():
+    m = as_sym_matrix([[0.1 + 0.2, -0.0, 1e300], [-0.0, 2.0**-1074, 7.0], [1e300, 7.0, -5.5]])
+    text = repr(m)
+    assert text.startswith("SymMatrix([[")
+    back = eval(text, {"SymMatrix": SymMatrix})
+    assert back == m and hash(back) == hash(m)
+    assert back.array.tobytes() == m.array.tobytes()  # signed zeros too
+
+
 def test_sym_matrix_hash_agrees_with_equality_on_signed_zeros():
     a, b = as_sym_matrix([[0.0]]), as_sym_matrix([[-0.0]])
     assert a == b

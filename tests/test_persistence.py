@@ -5,17 +5,21 @@ import math
 import numpy as np
 import pytest
 from mergespace import persistence
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergespace import (
     MergeTree,
     PersistenceDiagram,
     bottleneck_distance,
+    bottleneck_tree_distance,
     parse_diagram,
+    parse_tree,
     persistence_diagram,
     write_diagram,
+    write_tree,
 )
+from mergespace.trees import _bare
 from util import (
     _diag_cost,
     _pair_cost,
@@ -25,6 +29,7 @@ from util import (
     diagram_oracle,
     rand_diagram,
     rand_grown_tree,
+    rand_labeled_tree,
     rand_merge_tree,
     straddling_zero,
 )
@@ -92,12 +97,19 @@ def test_ties_multiway_merges_and_subdivisions_follow_the_elder_rule():
     assert persistence_diagram(t).points == diagram_oracle(t).points == want
 
 
+# a tree with height ties between siblings and across branches and a
+# subdivision vertex; that tree, labeled; a single vertex
+@example(0, "integral")
+@example(0, "labeled")
+@example(27, "grown")
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["real", "integral", "grown", "grown-integral"]))
 def test_diagram_property_matches_the_ancestor_chain_oracle(seed, kind):
     # integral heights tie; both generators merge three ways one time in five,
     # and rand_merge_tree adds subdivision vertices, above the top too
     rng = np.random.default_rng(seed)
-    if kind.startswith("grown"):
+    if kind == "labeled":
+        t = rand_labeled_tree(rng, 12, max_leaves=8, integral=True)
+    elif kind.startswith("grown"):
         t = rand_grown_tree(rng, int(rng.integers(1, 41)), integral=kind.endswith("integral"))
     else:
         t = rand_merge_tree(rng, max_leaves=8, integral=kind == "integral")
@@ -158,6 +170,19 @@ def test_diagram_property_stores_the_sorted_points_split(finite, essential, rand
         assert _hexes(d.points) == _hexes(want)
         assert _hexes(d.finite) == _hexes(p for p in want if p[1] < INF)
         assert _hexes(d.infinite) == _hexes(p for p in want if p[1] == INF)
+
+
+def test_a_cold_diagram_builds_no_parent_map():
+    # the elder rule reads heights and the stored edges only: freshly parsed
+    # trees, bare and labeled, get no `parent` map from a diagram or from a
+    # bottleneck distance
+    rng = np.random.default_rng(8)
+    for make in (lambda: rand_grown_tree(rng, 9), lambda: rand_labeled_tree(rng, 12, max_leaves=8)):
+        a, b, c = (parse_tree(write_tree(make())) for _ in range(3))
+        persistence_diagram(a)
+        bottleneck_tree_distance(b, c)
+        for t in (a, b, c):
+            assert "parent" not in _bare(t).__dict__
 
 
 def test_single_vertex_diagram():

@@ -32,6 +32,7 @@ import mergespace
 from mergespace.dot import to_dot
 from mergespace.trees import (
     REL_TOL,
+    ValidationReport,
     _validate,
     as_point,
     height_tol,
@@ -278,6 +279,13 @@ def test_height_read_first_is_the_map_validation_built(monkeypatch):
     assert len(built) == 1 and height is built[0]
     assert list(height.items()) == list(dict(t.vertices).items())
     assert t.height is height and t.ensure_valid() is t and len(built) == 1
+
+
+def test_a_validation_report_is_true_exactly_when_ok():
+    good, bad = _wye().validation, MergeTree([(0, 0.0), (1, 1.0)], []).validation
+    assert good and good.ok and good.violations == ()
+    assert not bad and not bad.ok and bad.violations
+    assert bool(ValidationReport(())) and not ValidationReport(("tree has no vertices",))
 
 
 def test_ensure_valid_raises_with_the_violations():
