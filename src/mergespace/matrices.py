@@ -26,6 +26,15 @@ reads it for its radius, and `tree_of_matrix` wraps the parts in a fresh
 valid tree.  A computed matrix (a walk's, a blend, a midrange) is valid and
 never checked, and a walk's is ultra too; a caller's matrix is checked once.
 
+`induced_matrix` keeps the matrices it built last and serves a tree its
+own again: one collection's geodesics and center build each input's
+matrix once.  The store drops its oldest entries while their matrix bytes,
+plus 1 KiB an entry for the objects around them, exceed 4 MiB (five
+matrices at 300 labels), and it never keeps a matrix larger than that.
+An entry is keyed by its tree's id and holds a weak reference to the
+tree: it keeps no tree alive and writes nothing into it, and a new tree
+that takes a dead tree's id is not served the dead tree's matrix.
+
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`).  Its rows follow the walk and callers
 find them through its row map, so it needs no gather and no labeled tree.
@@ -36,6 +45,9 @@ lies on the other's upward path, or their anchors join at a vertex above both.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,15 +215,53 @@ def is_ultra(m) -> MatrixCheck:
     return MatrixCheck(True)
 
 
+# `induced_matrix`'s store: id(tree) -> (weak reference to the tree, its
+# matrix), oldest first.  An entry is charged its matrix's bytes and
+# `_ENTRY_BYTES` for the array header, matrix, reference and slot around
+# them (about 0.5 KiB measured), and the charges stay within `_KEPT_BYTES`.
+_KEPT_BYTES = 4 << 20
+_ENTRY_BYTES = 1 << 10
+_kept = OrderedDict()
+_kept_bytes = 0
+_kept_lock = threading.Lock()
+
+
 def induced_matrix(lt: LabeledMergeTree) -> SymMatrix:
     """Pairwise lowest-common-ancestor heights of the labels.
 
     Entry (i, j) is the height of the meeting point of labels i and j; the
     diagonal is the height of each label's own vertex.  `_walk_matrix` builds
-    it from the tree's cached depth-first `label_walk`.
+    it from the tree's cached depth-first `label_walk`.  A later call on
+    the same tree object returns the same read-only matrix while the store
+    keeps it (see the module docstring).  An id is reused only once its
+    tree dies, so an entry serves only a tree its weak reference returns.
     """
     lt.ensure_valid()
-    return _walk_matrix(*lt.label_walk)
+    entry = _kept.get(id(lt))
+    if entry is not None and entry[0]() is lt:
+        return entry[1]
+    m = _walk_matrix(*lt.label_walk)
+    _keep(lt, m)
+    return m
+
+
+def _keep(lt: LabeledMergeTree, m: SymMatrix) -> None:
+    """Store `m` as the matrix of `lt`, the oldest entries going to make room;
+    a matrix charged more than the whole budget is not kept."""
+    global _kept_bytes
+    charge = m.array.nbytes + _ENTRY_BYTES
+    if charge > _KEPT_BYTES:
+        return
+    with _kept_lock:
+        # the entry under this id: a dead tree's, or `lt`'s from another thread
+        old = _kept.pop(id(lt), None)
+        if old is not None:
+            _kept_bytes -= old[1].array.nbytes + _ENTRY_BYTES
+        _kept[id(lt)] = weakref.ref(lt), m
+        _kept_bytes += charge
+        while _kept_bytes > _KEPT_BYTES:
+            _, (_, old) = _kept.popitem(last=False)
+            _kept_bytes -= old.array.nbytes + _ENTRY_BYTES
 
 
 def meet_table(t: MergeTree):

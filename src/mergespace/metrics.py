@@ -4,11 +4,14 @@ Everything here is read through induced matrices: the distance between two
 labeled trees is the largest entrywise gap of their matrices, straight-line
 matrix interpolation projects back to a geodesic of trees, and the entrywise
 midrange of a collection gives a smallest enclosing ball.  Geodesics and
-centers build the inputs' matrices; the distance does not: it is read from
-the two trees' own label walks, with O(n) arrays per tree and no n x n
-array, and so is tree equality (`trees.labeled_trees_equal`).  A blend,
-clipped between its ends, and a midrange are valid by construction and not
-checked.  The center's radius reads the midrange matrix's walk.
+centers read the inputs' matrices through `matrices.induced_matrix`, whose
+store of the last few it built (up to 4 MiB) serves a tree again: three
+geodesics and a center over five trees build five matrices, not eleven.
+The distance builds none: it is read from the two trees' own label walks,
+with O(n) arrays per tree and no n x n array, and so is tree equality
+(`trees.labeled_trees_equal`).  A blend, clipped between its ends, and a
+midrange are valid by construction and not checked.  The center's radius
+reads the midrange matrix's walk.
 """
 
 from __future__ import annotations
@@ -108,11 +111,15 @@ def geodesic_length(
 def one_center(trees: Sequence[LabeledMergeTree]):
     """Smallest enclosing ball center and radius for labeled trees.
 
-    The center is the tree of the entrywise midrange matrix; the radius is
-    its largest distance to the inputs, which equals half the largest
-    entrywise range and cannot be improved by any other tree.  A running
-    maximum and minimum keep the first of equal entries, as reductions do.
-    The radius reads the walk of the midrange matrix's sweep, not the center's.
+    The center is the tree of the entrywise midrange matrix; no other tree
+    lies closer to all the inputs than half the largest entrywise range.
+    The radius is the center's largest distance to the inputs, rounded
+    once: that exact distance lies between the exact half range and it
+    plus 1/2 ULP of the largest |height| (the midrange rounds), and its
+    rounding can land just below the half range or just above that bound.
+    A running maximum and minimum keep the first of equal entries, as
+    reductions do.  The radius reads the walk of the midrange matrix's
+    sweep, not the center's.
 
     Returns (center, radius).
     """

@@ -7,10 +7,13 @@ replaces it, and the pytest node ids that must fail once it is planted.
 The runner first runs every listed test on an unplanted copy, where all
 must pass.  Then, for each row, it copies `src/`, `tests/` and
 `pyproject.toml` to a fresh temporary directory outside the checkout,
-plants the fault and runs that row's tests with `-x`.  It exits nonzero
-when a fault survives (its tests all pass), when a row's old text is not
-found exactly once, or when the unplanted run fails.  pytest does not
-collect this file: its name does not match `test_*.py`.
+plants the fault and runs all of that row's tests.  Every listed id must
+fail: an id names one test or, without its parameters, each of them, and
+it fails when one of the tests it names fails.  The runner exits nonzero,
+naming each offending id, when a listed id passes under its fault, when
+a listed id runs no test or fails unplanted, or when a row's old text is
+not found exactly once.  pytest does not collect this file: its name does
+not match `test_*.py`.
 
 A change that plants a fault by hand adds it here as a row, so that a later
 refactor which leaves the catching tests vacuous fails in CI.
@@ -25,6 +28,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -68,6 +72,30 @@ FAULTS = [
         ],
     ),
     (
+        "the matrix store serves an entry without its identity check",
+        "src/mergespace/matrices.py",
+        "if entry is not None and entry[0]() is lt:",
+        "if entry is not None:",
+        [
+            "tests/test_matrices.py::test_a_dead_trees_matrix_is_never_served_to_a_new_tree",
+            "tests/test_matrices.py::test_store_property_serves_each_tree_its_own_matrix",
+        ],
+    ),
+    (
+        "the matrix store never evicts",
+        "src/mergespace/matrices.py",
+        "while _kept_bytes > _KEPT_BYTES:",
+        "while False:",
+        ["tests/test_matrices.py::test_the_store_keeps_at_most_its_budget_of_dropped_trees_matrices"],
+    ),
+    (
+        "the matrix store takes a matrix over its budget",
+        "src/mergespace/matrices.py",
+        "    if charge > _KEPT_BYTES:\n        return\n",
+        "",
+        ["tests/test_matrices.py::test_a_matrix_over_the_budget_is_returned_and_not_kept"],
+    ),
+    (
         "candidate_shifts without the half-gaps",
         "src/mergespace/unlabeled.py",
         "c = np.concatenate(([0.0], gaps, gaps / 2.0))",
@@ -100,6 +128,13 @@ FAULTS = [
         "lo, hi = bisect_left(shifts, bound - slack), len(shifts)",
         "lo, hi = bisect_left(shifts, bound), len(shifts)",
         ["tests/test_unlabeled.py::test_bound_first_does_not_start_at_the_float_bound"],
+    ),
+    (
+        "the search budget allows one state more",
+        "src/mergespace/unlabeled.py",
+        "if states > self.budget:",
+        "if states > self.budget + 1:",
+        ["tests/test_unlabeled.py::test_the_budget_counts_every_option_tried"],
     ),
     (
         "_walk_gap without the diagonal",
@@ -184,8 +219,10 @@ def _copy(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest)
 
 
-def _pytest(where: Path, ids) -> int:
-    """Exit code of pytest on `ids` in the copy, importing the copy's package."""
+def _pytest(where: Path, ids) -> dict:
+    """Outcome of each listed id in the copy, importing the copy's package:
+    "failed" when a test it names fails, "passed" when all of them pass,
+    and "not run" when it names none."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"), PYTHONDONTWRITEBYTECODE="1")
     found = subprocess.run(
         [sys.executable, "-c", "import mergespace; print(mergespace.__file__)"],
@@ -193,8 +230,20 @@ def _pytest(where: Path, ids) -> int:
     ).stdout.strip()
     if not Path(found).resolve().is_relative_to(where.resolve()):
         sys.exit(f"mergespace resolves to {found}, outside the copy {where}")
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids]
-    return subprocess.run(cmd, cwd=where, env=env, capture_output=True).returncode
+    report = where / "report.xml"
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           f"--junitxml={report}", *ids]
+    subprocess.run(cmd, cwd=where, env=env, capture_output=True)
+    ran = {}  # node id -> failed; a case's class name is its module's dotted path
+    if report.exists():
+        for case in ElementTree.parse(report).iter("testcase"):
+            node = f"{case.get('classname').replace('.', '/')}.py::{case.get('name')}"
+            ran[node] = case.find("failure") is not None or case.find("error") is not None
+    outcome = {}
+    for i in ids:
+        named = [failed for node, failed in ran.items() if node == i or node.startswith(i + "[")]
+        outcome[i] = "not run" if not named else "failed" if any(named) else "passed"
+    return outcome
 
 
 def main() -> int:
@@ -208,8 +257,9 @@ def main() -> int:
         clean = Path(tmp)
         _copy(clean)
         ids = sorted({i for *_, row_ids in FAULTS for i in row_ids})
-        if _pytest(clean, ids):
-            bad.append("the listed tests fail with no fault planted")
+        for i, got in _pytest(clean, ids).items():
+            if got != "passed":
+                bad.append(f"{i} {got} with no fault planted")
     for name, file, old, new, row_ids in FAULTS:
         if name in stale:
             continue
@@ -219,10 +269,10 @@ def main() -> int:
             _copy(copy)
             path = copy / file
             path.write_text(path.read_text().replace(old, new))
-            caught = _pytest(copy, row_ids) != 0
-        print(f"{'caught' if caught else 'SURVIVED'}  {name}  ({time.perf_counter() - start:.1f} s)")
-        if not caught:
-            bad.append(f"fault survived: {name}")
+            missed = [(i, got) for i, got in _pytest(copy, row_ids).items() if got != "failed"]
+        verdict = "SURVIVED" if len(missed) == len(row_ids) else "MISSED BY SOME" if missed else "caught"
+        print(f"{verdict}  {name}  ({time.perf_counter() - start:.1f} s)")
+        bad += [f"under {name!r}: {i} {got}" for i, got in missed]
     for b in bad:
         print(b, file=sys.stderr)
     return 1 if bad else 0

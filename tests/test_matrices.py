@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import sys
+import threading
 import tracemalloc
 from itertools import permutations
 from unittest import mock
@@ -32,6 +35,7 @@ from mergespace import matrices
 from mergespace.matrices import _linkage, _mst_edges, _walk_matrix
 from mergespace.trees import _walk_spans
 from util import (
+    fresh_copy,
     induced_oracle,
     induced_rowwise_oracle,
     minimax_matrix,
@@ -830,3 +834,109 @@ def test_tree_equality_handles_a_fifteen_hundred_label_caterpillar():
     moved = MergeTree(vertices, lt.tree.edges)
     assert not labeled_trees_equal(lt, LabeledMergeTree(moved, lt.labels))
     assert not trees_equal(lt.tree, moved)
+
+
+# -- the store of recent induced matrices -------------------------------------
+
+
+def test_a_tree_is_served_the_matrix_it_was_built():
+    rng = np.random.default_rng(151)
+    t = rand_labeled_tree(rng, 7, max_leaves=7)
+    m = induced_matrix(t)
+    assert induced_matrix(t) is m
+    # an equal tree is another object, with its own entry
+    other = fresh_copy(t)
+    assert induced_matrix(other) is not m
+    assert induced_matrix(other) == m
+
+
+def test_a_dead_trees_matrix_is_never_served_to_a_new_tree():
+    # a new tree may take a dead tree's id while the dead tree's entry lives
+    rng = np.random.default_rng(157)
+    for _ in range(200):
+        t = rand_labeled_tree(rng, 6, max_leaves=6)
+        induced_matrix(t)
+        del t
+        gc.collect()
+        t = rand_labeled_tree(rng, 6, max_leaves=6)
+        assert induced_matrix(t).array.tobytes() == _walk_matrix(*t.label_walk).array.tobytes()
+
+
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=30))
+def test_store_property_serves_each_tree_its_own_matrix(seed, steps):
+    # every tree's key is its label count, as if ids were reused: trees of
+    # one label count share a key, alive or dead, and only the weak
+    # reference to the tree tells their entries apart
+    rng = np.random.default_rng(seed)
+    trees = [rand_labeled_tree(rng, 3 + k % 2, max_leaves=4) for k in range(4)]
+    with mock.patch.object(matrices, "id", lambda lt: lt.n_labels, create=True):
+        for k, replace in steps:
+            if replace:
+                trees[k] = rand_labeled_tree(rng, trees[k].n_labels, max_leaves=4)
+            got = induced_matrix(trees[k]).array
+            assert got.tobytes() == _walk_matrix(*trees[k].label_walk).array.tobytes()
+
+
+def test_the_store_keeps_at_most_its_budget_of_dropped_trees_matrices():
+    budget = 4 << 20
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(40):
+            induced_matrix(_caterpillar(200)[0])  # 320 kB each, its tree dropped
+        gc.collect()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= budget + 8 * 200**2
+
+
+def test_a_matrix_over_the_budget_is_returned_and_not_kept():
+    small = rand_labeled_tree(np.random.default_rng(163), 9, max_leaves=9)
+    kept = induced_matrix(small)
+    big, want = _caterpillar(1000)  # 8 MB
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert np.array_equal(induced_matrix(big).array, want)
+        del big
+        gc.collect()
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current < 8 * 200**2
+    assert induced_matrix(small) is kept  # and the entries before it stay
+
+
+def test_the_store_keeps_its_byte_count_under_threads():
+    # four threads store 600 trees' matrices over one another, switching as
+    # often as the interpreter allows, with about 500 fitting: a lost update
+    # would leave the byte count off the sum of its entries' charges
+    rng = np.random.default_rng(167)
+    trees = [rand_labeled_tree(rng, 30, max_leaves=30) for _ in range(600)]
+    built = [_walk_matrix(*t.label_walk) for t in trees]
+    errors = []
+
+    def work(first):
+        try:
+            for k in range(first, first + 3000):
+                matrices._keep(trees[k % 600], built[k % 600])
+        except Exception as err:  # reported by the test, not lost with its thread
+            errors.append(err)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(150 * k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors
+    charges = sum(m.array.nbytes + matrices._ENTRY_BYTES for _, m in matrices._kept.values())
+    assert matrices._kept_bytes == charges <= matrices._KEPT_BYTES
+    for t, m in zip(trees, built):
+        assert induced_matrix(t).array.tobytes() == m.array.tobytes()

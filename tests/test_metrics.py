@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -34,6 +35,7 @@ from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
     exact_gap,
     exact_half_range,
+    fresh_copy,
     one_center_stacked,
     rand_labeled_collection,
     rand_labeled_pair,
@@ -211,9 +213,13 @@ def test_geodesic_length_carries_each_step_matrix(monkeypatch):
         for k in range(1, samples + 1):
             prev = geodesic_point(a, b, (k - 1) / samples)
             want += labeled_interleaving(prev, geodesic_point(a, b, k / samples))
+        a, b = fresh_copy(a), fresh_copy(b)  # the loop above left a and b's matrices stored
         calls = _count_matrices(monkeypatch)
         assert geodesic_length(a, b, samples=samples) == want
-        assert len(calls) == samples + 2
+        assert len(calls) == samples + 2  # both ends, then one ultrafy per step
+        del calls[:]
+        assert geodesic_length(a, b, samples=samples) == want
+        assert len(calls) == samples  # the ends' matrices are served again
         monkeypatch.undo()
 
 
@@ -421,10 +427,12 @@ def test_a_computed_matrix_is_never_checked(call):
         assert checked.call_count == 0
 
 
-@pytest.mark.parametrize("ends", [(1.0, 1.0), (1.0, 1 - 2**-53)])
+@pytest.mark.parametrize("ends", [(1.0, 1.0), (1.0, 1 - 2**-53), (1 - 2**-53, 1.0)])
 def test_blend_near_the_largest_float_stays_between_its_ends(ends):
-    # (1 - lam) a + lam b rounds up to inf for some lam; the clip takes it
-    # back to the larger end, with no overflow warning (warnings are errors)
+    # (1 - lam) a + lam b leaves [min(a, b), max(a, b)] by a rounding for
+    # some lam: below the equal ends at 49 of these 101 lam, and below the
+    # smaller end, ascending to the largest float, at 2; the clip takes each
+    # back to its end, with no overflow warning (warnings are errors)
     top = np.finfo(float).max
     m1, m2 = (SymMatrix(np.full((3, 3), top * e)) for e in ends)
     for lam in [k / 97 for k in range(98)] + [1 / 3, 0.1, 0.7]:
@@ -433,3 +441,40 @@ def test_blend_near_the_largest_float_stays_between_its_ends(ends):
         assert ((min(ends) * top <= got) & (got <= max(ends) * top)).all()
         if ends[0] == ends[1]:
             assert got.tobytes() == m1.array.tobytes()
+
+
+# -- each input's matrix is built once per collection -------------------------
+
+
+def test_three_geodesics_and_a_center_over_five_trees_build_five_matrices(monkeypatch):
+    # the benchmark's collection: three geodesics whose pairs touch all five
+    # trees, then their center; built call by call that is 2 * 3 + 5 = 11
+    rng = np.random.default_rng(131)
+    trees = rand_labeled_collection(rng, 5, max_leaves=6)
+    steps = [(0, 1, 0.25), (2, 3, 0.5), (4, 0, 0.75)]
+    alone = [geodesic_point(fresh_copy(trees[i]), fresh_copy(trees[j]), lam) for i, j, lam in steps]
+    alone_center, alone_radius = one_center([fresh_copy(t) for t in trees])
+    calls = _count_matrices(monkeypatch)
+    points = [geodesic_point(trees[i], trees[j], lam) for i, j, lam in steps]
+    center, radius = one_center(trees)
+    assert len(calls) == 5
+    # served or built, the same bytes come out
+    assert [write_tree(p) for p in points] == [write_tree(p) for p in alone]
+    assert write_tree(center) == write_tree(alone_center)
+    assert radius.hex() == alone_radius.hex()
+
+
+def test_trees_and_their_matrices_pickle_after_geodesics_and_centers():
+    rng = np.random.default_rng(137)
+    trees = rand_labeled_collection(rng, 3, max_leaves=5)
+    geodesic_point(trees[0], trees[1], 0.5)
+    geodesic_length(trees[1], trees[2], samples=3)
+    one_center(trees)
+    for t in trees:
+        m = induced_matrix(t)
+        ultrafy(m)  # the stored matrix now keeps its sweep too
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and write_tree(back) == write_tree(t)
+        copy = pickle.loads(pickle.dumps(m))
+        assert copy.array.tobytes() == m.array.tobytes()
+        assert induced_matrix(back).array.tobytes() == m.array.tobytes()

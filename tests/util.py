@@ -223,6 +223,12 @@ def rand_leaf_up_map(rng, s: MergeTree, t: MergeTree, delta: float):
     return VertexMap(s, t, delta, images)
 
 
+def fresh_copy(lt: LabeledMergeTree) -> LabeledMergeTree:
+    """An equal tree with no cached state: a new object, so the store of
+    recent matrices holds none for it."""
+    return LabeledMergeTree(MergeTree(lt.tree.vertices, lt.tree.edges), lt.labels)
+
+
 def with_heights(t, f):
     """The same tree, labels kept, with every height h replaced by f(h)."""
     if isinstance(t, LabeledMergeTree):
