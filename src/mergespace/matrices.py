@@ -36,7 +36,9 @@ tree: it keeps no tree alive and writes nothing into it, and a new tree
 that takes a dead tree's id is not served the dead tree's matrix.
 
 The same walk and kernel, with each vertex as its own label, give a bare
-tree's meet table H (`meet_table`).  Its rows follow the walk and callers
+tree's meet table H (`meet_table`), which the map checks in `goodmaps`
+read; the unlabeled search builds the same rows as nested lists from the
+walk (`unlabeled._meet_rows`).  Its rows follow the walk and callers
 find them through its row map, so it needs no gather and no labeled tree.
 Points p and q meet at max(p.height, q.height, H[p.anchor, q.anchor]): one
 lies on the other's upward path, or their anchors join at a vertex above both.
@@ -126,6 +128,13 @@ class SymMatrix:
         a.setflags(write=False)
         m._a, m._ultra, m._sweep = a, ultra, MatrixCheck(True)
         return m
+
+    def __setstate__(self, state):
+        """Unpickling and copying: the slots as saved, the array read-only
+        again, since `_ultra` and `_sweep` vouch for entries no one can write."""
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._a.setflags(write=False)
 
     @property
     def array(self) -> np.ndarray:
@@ -266,7 +275,9 @@ def _keep(lt: LabeledMergeTree, m: SymMatrix) -> None:
 
 def meet_table(t: MergeTree):
     """(vertex id -> row, meet heights of every vertex pair): the walk of `t`
-    with each vertex as its own label.  Rows follow the walk, so no gather."""
+    with each vertex as its own label.  Rows follow the walk, so no gather.
+    It serves the map checks (`goodmaps.VertexMap.meets`), which index it
+    with numpy; the unlabeled search reads `unlabeled._meet_rows`."""
     vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
     return {v: k for k, v in enumerate(vertices)}, _walk_meets(own, gaps)
 

@@ -18,16 +18,19 @@ on random pairs it usually equals it.  Every candidate below bound - slack
 counts as refuted, where slack = height_tol(t1, t2) is the tolerance the
 probes compare with; the slack matters, since the bound can round one ULP
 above a candidate feasible within it.  The first probe is the lowest
-candidate left.  Only when it is refuted does the search go on, and
-feasibility being monotone in the shift (a map that is good at some shift
-stays good at any larger one), it bisects the candidates above: the
-smallest feasible one is found in about log2(C) + 1 probes of C
-candidates, and often in one.
+candidate left, and it and the candidate just below it come from one O(H)
+sweep over the H distinct heights (`_shifts_around`), so the O(H^2)
+candidate list is not built.  Only when the first probe is refuted is it
+listed (`candidate_shifts`) and does the search go on: feasibility being
+monotone in the shift (a map that is good at some shift stays good at any
+larger one), it bisects the candidates above, and the smallest feasible
+one is found in about log2(C) + 1 probes of C candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
-max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet table.
-`matrices.meet_table` builds it once per call and tree from the walk and
-kernel of a labeled tree's matrix, with rows in walk order and no gather.
+max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet rows.
+`_meet_rows` builds them once per call and tree as nested lists, straight
+from the tree's walk, with rows in walk order: numpy's per-call cost
+outweighs its kernel on the small tables most calls build.
 
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that
@@ -39,6 +42,7 @@ valid upper bound.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
@@ -47,13 +51,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing
-from .matrices import meet_table
 from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
     MergeTree,
     _as_id,
     _bare,
+    _label_walk,
     canonicalize_tree,
     height_tol,
     points_at,
@@ -93,9 +97,14 @@ class UnlabeledDistance:
     certified_by: str = None
 
 
+def _heights(t1: MergeTree, t2: MergeTree) -> list:
+    """The sorted distinct heights of both trees."""
+    return sorted({*t1.height.values(), *t2.height.values()})
+
+
 def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
     """Sorted candidate values: 0 plus |a-b| and |a-b|/2 over all heights."""
-    h = np.array(sorted({*t1.height.values(), *t2.height.values()}))
+    h = np.array(_heights(t1, t2))
     gaps = np.subtract.outer(h, h)
     gaps = gaps[gaps > 0]
     c = np.concatenate(([0.0], gaps, gaps / 2.0))
@@ -104,12 +113,69 @@ def candidate_shifts(t1: MergeTree, t2: MergeTree) -> list:
     return c[np.concatenate(([True], c[1:] != c[:-1]))].tolist()
 
 
+def _shifts_around(h: list, y: float) -> tuple:
+    """(largest candidate shift below y, smallest at or above it) of the
+    sorted distinct heights h, None where there is none: the neighbours of
+    `bisect_left(candidate_shifts(...), y)`, without listing the candidates.
+
+    0 is a candidate, and the smallest one at or above y whenever y <= 0.
+    For a fixed i the gaps h[j] - h[i] over j > i, and their halves, rise
+    with j and fall with i, since rounding is monotone; so one two-pointer
+    sweep per kind finds each i's first j at or above y in O(H) steps, and
+    the j before it holds i's largest value below y.  The values are those
+    of `candidate_shifts`: a gap is h[j] - h[i] and a half that gap / 2.0,
+    each compared with y as computed, never a gap with 2 * y, which can
+    overflow or round.  A comparison `c < y`, as `bisect_left` makes it,
+    also puts a NaN y where the list would.
+    """
+    if not 0.0 < y:
+        return None, 0.0
+    n, below, above = len(h), [0.0], []
+    for div in (1.0, 2.0):  # x / 1.0 is x exactly: the gaps, then the halves
+        j = 1
+        for i, x in enumerate(h):
+            if j <= i:
+                j = i + 1
+            while j < n and (h[j] - x) / div < y:
+                j += 1
+            if j < n:
+                above.append((h[j] - x) / div)
+            if j > i + 1:
+                below.append((h[j - 1] - x) / div)
+    return max(below), min(above, default=None)
+
+
+def _meet_rows(t: MergeTree) -> tuple:
+    """(vertex id -> row, meet heights of every vertex pair as nested lists).
+
+    The walk of `t` with each vertex as its own label puts the vertices in
+    walk order; two positions meet at the highest gap between them.  Row p
+    holds the column above it, mirrored, its own height, then one running
+    maximum of the gaps to its right.  The highest gaps of a stretch of the
+    walk are all the height of one vertex, the stretch's meet, so which of
+    them a maximum keeps changes no bit: the rows equal `matrices.meet_table`'s
+    bit for bit, signed zeros included.
+    """
+    vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
+    rows = []
+    for p, h in enumerate(own):
+        row = [r[p] for r in rows]
+        row.append(h)
+        m = -math.inf
+        for g in gaps[p:]:
+            if g > m:
+                m = g
+            row.append(m)
+        rows.append(row)
+    return {v: k for k, v in enumerate(vertices)}, rows
+
+
 class _Search:
     """Feasibility tests of one tree pair: place cross labels, prune on entries."""
 
     def __init__(self, t1: MergeTree, t2: MergeTree, budget: int, tol: float):
         self.t1, self.t2, self.budget, self.tol = t1, t2, budget, tol
-        self.tables = [(rows, h.tolist()) for rows, h in map(meet_table, (t1, t2))]
+        self.tables = [_meet_rows(t1), _meet_rows(t2)]
         self.probes = 0
 
     def _placed(self, side: int, p):
@@ -188,37 +254,40 @@ def unlabeled_interleaving(
         raise MergespaceError(f"search budget must be at least 1, got {budget}")
     a = canonicalize_tree(_bare(t1))
     b = canonicalize_tree(_bare(t2))
-    shifts = candidate_shifts(a, b)
     slack = height_tol(a, b)
     search = _Search(a, b, budget, slack)
     bound = bottleneck_tree_distance(a, b)
-    # shifts[:lo] refuted (the bound refutes every shift below bound - slack),
-    # shifts[hi:] feasible; the first probe is the lowest shift left open
-    lo, hi = bisect_left(shifts, bound - slack), len(shifts)
-    witness = None
+    # the bound refutes every candidate below bound - slack; the first probe
+    # is the lowest candidate left, and `refuted` the largest one refuted
+    refuted, delta = _shifts_around(_heights(a, b), bound - slack)
+    if delta is None:
+        raise MergespaceError("no feasible shift found; candidate set exhausted")
 
-    def probe(delta: float):
+    def probe(at: float, refuted_below: float, feasible_at: float):
         try:
-            return search.feasible(delta)
+            return search.feasible(at)
         except BudgetExceededError:
             raise BudgetExceededError(
-                budget,
-                delta=delta,
-                refuted_below=shifts[lo - 1] if lo else None,
-                feasible_at=shifts[hi] if hi < len(shifts) else None,
+                budget, delta=at, refuted_below=refuted_below, feasible_at=feasible_at
             ) from None
 
-    mid = lo
-    while lo < hi:
-        found = probe(shifts[mid])
-        if found is None:
-            lo = mid + 1
-        else:
-            hi, witness = mid, found
-        mid = (lo + hi) // 2
+    witness = probe(delta, refuted, None)
     if witness is None:
-        raise MergespaceError("no feasible shift found; candidate set exhausted")
-    delta = shifts[hi]
+        # only a refuted first probe lists the candidates: shifts[:lo] are
+        # refuted, shifts[hi:] feasible
+        shifts = candidate_shifts(a, b)
+        lo, hi = bisect_left(shifts, delta) + 1, len(shifts)
+        mid = (lo + hi) // 2
+        while lo < hi:
+            found = probe(shifts[mid], shifts[lo - 1], shifts[hi] if hi < len(shifts) else None)
+            if found is None:
+                lo = mid + 1
+            else:
+                hi, witness = mid, found
+            mid = (lo + hi) // 2
+        if witness is None:
+            raise MergespaceError("no feasible shift found; candidate set exhausted")
+        refuted, delta = shifts[hi - 1], shifts[hi]
     if delta == 0.0:
         return UnlabeledDistance(0.0, witness, True, None, search.probes, bound, "zero")
     below = delta - 1e-6 * delta
@@ -227,7 +296,5 @@ def unlabeled_interleaving(
         # can bridge, so the bound refutes it
         by = "bound"
     else:
-        by = "retest" if probe(below) is None else None
-    return UnlabeledDistance(
-        delta, witness, by is not None, shifts[hi - 1], search.probes, bound, by
-    )
+        by = "retest" if probe(below, refuted, delta) is None else None
+    return UnlabeledDistance(delta, witness, by is not None, refuted, search.probes, bound, by)

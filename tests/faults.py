@@ -54,6 +54,13 @@ FAULTS = [
         ["tests/test_matrices.py::test_an_invalid_matrix_is_checked_once"],
     ),
     (
+        "an unpickled matrix left writeable",
+        "src/mergespace/matrices.py",
+        "        self._a.setflags(write=False)\n",
+        "",
+        ["tests/test_matrices.py::test_an_unpickled_matrix_stays_read_only_and_keeps_its_trust"],
+    ),
+    (
         "a computed matrix is checked again",
         "src/mergespace/matrices.py",
         "m._a, m._ultra, m._sweep = a, ultra, MatrixCheck(True)",
@@ -105,8 +112,8 @@ FAULTS = [
     (
         "refuted_below one candidate low",
         "src/mergespace/unlabeled.py",
-        "delta, witness, by is not None, shifts[hi - 1], search.probes, bound, by",
-        "delta, witness, by is not None, shifts[hi - 2], search.probes, bound, by",
+        "return max(below), min(above, default=None)",
+        "return sorted(set(below))[-2:][0], min(above, default=None)",
         [
             "tests/test_unlabeled.py::test_bound_first_does_not_start_at_the_float_bound",
             "tests/test_cli.py::test_dist_unlabeled_warns_when_uncertified",
@@ -115,7 +122,7 @@ FAULTS = [
     (
         "re-test skipped",
         "src/mergespace/unlabeled.py",
-        'by = "retest" if probe(below) is None else None',
+        'by = "retest" if probe(below, refuted, delta) is None else None',
         'by = "retest"',
         [
             "tests/test_unlabeled.py::test_bisection_equals_the_ascending_scan[0.0001]",
@@ -125,9 +132,27 @@ FAULTS = [
     (
         "bound without its slack",
         "src/mergespace/unlabeled.py",
-        "lo, hi = bisect_left(shifts, bound - slack), len(shifts)",
-        "lo, hi = bisect_left(shifts, bound), len(shifts)",
+        "_shifts_around(_heights(a, b), bound - slack)",
+        "_shifts_around(_heights(a, b), bound)",
         ["tests/test_unlabeled.py::test_bound_first_does_not_start_at_the_float_bound"],
+    ),
+    (
+        "the shift sweep passes a candidate equal to y",
+        "src/mergespace/unlabeled.py",
+        "while j < n and (h[j] - x) / div < y:",
+        "while j < n and (h[j] - x) / div <= y:",
+        ["tests/test_unlabeled.py::test_shift_sweep_property_finds_the_neighbours_in_the_candidate_list"],
+    ),
+    (
+        "meet rows' running maximum started one gap late",
+        "src/mergespace/unlabeled.py",
+        "for g in gaps[p:]:",
+        "for g in (-math.inf,) + gaps[p + 1 :]:",
+        [
+            "tests/test_unlabeled.py::test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle",
+            "tests/test_unlabeled.py::test_bisection_equals_the_ascending_scan",
+            "tests/test_acceptance.py::test_criterion_06_unlabeled_distance_is_exact_with_witness",
+        ],
     ),
     (
         "the search budget allows one state more",
@@ -210,6 +235,11 @@ FAULTS = [
 # - `sorted(infinite + finite)` in `persistence._store`: no finite point
 #   equals an essential one, so the stable sort's order among equal points
 #   is the same either way.
+# - `g >= m` for `g > m` in `unlabeled._meet_rows`: the highest gaps of a
+#   stretch of a valid tree's walk are all one vertex's height, so the
+#   running maximum keeps the same bits either way, signed zeros included
+#   (`test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle`
+#   checks that on the walk).
 
 
 def _copy(dest: Path) -> None:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -186,6 +188,26 @@ def test_an_invalid_matrix_is_checked_once():
             with pytest.raises(InvalidMatrixError, match=r"diagonal \(1,1\) exceeds entry \(1,2\)"):
                 build(m)
     assert checked.call_count == 1
+
+
+@pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+def test_an_unpickled_matrix_stays_read_only_and_keeps_its_trust(protocol):
+    # a computed matrix is trusted ultra and never checked again, so its
+    # copy must be as unwritable as the original; a writeable copy let a
+    # write make a wye's matrix invalid while `is_ultra` still vouched for it
+    wye = LabeledMergeTree(MergeTree([(0, 0.0), (1, 0.0), (2, 1.0)], [(0, 2), (1, 2)]), {1: 0, 2: 1})
+    m = induced_matrix(wye)
+    ultrafy(m)  # the matrix now keeps its sweep too
+    for back in (pickle.loads(pickle.dumps(m, protocol=protocol)), copy.copy(m), copy.deepcopy(m)):
+        assert back == m and back.array.tobytes() == m.array.tobytes()
+        assert not back.array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.array[0, 0] = 5.0
+        assert is_ultra(back)
+        assert tree_of_matrix(back) == tree_of_matrix(m)
+    caller = pickle.loads(pickle.dumps(SymMatrix([[2.0, 1.0], [1.0, 0.0]]), protocol=protocol))
+    assert not caller.array.flags.writeable
+    assert is_ultra(caller) == MatrixCheck(False, (1, 2))
 
 
 def test_a_caller_matrix_is_checked_once():

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
+from bisect import bisect_left
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,10 +24,10 @@ from mergespace import (
     unlabeled_interleaving,
     vertex_point,
 )
-from mergespace import trees
+from mergespace import trees, unlabeled
 from mergespace.trees import height_tol, points_at
 from mergespace.matrices import meet_table
-from mergespace.unlabeled import _Search
+from mergespace.unlabeled import _Search, _heights, _meet_rows, _shifts_around
 from util import (
     candidate_shifts_oracle,
     good_map_exists,
@@ -401,13 +405,32 @@ meet_trees = st.builds(
 
 
 @settings(max_examples=150)
-@given(meet_trees)
-@example(SINGLE)
-@example(MergeTree([(0, 0.0), (1, 1.0), (2, 3.0), (3, 4.0)], [(0, 1), (1, 2), (2, 3)]))
-def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t):
+@given(meet_trees, st.sampled_from([None, 1.0, -1.0]))
+@example(SINGLE, None)
+@example(MergeTree([(0, 0.0), (1, 1.0), (2, 3.0), (3, 4.0)], [(0, 1), (1, 2), (2, 3)]), None)
+# zeros of both signs at the median, on leaves and on merges
+@example(MergeTree([(0, -2.0), (1, -1.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, 1.0), (6, 2.0)],
+                   [(0, 2), (1, 3), (2, 5), (3, 5), (4, 6), (5, 6)]), 1.0)
+def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t, sign):
     # raw trees keep their subdivision vertices (some above the top), grid
-    # heights tie, and a canonical one-leaf tree is a single vertex
+    # heights tie, a canonical one-leaf tree is a single vertex, and a
+    # straddled tree has zeros of both signs
+    if sign is not None:
+        t = straddling_zero(t, sign)
     rows, meets = meet_table(t)
+    # the search's nested-list rows are the table's bit for bit, signed
+    # zeros included.  numpy's running maximum keeps the later of two equal
+    # values, the rows' loop the earlier; no probe can tell, since the
+    # highest gaps of any stretch of the walk are bit for bit one vertex's
+    # height
+    search_rows, search_meets = _meet_rows(t)
+    assert search_rows == rows
+    assert [[x.hex() for x in r] for r in search_meets] == [[x.hex() for x in r] for r in meets.tolist()]
+    gaps = trees._label_walk(t, {v: (v,) for v in t.height})[2]
+    for p in range(len(gaps)):
+        for q in range(p + 1, len(gaps) + 1):
+            top = max(gaps[p:q])
+            assert len({g.hex() for g in gaps[p:q] if g == top}) == 1
     order = sorted(t.height)
     labeled = induced_matrix(LabeledMergeTree(t, {k + 1: v for k, v in enumerate(order)}))
     assert sorted(rows) == order and sorted(rows.values()) == list(range(len(order)))
@@ -503,3 +526,101 @@ def test_candidate_shifts_equal_the_pairwise_loop_on_grown_trees():
     rng = np.random.default_rng(61)
     a, b = rand_grown_tree(rng, 60), rand_grown_tree(rng, 60)
     assert candidate_shifts(a, b) == candidate_shifts_oracle(a, b)
+
+
+# -- the first probe without the candidate list ----------------------------
+
+
+def _star(heights) -> MergeTree:
+    """A tree whose heights are exactly the distinct drawn ones: the highest
+    on top, every lower one a leaf under it (tied leaves included)."""
+    top = max(heights)
+    low = [h for h in heights if h < top]
+    return MergeTree([(0, top)] + [(k + 1, h) for k, h in enumerate(low)], [(k + 1, 0) for k in range(len(low))])
+
+
+def _near(base: float, step: float):
+    return st.lists(st.integers(-40, 40).map(lambda k: base + k * step), min_size=1, max_size=8)
+
+
+height_sets = st.one_of(
+    _near(0.0, 1.0),  # ties, a single height, mixed signs
+    st.lists(st.sampled_from([-0.0, 0.0, -1.0, 1.0]), min_size=1, max_size=6),  # both zeros
+    _near(2.0**40, 2.0**-12),  # one ULP of the heights apart
+    _near(1e12, 2.0**-13),
+    _near(0.0, 5e-324),  # subnormal gaps, whose halves round
+    _near(1.7e308, 2.0**971),  # one ULP apart near the largest float
+    _near(-1.7e308, 2.0**971),
+    st.lists(st.sampled_from([-1.7e308, -1.0, 5e-324, 1.0, 1.7e308]), min_size=1, max_size=6),  # gaps overflow
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8),
+)
+
+NEAR_Y = {
+    "at": lambda c: c,
+    "just above": lambda c: math.nextafter(c, math.inf),
+    "just below": lambda c: math.nextafter(c, -math.inf),
+    "negated": lambda c: -c,
+    "zero": lambda c: 0.0,
+    "negative zero": lambda c: -0.0,
+    "nan": lambda c: math.nan,
+}
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+@settings(max_examples=400)
+@given(height_sets, st.integers(0, 2**16), st.sampled_from(sorted(NEAR_Y)))
+@example([0.0, 1.0, 3.0], 1, "at")  # y = 0.5, a half, with 0 below it
+@example([5.0], 0, "just above")  # one height: 0 is the only candidate, and lies below y
+def test_shift_sweep_property_finds_the_neighbours_in_the_candidate_list(heights, pick, how):
+    t = _star(heights)
+    with np.errstate(over="ignore"):  # gaps of heights near +-1.7e308 overflow to inf
+        shifts = candidate_shifts(t, t)
+    y = NEAR_Y[how](shifts[pick % len(shifts)])
+    k = bisect_left(shifts, y)
+    want = (shifts[k - 1] if k else None, shifts[k] if k < len(shifts) else None)
+    got = _shifts_around(_heights(t, t), y)
+    assert [_hex(x) for x in got] == [_hex(x) for x in want]
+
+
+def test_a_settled_first_probe_lists_no_candidates(monkeypatch):
+    listed = []
+    real = unlabeled.candidate_shifts
+    monkeypatch.setattr(unlabeled, "candidate_shifts", lambda *ts: listed.append(ts) or real(*ts))
+    t = rand_grown_tree(np.random.default_rng(200), 200)
+    r = unlabeled_interleaving(t, t)
+    assert (r.value, r.probes, r.certified_by) == (0.0, 1, "zero")
+    # an overrun on the first probe reports the bound's bracket from the sweep
+    a, b = (canonicalize_tree(x) for x in (BUDGET_A, BUDGET_B))
+    with pytest.raises(BudgetExceededError) as err:
+        unlabeled_interleaving(a, b, budget=1)
+    assert listed == []
+    shifts = real(a, b)
+    k = bisect_left(shifts, bottleneck_tree_distance(a, b) - height_tol(a, b))
+    assert (err.value.delta, err.value.refuted_below, err.value.feasible_at) == (shifts[k], shifts[k - 1], None)
+    # a refuted first probe lists them once, and bisects on
+    r = unlabeled_interleaving(SAME_DIAGRAM_A, SAME_DIAGRAM_B)
+    assert len(listed) == 1 and r.probes > 2
+
+
+def test_a_first_probe_overrun_on_five_hundred_leaves_stays_in_bounded_memory():
+    # two grown 500-leaf trees: the first probe runs out of its budget.  The
+    # O(H^2) candidate list (3.35 million shifts) is never built, and the
+    # meet rows share the walk's float objects: the traced peak was 70 MiB,
+    # against 210 MiB when the list and the numpy tables' copies were built
+    rng = np.random.default_rng(500)
+    a, b = rand_grown_tree(rng, 500), rand_grown_tree(rng, 500)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            unlabeled_interleaving(a, b, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    # the shift and bracket the listing search raised at
+    assert (err.value.delta, err.value.refuted_below, err.value.feasible_at) == (
+        1.8630146754827521, 1.8630133311327226, None
+    )
