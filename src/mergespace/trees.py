@@ -445,8 +445,11 @@ REL_TOL = 1e-9
 def slack_of(heights) -> float:
     """REL_TOL of the heights' span, floored at their rounding."""
     lo, hi = float(min(heights)), float(max(heights))
+    span = hi - lo
+    # a span past the float range is scaled before the subtraction instead
+    rel = REL_TOL * span if span != math.inf else REL_TOL * hi - REL_TOL * lo
     # 8 ULPs: a compared height is a sum or difference of a few rounded ones
-    return max(REL_TOL * (hi - lo), 8 * math.ulp(max(-lo, hi)))
+    return max(rel, 8 * math.ulp(max(-lo, hi)))
 
 
 def height_tol(*trees) -> float:

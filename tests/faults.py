@@ -214,13 +214,47 @@ FAULTS = [
     (
         "bottleneck list path ignores the essential floor",
         "src/mergespace/persistence.py",
-        "lo = bisect_left(cands, max([inf_cost, *fates]))",
-        "lo = 0",
+        "c = max([inf_cost, *fates])",
+        "c = max(fates, default=0.0)",
         [
             "tests/test_persistence.py::test_bottleneck_pairs_essential_points_by_birth_order",
             "tests/test_persistence.py::test_bottleneck_property_small_path_is_bit_identical",
             "tests/test_acceptance.py::test_criterion_09_bottleneck_matches_exhaustive_matching",
         ],
+    ),
+    (
+        "the list path's ascent drops the half-persistence events",
+        "src/mergespace/persistence.py",
+        "sorted([*(half[r] for r in rows), *(x for x in joins if x > c)])",
+        "sorted([*(x for x in joins if x > c)])",
+        [
+            "tests/test_persistence.py::test_bottleneck_property_matches_the_enumeration_oracle",
+            "tests/test_persistence.py::test_bottleneck_ascent_property_probes_rise_to_the_value",
+        ],
+    ),
+    (
+        "the numpy path's ascent drops the half-persistence events",
+        "src/mergespace/persistence.py",
+        "events = np.concatenate((half[rows], joins[joins > c]))",
+        "events = joins[joins > c]",
+        [
+            "tests/test_persistence.py::test_bottleneck_property_matches_the_scipy_reference",
+            "tests/test_persistence.py::test_bottleneck_ascent_property_probes_rise_to_the_value",
+        ],
+    ),
+    (
+        "the ascent steps to the first relief event",
+        "src/mergespace/persistence.py",
+        "return float(np.partition(events, k - 1)[k - 1])",
+        "return float(events.min())",
+        ["tests/test_persistence.py::test_bottleneck_ascent_steps_to_the_kth_relief_event"],
+    ),
+    (
+        "_covers leaves the free rows out of its Hall violator",
+        "src/mergespace/persistence.py",
+        "return free + [match_col[j] for j in seen], len(free)",
+        "return [match_col[j] for j in seen], len(free)",
+        ["tests/test_persistence.py::test_covers_property_agrees_with_scipy_matching"],
     ),
 ]
 

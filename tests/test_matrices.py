@@ -93,7 +93,7 @@ def test_sym_matrix_averages_entries_near_the_largest_float_without_overflow():
 
 @pytest.mark.parametrize("big", [1.7e308, np.finfo(float).max])
 def test_sym_matrix_refuses_an_asymmetry_that_overflows(big):
-    # a - a.T overflows to inf, and so does the slack of the entries' span;
+    # a - a.T overflows to inf, past any finite slack of the entries' span;
     # the gap is refused, with no overflow warning (warnings are errors here)
     with pytest.raises(InvalidMatrixError, match=r"not symmetric \(largest asymmetry inf\)"):
         as_sym_matrix([[0.0, big], [-big, 0.0]])

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +278,20 @@ def test_bottleneck_of_two_thousand_points_needs_no_recursion():
     assert bottleneck_distance(a, b) == bottleneck_covering_reference(a, b)
 
 
+def test_bottleneck_of_two_thousand_points_stays_in_bounded_memory():
+    # the cost matrix is 32 MB; no list of its values is built (the
+    # bisection over them peaked at 127 MiB, the ascent at 92 MiB)
+    rng = np.random.default_rng(2000)
+    a, b = _uniform_diagram(rng, 2000), _uniform_diagram(rng, 2000)
+    tracemalloc.start()
+    try:
+        bottleneck_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 # -- properties -----------------------------------------------------------
 
 # coordinates on a grid of eighths stay exact under the integer shifts below
@@ -402,7 +418,7 @@ BOUND_IS_THE_VALUE = [
     (PersistenceDiagram([(0.0, INF), (1.0, 2.0)]), PersistenceDiagram([(3.0, INF), (1.0, 2.0)])),
     (_diagram((0.0, 3.0), (2.0, 6.0), (4.0, 5.0)), _diagram((0.5, 3.0), (2.0, 6.5), (4.0, 5.25))),
 ]
-# the first probe, at the bound, is refuted and the search bisects above it
+# the first probe, at the bound, is refuted and the search climbs above it
 FIRST_PROBE_REFUTED = [
     # both left points want the one right point; the loser retires at 1.75
     (_diagram((0.0, 4.0), (0.5, 4.0)), _diagram((0.0, 4.0))),
@@ -427,6 +443,71 @@ def test_bottleneck_search_from_the_bound_on_both_paths(a, b):
     for x, y in ((a, b), (b, a)):
         small, dense = _on_path(True, x, y), _on_path(False, x, y)
         assert small.hex() == dense.hex() == want.hex()
+
+
+def _probed(small: bool, a: PersistenceDiagram, b: PersistenceDiagram):
+    """The value on one path, the cost of each probe in order, and the
+    number of `_covers` calls, from spies on the probe's two steps."""
+    name = "_small_adjacency" if small else "_numpy_adjacency"
+    adjacency, covers = getattr(persistence, name), persistence._covers
+    probes, calls = [], []
+
+    def spy_adjacency(cost, half, c):
+        probes.append(c)
+        return adjacency(cost, half, c)
+
+    def spy_covers(*args):
+        calls.append(None)
+        return covers(*args)
+
+    setattr(persistence, name, spy_adjacency)
+    persistence._covers = spy_covers
+    try:
+        value = _on_path(small, a, b)
+    finally:
+        setattr(persistence, name, adjacency)
+        persistence._covers = covers
+    # each probe builds both sides' adjacency at one cost
+    assert probes[::2] == probes[1::2]
+    return value, probes[::2], len(calls)
+
+
+@settings(max_examples=150)
+@given(st.booleans(), st.booleans(), st.data())
+def test_bottleneck_ascent_property_probes_rise_to_the_value(small, on_grid, data):
+    # every refuted probe lies below the value, each next probe strictly
+    # above it, and the first feasible probe is the value
+    births, spans = (grid_births, grid_lifetimes) if on_grid else (real_births, real_lifetimes)
+    sized = diagrams(births, spans, max_size=6)
+    a, b = data.draw(sized), data.draw(sized)
+    want = bottleneck_oracle(a, b)
+    value, probes, _ = _probed(small, a, b)
+    assert value == probes[-1] == want
+    assert all(x < y for x, y in zip(probes, probes[1:]))
+    assert all(x < want for x in probes[:-1])
+    assert probes[0] == _cheapest_fate_bound(a, b)
+
+
+def _uniform_pair(seed: int, n: int):
+    r = random.Random(seed)
+
+    def draw():
+        points = []
+        for _ in range(n):
+            b = r.uniform(0.0, 10.0)
+            points.append((b, b + r.uniform(0.1, 5.0)))
+        return PersistenceDiagram([*points, (0.0, INF)])
+
+    return draw(), draw()
+
+
+def test_bottleneck_ascent_steps_to_the_kth_relief_event():
+    # a refuted side of deficiency k needs k relief events; stepping to the
+    # first event instead reaches the same value after more probes
+    a, b = _uniform_pair(1, 200)
+    value, probes, calls = _probed(False, a, b)
+    assert value == probes[-1] == bottleneck_distance(b, a)
+    assert calls <= 6
 
 
 # -- the matching ---------------------------------------------------------
@@ -467,15 +548,23 @@ def test_covers_property_agrees_with_scipy_matching(graph):
             biadjacency[k, adj[r]] = 1
         best = csgraph.maximum_bipartite_matching(sparse.csr_matrix(biadjacency), perm_type="column")
         want = bool((best >= 0).all())
-    got = persistence._covers(adj, match_row, match_col)
-    assert got is want
+    stuck = persistence._covers(adj, match_row, match_col)
+    assert (stuck is None) is want
     # the matching stays consistent whatever the verdict
     for r, j in enumerate(match_row):
         assert j < 0 or (r in adj and j in adj[r] and match_col[j] == r)
     for j, r in enumerate(match_col):
         assert r < 0 or match_row[r] == j
-    if got:
+    if stuck is None:
         assert all(match_row[r] >= 0 for r in adj)
+    else:
+        # a refusal names a Hall violator: must-cover rows, each once, whose
+        # columns are all matched among them, k rows more than columns
+        rows, k = stuck
+        assert set(rows) <= set(adj) and len(set(rows)) == len(rows)
+        reached = {j for r in rows for j in adj[r]}
+        assert all(match_col[j] in rows for j in reached)
+        assert len(rows) - len(reached) == k >= 1
 
 
 def test_covers_follows_one_augmenting_path_through_a_staircase():
@@ -487,5 +576,5 @@ def test_covers_follows_one_augmenting_path_through_a_staircase():
     adj[n - 1] = [n - 1]
     match_row = [r + 1 for r in range(n - 1)] + [-1]
     match_col = [-1] + list(range(n - 1))
-    assert persistence._covers(adj, match_row, match_col)
+    assert persistence._covers(adj, match_row, match_col) is None
     assert match_row == match_col == list(range(n))

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mergespace import (
@@ -37,6 +37,7 @@ from mergespace.trees import (
     as_point,
     height_tol,
     is_vertex_point,
+    slack_of,
 )
 from util import (
     label_walk_oracle,
@@ -666,6 +667,20 @@ def test_height_tol_is_relative_to_the_span_with_a_ulp_floor():
     assert height_tol(scaled) == height_tol(wye) * 2.0**-40
     far = MergeTree([(v, h + 2.0**40) for v, h in wye.vertices], wye.edges)
     assert height_tol(far) == 8 * math.ulp(2.0**40 + 3.0)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+@example([-1.7e308, 1.0, 1.7e308])
+@example([-1.7976931348623157e308, 1.7976931348623157e308])
+def test_slack_property_is_finite_for_finite_heights(heights):
+    # a span past the float range keeps a finite slack relative to it; a
+    # finite span keeps the slack it always had, bit for bit
+    lo, hi = min(heights), max(heights)
+    slack = slack_of(heights)
+    assert math.isfinite(slack)
+    assert slack >= REL_TOL * (hi / 2 - lo / 2)
+    if math.isfinite(hi - lo):
+        assert slack == max(REL_TOL * (hi - lo), 8 * math.ulp(max(-lo, hi)))
 
 
 def test_no_public_callable_takes_a_tolerance():

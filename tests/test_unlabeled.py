@@ -486,6 +486,18 @@ def test_near_copies_are_certified():
     assert abs(labeled_interleaving(lt1, lt2) - r.value) <= 1e-9
 
 
+def test_heights_spanning_the_float_range_are_never_certified_below_the_bound():
+    # the heights' span overflows a float; an infinite slack let every probe
+    # pass within it, and the value came back 0.0, certified by "zero"
+    a = MergeTree([(0, -1.7e308), (1, 1.0), (2, 1.7e308)], [(0, 2), (1, 2)])
+    b = MergeTree([(0, -1.6e308), (1, 1.5e308)], [(0, 1)])
+    for x, y in ((a, b), (b, a)):
+        assert math.isfinite(height_tol(x, y))
+        r = unlabeled_interleaving(x, y)
+        assert r.certified and r.lower_bound == 8.5e307
+        assert r.value >= r.lower_bound
+
+
 def test_a_large_tree_against_itself_is_one_probe():
     # 1200 labels: one placement per label, deeper than the recursion limit
     t = rand_grown_tree(np.random.default_rng(600), 600)
