@@ -11,9 +11,9 @@ gives a delta-good map, and a delta-good map gives a labeling at distance
 at most delta, with one label per source leaf and per missed target leaf.
 
 Every ancestry test reads the meet identity of `matrices.meet_table`, from
-tables a map caches for both trees, whose rows follow each tree's walk and
-are found by vertex id.  Merge-spread is one comparison over pairs of
-source leaves, missed-depth one row minimum over leaf images.
+the table each check builds of the tree it reads (a map keeps none), with
+rows in that tree's walk order, found by vertex id.  Merge-spread is one
+comparison over source leaf pairs, missed-depth one row minimum over leaf images.
 
 Float discipline: stored heights are compared exactly where possible, but
 image heights arise as sums (height + delta), so point lookups snap within
@@ -114,10 +114,6 @@ class VertexMap:
     def tol(self) -> float:
         return height_tol(self.source, self.target)
 
-    @cached_property
-    def meets(self) -> tuple:
-        return meet_table(self.source), meet_table(self.target)
-
 
 @dataclass(frozen=True)
 class GoodMapReport:
@@ -195,12 +191,12 @@ def map_point(vm: VertexMap, x: Union[PointOnTree, int]) -> PointOnTree:
     return _snap_point(vm.target, point_at(vm.target, base.anchor, h), vm.tol)
 
 
-def preimage_of(vm: VertexMap, p: PointOnTree):
-    """All source points mapping to p, one per branch, sorted by anchor."""
+def preimage_of(vm: VertexMap, p: PointOnTree, meets):
+    """All source points mapping to p, one per branch, sorted by anchor (meets: the target's)."""
     src_h = p.height - vm.delta
     out = []
     for x in points_at(vm.source, src_h, vm.tol):
-        if _points_close(vm.meets[1], map_point(vm, x), p, 2 * vm.tol):
+        if _points_close(meets, map_point(vm, x), p, 2 * vm.tol):
             out.append(x)
     return out
 
@@ -208,12 +204,12 @@ def preimage_of(vm: VertexMap, p: PointOnTree):
 # -- goodness -------------------------------------------------------------
 
 
-def _missed_branches(vm: VertexMap, vertices):
+def _missed_branches(vm: VertexMap, vertices, meets):
     """(w, attach, leaf) for each target vertex w whose branch no leaf image
-    reaches: attach is the lowest meet of w with a leaf image, and leaf the
-    first source leaf whose image meets w there."""
+    reaches, by the target's meets: attach is the lowest meet of w with a leaf
+    image, and leaf the first source leaf whose image meets w there."""
     t, tol, leaves = vm.target, vm.tol, vm.source.leaves
-    rows, h = vm.meets[1]
+    rows, h = meets
     images = [vm.image_of[leaf] for leaf in leaves]
     lh = np.array([p.height for p in images])
     hw = np.array([t.height[w] for w in vertices])[:, None]
@@ -228,7 +224,7 @@ def _missed_branches(vm: VertexMap, vertices):
         yield vertices[k], point_at(t, vertices[k], meet[k, u]), leaves[u]
 
 
-def _merge_spread(vm: VertexMap):
+def _merge_spread(vm: VertexMap, smeets, tmeets):
     """The merge-spread failure report, or None when there is none.
 
     Source leaves i and j share an image point from the lowest critical
@@ -237,7 +233,7 @@ def _merge_spread(vm: VertexMap):
     The witness is sought point by point at offending heights only.
     """
     s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
-    (srows, sh), (trows, th) = vm.meets
+    (srows, sh), (trows, th) = smeets, tmeets
     crit = np.unique([p.height for _, p in vm.images] + list(t.height.values()))
     images = [vm.image_of[leaf] for leaf in s.leaves]
     fh = np.array([p.height for p in images])
@@ -253,7 +249,7 @@ def _merge_spread(vm: VertexMap):
     bad = sh[np.ix_(sr, sr)] - np.minimum(at, at.T) > 2 * d + tol
     for h in np.unique(g[bad]).tolist():
         for p in points_at(t, h, 0.0):
-            pre = preimage_of(vm, p)
+            pre = preimage_of(vm, p, tmeets)
             if len(pre) < 2:
                 continue
             base = srows[pre[0].anchor]
@@ -291,21 +287,24 @@ def verify_delta_good(vm: VertexMap) -> GoodMapReport:
                 f"vertex {v} at {s.height[v]} maps to height {got}, not {want}",
             )
 
+    meets = meet_table(t)
     for c, p in s.edges:
         # the child's image raised to the parent's image's height lands on it
         lifted = PointOnTree(img[c].anchor, max(img[c].height, img[p].height))
-        if not _points_close(vm.meets[1], lifted, img[p], tol):
+        if not _points_close(meets, lifted, img[p], tol):
             return GoodMapReport(
                 False, "edge-coherence", (c, p),
                 f"images of edge ({c}, {p}) do not lie on one target path",
             )
 
-    spread = _merge_spread(vm)
+    # held until the check returns: freed mid-check, its pages were faulted in anew
+    smeets = meet_table(s)
+    spread = _merge_spread(vm, smeets, meets)
     if spread is not None:
         return spread
 
-    rows, h = vm.meets[1]
-    for w, attach, _ in _missed_branches(vm, list(t.height)):
+    rows, h = meets
+    for w, attach, _ in _missed_branches(vm, list(t.height), meets):
         below = h[rows[w]] <= t.height[w]  # w's subtree: it meets w at w
         gap = attach.height - float(np.diag(h)[below].min())
         if gap > 2 * d + tol:
@@ -343,7 +342,7 @@ def labeling_from_map(vm: VertexMap) -> LabelPairing:
     """
     s, t, d, tol = vm.source, vm.target, vm.delta, vm.tol
     pairs = [(vertex_point(s, v), map_point(vm, v)) for v in s.leaves]
-    for w, attach, u in _missed_branches(vm, t.leaves):
+    for w, attach, u in _missed_branches(vm, t.leaves, meet_table(t)):
         x = point_at(s, u, max(attach.height - d, s.height[u]))
         pairs.append((_snap_point(s, x, tol), vertex_point(t, w)))
     return LabelPairing(s, t, tuple(pairs))

@@ -276,8 +276,8 @@ def _keep(lt: LabeledMergeTree, m: SymMatrix) -> None:
 def meet_table(t: MergeTree):
     """(vertex id -> row, meet heights of every vertex pair): the walk of `t`
     with each vertex as its own label.  Rows follow the walk, so no gather.
-    It serves the map checks (`goodmaps.VertexMap.meets`), which index it
-    with numpy; the unlabeled search reads `unlabeled._meet_rows`."""
+    It serves the map checks in `goodmaps`, which build it per check and
+    index it with numpy; the unlabeled search reads `unlabeled._meet_rows`."""
     vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
     return {v: k for k, v in enumerate(vertices)}, _walk_meets(own, gaps)
 

@@ -256,6 +256,60 @@ FAULTS = [
         "return [match_col[j] for j in seen], len(free)",
         ["tests/test_persistence.py::test_covers_property_agrees_with_scipy_matching"],
     ),
+    (
+        "edge coherence compared exactly",
+        "src/mergespace/goodmaps.py",
+        "_points_close(meets, lifted, img[p], tol)",
+        "_points_close(meets, lifted, img[p], 0.0)",
+        ["tests/test_goodmaps.py::test_edge_coherence_compares_within_the_tolerance"],
+    ),
+    (
+        "preimages matched within one tolerance",
+        "src/mergespace/goodmaps.py",
+        "_points_close(meets, map_point(vm, x), p, 2 * vm.tol)",
+        "_points_close(meets, map_point(vm, x), p, vm.tol)",
+        ["tests/test_goodmaps.py::test_merge_spread_at_the_tolerance_edge_equals_the_sweep_oracle[case3]"],
+    ),
+    (
+        "missed depth measured from the missed vertex's own height",
+        "src/mergespace/goodmaps.py",
+        "np.diag(h)[below].min()",
+        "np.diag(h)[below].max()",
+        ["tests/test_goodmaps.py::test_missed_depth_is_measured_from_the_lowest_vertex_of_the_branch"],
+    ),
+    (
+        "merge spread reads the target's meet table as the source's",
+        "src/mergespace/goodmaps.py",
+        "(srows, sh), (trows, th) = smeets, tmeets",
+        "(srows, sh), (trows, th) = tmeets, tmeets",
+        [
+            "tests/test_goodmaps.py::test_merge_spread_catches_collapsed_branches",
+            "tests/test_goodmaps.py::test_merge_spread_at_the_tolerance_edge_equals_the_sweep_oracle",
+            "tests/test_goodmaps.py::test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle",
+            "tests/test_acceptance.py::test_criterion_07_good_maps_induce_close_labelings",
+            "tests/test_golden.py::test_checkmap_matches_golden[merge-spread]",
+        ],
+    ),
+    (
+        "labeling_from_map finds misses in the source's meet table",
+        "src/mergespace/goodmaps.py",
+        "_missed_branches(vm, t.leaves, meet_table(t))",
+        "_missed_branches(vm, t.leaves, meet_table(s))",
+        [
+            "tests/test_goodmaps.py::test_map_from_labeling_round_trip_on_the_seven_label_pair",
+            "tests/test_goodmaps.py::test_a_300_leaf_independent_pair_transfers_one_label_per_leaf",
+            "tests/test_goodmaps.py::test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle",
+            "tests/test_goodmaps.py::test_labeling_from_map_builds_the_target_table_only",
+            "tests/test_acceptance.py::test_criterion_07_good_maps_induce_close_labelings",
+        ],
+    ),
+    (
+        "a missed branch attaches to the last of equal nearest leaf images",
+        "src/mergespace/goodmaps.py",
+        "nearest = meet.argmin(axis=1)",
+        "nearest = meet.shape[1] - 1 - meet[:, ::-1].argmin(axis=1)",
+        ["tests/test_goodmaps.py::test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle"],
+    ),
 ]
 
 # Known equivalent mutants: each changes no result, so no test can catch it

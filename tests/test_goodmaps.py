@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,9 @@ from mergespace import (
     map_point,
     verify_delta_good,
 )
+from mergespace import goodmaps
 from mergespace.goodmaps import preimage_of
+from mergespace.matrices import meet_table
 from mergespace.trees import REL_TOL, height_tol
 from worked import SEVEN_A, SEVEN_B, SEVEN_DISTANCE
 from util import (
@@ -125,6 +129,31 @@ def test_a_deep_missed_branch_is_fine_with_a_big_shift():
     assert verify_delta_good(vm).good
 
 
+def test_edge_coherence_compares_within_the_tolerance():
+    # the root's image lies on leaf 0's branch, 5e-10 below the target's
+    # root: leaf 1's image lifted to its height joins it only at the root,
+    # which is within the tolerance, so the map is still good
+    source = MergeTree({0: 0.0, 1: 0.0, 2: 1.0}, [(0, 2), (1, 2)])
+    target = MergeTree({0: 0.5, 1: 0.5, 2: 1.5 + 5e-10}, [(0, 2), (1, 2)])
+    vm = VertexMap(source, target, 0.5, {0: (0, 0.5), 1: (1, 0.5), 2: (0, 1.5)})
+    report = verify_delta_good(vm)
+    assert report.good
+    assert report == verify_delta_good_oracle(vm)
+
+
+def test_missed_depth_is_measured_from_the_lowest_vertex_of_the_branch():
+    # the image, on leaf 3's branch, misses vertex 0's branch, which reaches
+    # down to its leaves at 0, not just to vertex 0 at 5
+    source = MergeTree({0: 0.0}, [])
+    target = MergeTree({0: 5.0, 1: 0.0, 2: 0.0, 3: 0.0, 4: 6.0}, [(1, 0), (2, 0), (0, 4), (3, 4)])
+    vm = VertexMap(source, target, 0.5, {0: (3, 0.5)})
+    report = verify_delta_good(vm)
+    assert report.condition == "missed-depth"
+    assert report.witness == (0, PointOnTree(4, 6.0))
+    assert report.detail == "the image misses the branch at vertex 0, leaving depth 6.0 unreached"
+    assert report == verify_delta_good_oracle(vm)
+
+
 def test_map_point_follows_the_upward_flow():
     vm = VertexMap(WYE, WYE_UP, 1.0, SHIFT_IMAGES)
     # a point inside an edge flows to its image height plus delta
@@ -137,7 +166,7 @@ def test_map_point_follows_the_upward_flow():
 
 def test_preimage_of_an_image_point_recovers_the_leaf():
     vm = VertexMap(WYE, WYE_UP, 1.0, SHIFT_IMAGES)
-    pts = preimage_of(vm, PointOnTree(0, 1.0))
+    pts = preimage_of(vm, PointOnTree(0, 1.0), meet_table(WYE_UP))
     assert PointOnTree(0, 0.0) in pts
 
 
@@ -406,8 +435,11 @@ def test_a_300_leaf_independent_pair_transfers_one_label_per_leaf():
 # Maps at a 2**40 offset, where the tolerance (8 ULPs) spans several
 # distinct heights, so each merge-spread verdict hinges on it: images
 # within 2*tol share a point below their exact meet; a leaf within tol
-# above the source height counts there; and such a leaf's own height sets
-# the spread.  Heights are offsets from 2**40, images (anchor, height).
+# above the source height counts there; such a leaf's own height sets
+# the spread; and `map_point` can snap a vertex onto a target vertex more
+# than tol, but at most 2*tol, from its image, so that the vertex lies in
+# the image's preimage only within 2*tol.  Heights are offsets from 2**40,
+# images (anchor, height).
 TOLERANCE_EDGE_MAPS = [
     (
         {0: 2.0, 1: 2.0, 2: 2.0, 3: 3.0, 4: 5.0, 5: 4.0, 6: 6.0},
@@ -432,6 +464,11 @@ TOLERANCE_EDGE_MAPS = [
         {0: 3.0}, [], 0.999,
         {0: (0, 3.0), 1: (0, 3.0), 2: (0, 4.9990234375), 3: (0, 3.9990234375)},
     ),
+    (
+        {0: 0.0, 1: 1.0, 2: 3.0}, [(0, 2), (1, 2)],
+        {0: 1.0, 1: 2.0}, [(0, 1)], 0.998779296875,
+        {0: (0, 1.0), 1: (0, 1.9970703125), 2: (1, 3.997802734375)},
+    ),
 ]
 
 
@@ -445,3 +482,64 @@ def test_merge_spread_at_the_tolerance_edge_equals_the_sweep_oracle(case):
     report = verify_delta_good(vm)
     assert report.condition == "merge-spread"
     assert report == verify_delta_good_oracle(vm)
+
+
+# -- meet tables: each check builds the ones it reads, and no map keeps one
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The trees whose meet table `goodmaps` builds, in order."""
+    trees = []
+
+    def spy(t):
+        trees.append(t)
+        return meet_table(t)
+
+    monkeypatch.setattr(goodmaps, "meet_table", spy)
+    return trees
+
+
+def test_labeling_from_map_builds_the_target_table_only(built):
+    vm = VertexMap(WYE, WYE_UP, 1.0, SHIFT_IMAGES)
+    labeling_from_map(vm)
+    assert [t is vm.target for t in built] == [True]
+
+
+def test_verifying_a_good_map_builds_the_target_table_then_the_source_table(built):
+    vm = VertexMap(WYE, WYE_UP, 1.0, SHIFT_IMAGES)
+    assert verify_delta_good(vm).good
+    assert [t is vm.target for t in built] == [True, False]
+    assert built[1] is vm.source
+
+
+def test_a_map_failing_the_height_shift_builds_no_table(built):
+    vm = VertexMap(WYE, WYE_UP, 0.4, SHIFT_IMAGES)
+    assert verify_delta_good(vm).condition == "height-shift"
+    assert built == []
+
+
+def test_a_map_failing_edge_coherence_builds_the_target_table_only(built):
+    target = MergeTree([(0, 0.0), (1, 0.0), (2, 10.0)], [(0, 2), (1, 2)])
+    vm = VertexMap(WYE, target, 1.0, {0: (0, 1.0), 1: (1, 2.0), 2: (0, 4.0)})
+    assert verify_delta_good(vm).condition == "edge-coherence"
+    assert [t is target for t in built] == [True]
+
+
+def test_a_checked_300_leaf_map_keeps_no_meet_table():
+    # both tables of this map take 4.7 MiB; a first check of an equal map
+    # leaves the trees and the interpreter warm
+    rng = np.random.default_rng(300)
+    a = _label_tree(rng, rand_grown_tree(rng, 300), 300)
+    b = with_heights(a, lambda h: h + float(rng.uniform(-0.02, 0.02)))
+    first = map_from_labeling(a, b, labeled_interleaving(a, b))
+    assert verify_delta_good(first).good
+    vm = VertexMap(first.source, first.target, first.delta, first.images)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verify_delta_good(vm).good
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

@@ -636,3 +636,27 @@ def test_a_first_probe_overrun_on_five_hundred_leaves_stays_in_bounded_memory():
     assert (err.value.delta, err.value.refuted_below, err.value.feasible_at) == (
         1.8630146754827521, 1.8630133311327226, None
     )
+
+
+TOP_CANDIDATE_MOVES = [
+    lambda h: h,
+    lambda h: h + 2.0**40,
+    lambda h: h + 1e12,
+    lambda h: h - 2.0**60,
+    lambda h: h * 2.0**-40,
+    lambda h: h * 1e-300,
+]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.booleans(), st.sampled_from(TOP_CANDIDATE_MOVES))
+def test_candidate_property_the_largest_shift_is_feasible(seed, leaves, grid, move):
+    # the invariant behind the two "candidate set exhausted" raises of
+    # unlabeled_interleaving: the largest candidate always admits a placement
+    rng = np.random.default_rng(seed)
+    try:
+        a, b = (canonicalize_tree(with_heights(rand_merge_tree(rng, leaves, grid), move)) for _ in "ab")
+    except MergespaceError:
+        return  # the move rounded the heights into an invalid tree
+    search = _Search(a, b, unlabeled.DEFAULT_BUDGET, height_tol(a, b))
+    assert search.feasible(max(candidate_shifts(a, b))) is not None
