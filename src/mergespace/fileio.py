@@ -15,8 +15,6 @@ import json
 import math
 from typing import Union
 
-import numpy as np
-
 from .errors import FormatError, InvalidTreeError, MergespaceError
 from .goodmaps import LabelPairing, VertexMap
 from .matrices import SymMatrix, as_sym_matrix
@@ -30,6 +28,7 @@ from .trees import (
     _stored,
     as_point,
     is_vertex_point,
+    np,
 )
 
 __all__ = [

@@ -30,8 +30,6 @@ from typing import Mapping, Union
 
 import math
 
-import numpy as np
-
 from .errors import MalformedMapError, MergespaceError
 from .matrices import induced_matrix, meet_table
 from .metrics import _same_label_count
@@ -43,6 +41,7 @@ from .trees import (
     _number,
     as_point,
     height_tol,
+    np,
     point_at,
     points_at,
     refine_at,

@@ -52,8 +52,6 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidMatrixError, MergespaceError
 from .trees import (
     LabeledMergeTree,
@@ -61,6 +59,7 @@ from .trees import (
     _label_walk,
     _number,
     _trusted,
+    np,
     slack_of,
 )
 

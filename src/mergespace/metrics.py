@@ -18,12 +18,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .errors import MergespaceError
 from .matrices import (SymMatrix, _linkage, _midpoint, induced_matrix, linf_distance,
                        tree_of_matrix, ultrafy)
-from .trees import LabeledMergeTree, _as_id, _number, _walk_gap, _walk_spans, height_tol
+from .trees import LabeledMergeTree, _as_id, _number, _walk_gap, _walk_spans, height_tol, np
 
 __all__ = [
     "labeled_interleaving",

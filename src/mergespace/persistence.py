@@ -66,10 +66,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import MergespaceError
-from .trees import LabeledMergeTree, MergeTree, _bare, _number
+from .trees import LabeledMergeTree, MergeTree, _bare, _number, np
 
 INF = math.inf
 # finite points per side up to which bottleneck_distance stays in plain

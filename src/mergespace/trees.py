@@ -24,19 +24,44 @@ references held by callers stay meaningful.
 
 Every caller id, label and count goes through `_as_id`, and every caller
 real (height, birth, death, shift, interpolation parameter) through `_number`.
+
+numpy is imported on first use.  `np` here, which every numpy module of the
+package imports from this one, is a stand-in module: its first attribute
+read imports numpy (or finds it already loaded), copies numpy's namespace
+into the stand-in and makes it a plain module, so later reads cost what any
+module attribute costs.  The import lock makes
+that first read safe from several threads at once.  The stand-in never
+enters `sys.modules`, so another module's `import numpy` loads numpy as
+usual.  Reading, validating and canonicalizing trees, elder-rule diagrams,
+small bottleneck matchings and an unlabeled search settled by its first
+probe never read `np`.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
+import types
 from dataclasses import dataclass
 from functools import cached_property
 from operator import index, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-import numpy as np
-
 from .errors import InvalidTreeError, MergespaceError
+
+
+class _Numpy(types.ModuleType):
+    """numpy, imported by the first attribute read (see the module docstring)."""
+
+    def __getattr__(self, name):
+        numpy = importlib.import_module("numpy")
+        vars(self).update(vars(numpy))
+        self.__class__ = types.ModuleType
+        return getattr(numpy, name)
+
+
+np = _Numpy("numpy")
 
 __all__ = [
     "MergeTree",
@@ -94,10 +119,17 @@ def _as_id(x, what: str = "vertex id") -> int:
 def _number(x, what: str = "height") -> float:
     """A real (int, float, numpy integer or floating) as a float; float()
     would also read "1.5", b"3" and True.  Any other type (bools too), or an
-    int too large for a float, raises MergespaceError naming `what`."""
+    int too large for a float, raises MergespaceError naming `what`.
+
+    numpy's scalar types are looked up only once numpy is loaded, as a
+    numpy scalar implies, so a caller's int or float never loads it."""
     if x.__class__ is float:  # as the text readers give: kept as it is
         return x
-    if isinstance(x, (int, float, np.integer, np.floating)) and x.__class__ is not bool:
+    if x.__class__ is not bool and (
+        isinstance(x, (int, float))
+        or (numpy := sys.modules.get("numpy")) is not None
+        and isinstance(x, (numpy.integer, numpy.floating))
+    ):
         try:
             return float(x)
         except OverflowError:

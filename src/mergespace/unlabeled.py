@@ -47,8 +47,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing
 from .persistence import bottleneck_tree_distance
@@ -60,6 +58,7 @@ from .trees import (
     _label_walk,
     canonicalize_tree,
     height_tol,
+    np,
     points_at,
     vertex_point,
 )

@@ -310,6 +310,36 @@ FAULTS = [
         "nearest = meet.shape[1] - 1 - meet[:, ::-1].argmin(axis=1)",
         ["tests/test_goodmaps.py::test_map_layer_property_reports_and_pairings_equal_the_sweep_oracle"],
     ),
+    (
+        "_number tests numpy's scalar types through the handle",
+        "src/mergespace/trees.py",
+        "        isinstance(x, (int, float))\n"
+        "        or (numpy := sys.modules.get(\"numpy\")) is not None\n"
+        "        and isinstance(x, (numpy.integer, numpy.floating))\n",
+        "        isinstance(x, (int, float, np.integer, np.floating))\n",
+        ["tests/test_numpy_import.py::test_tree_reads_diagrams_and_small_searches_leave_numpy_unloaded"],
+    ),
+    (
+        "persistence imports numpy itself",
+        "src/mergespace/persistence.py",
+        "from .trees import LabeledMergeTree, MergeTree, _bare, _number, np\n",
+        "import numpy as np\n\nfrom .trees import LabeledMergeTree, MergeTree, _bare, _number\n",
+        [
+            "tests/test_numpy_import.py::test_tree_reads_diagrams_and_small_searches_leave_numpy_unloaded",
+            "tests/test_numpy_import.py::test_threads_racing_to_the_first_numpy_call_all_get_numpy",
+            "tests/test_numpy_import.py::test_numpy_scalars_loaded_after_mergespace_are_numbers",
+        ],
+    ),
+    (
+        "the numpy handle becomes a plain module without numpy's names",
+        "src/mergespace/trees.py",
+        "        vars(self).update(vars(numpy))\n",
+        "",
+        [
+            "tests/test_numpy_import.py::test_tree_reads_diagrams_and_small_searches_leave_numpy_unloaded",
+            "tests/test_numpy_import.py::test_threads_racing_to_the_first_numpy_call_all_get_numpy",
+        ],
+    ),
 ]
 
 # Known equivalent mutants: each changes no result, so no test can catch it
