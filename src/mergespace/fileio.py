@@ -10,7 +10,6 @@ so strings and booleans are refused where a number belongs.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from typing import Union
@@ -190,7 +189,7 @@ def _bulk_rows(body):
     if not all(line.strip() for line in body):
         return None
     try:
-        a = np.loadtxt(io.StringIO("\n".join(body)), dtype=float, comments=None, ndmin=2)
+        a = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
     except ValueError:
         return None
     n = len(body)

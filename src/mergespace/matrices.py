@@ -38,7 +38,7 @@ that takes a dead tree's id is not served the dead tree's matrix.
 The same walk and kernel, with each vertex as its own label, give a bare
 tree's meet table H (`meet_table`), which the map checks in `goodmaps`
 read; the unlabeled search builds the same rows as nested lists from the
-walk (`unlabeled._meet_rows`).  Its rows follow the walk and callers
+walk (`unlabeled._prepare`).  Its rows follow the walk and callers
 find them through its row map, so it needs no gather and no labeled tree.
 Points p and q meet at max(p.height, q.height, H[p.anchor, q.anchor]): one
 lies on the other's upward path, or their anchors join at a vertex above both.
@@ -276,7 +276,7 @@ def meet_table(t: MergeTree):
     """(vertex id -> row, meet heights of every vertex pair): the walk of `t`
     with each vertex as its own label.  Rows follow the walk, so no gather.
     It serves the map checks in `goodmaps`, which build it per check and
-    index it with numpy; the unlabeled search reads `unlabeled._meet_rows`."""
+    index it with numpy; the unlabeled search reads `unlabeled._prepare`'s rows."""
     vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
     return {v: k for k, v in enumerate(vertices)}, _walk_meets(own, gaps)
 

@@ -526,15 +526,31 @@ def points_at(t: MergeTree, h: float, tol: float):
     otherwise an interior edge (or ray) point.  Sorted by anchor id.
     """
     parent, height = t.parent, t.height
-    pts = []
-    for v, hv in t.vertices:
+    branches = [
+        (hv, math.inf if parent[v] is None else height[parent[v]], v) for v, hv in t.vertices
+    ]
+    return [PointOnTree(b[2], x) for x, b in _branches_at(branches, h, tol)]
+
+
+def _branches_at(branches, h: float, tol: float) -> list:
+    """(height, branch) of each branch that holds a point at height h.
+
+    A branch is a sequence whose first two items are its vertex's height
+    and its parent's, inf for the top's ray.  The point is the vertex when
+    its height is within tol of h; otherwise a branch holds h above its
+    vertex and, unless it is the ray, more than tol below its parent.  The
+    order is the branches' own.
+    """
+    out = []
+    for b in branches:
+        hv = b[0]
         if abs(hv - h) <= tol:
-            pts.append(PointOnTree(v, hv))
+            out.append((hv, b))
         elif hv < h:
-            par = parent[v]
-            if par is None or h < height[par] and abs(height[par] - h) > tol:
-                pts.append(PointOnTree(v, h))
-    return pts
+            hp = b[1]
+            if hp == math.inf or h < hp and abs(hp - h) > tol:
+                out.append((h, b))
+    return out
 
 
 def as_point(t: MergeTree, p: Union[PointOnTree, int, tuple]) -> PointOnTree:

@@ -27,10 +27,14 @@ larger one), it bisects the candidates above, and the smallest feasible
 one is found in about log2(C) + 1 probes of C candidates, and often in one.
 
 Inside a probe, the height where two placed points meet is
-max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet rows.
-`_meet_rows` builds them once per call and tree as nested lists, straight
-from the tree's walk, with rows in walk order: numpy's per-call cost
-outweighs its kernel on the small tables most calls build.
+max(h_p, h_q, H[p.anchor][q.anchor]), with H the tree's meet rows.  Each
+input tree is prepared once per call by one walk (`_prepare`) that skips
+its single-child vertices: it gives the canonical tree, its meet rows as
+nested lists in walk order (numpy's per-call cost outweighs its kernel on
+the small tables most calls build), each leaf's placement and a table of
+branches, each with its two end heights and its row.  A probe reads a
+label's options off the other tree's branch table by the snapping rule of
+`trees.points_at`, and makes points only for the witness it returns.
 
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that
@@ -45,7 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import BudgetExceededError, MergespaceError
 from .goodmaps import LabelPairing
@@ -53,14 +57,13 @@ from .persistence import bottleneck_tree_distance
 from .trees import (
     LabeledMergeTree,
     MergeTree,
+    PointOnTree,
     _as_id,
     _bare,
-    _label_walk,
-    canonicalize_tree,
+    _branches_at,
+    _trusted,
     height_tol,
     np,
-    points_at,
-    vertex_point,
 )
 
 DEFAULT_BUDGET = 1_000_000
@@ -144,57 +147,95 @@ def _shifts_around(h: list, y: float) -> tuple:
     return max(below), min(above, default=None)
 
 
-def _meet_rows(t: MergeTree) -> tuple:
-    """(vertex id -> row, meet heights of every vertex pair as nested lists).
+class _Prepared(NamedTuple):
+    """One input tree as the search reads it (see `_prepare`)."""
 
-    The walk of `t` with each vertex as its own label puts the vertices in
-    walk order; two positions meet at the highest gap between them.  Row p
-    holds the column above it, mirrored, its own height, then one running
-    maximum of the gaps to its right.  The highest gaps of a stretch of the
-    walk are all the height of one vertex, the stretch's meet, so which of
-    them a maximum keeps changes no bit: the rows equal `matrices.meet_table`'s
-    bit for bit, signed zeros included.
+    tree: MergeTree  # canonical: no vertex with exactly one child
+    leaves: list  # (height, row index, row, vertex) of each leaf, by id
+    branches: list  # (height, parent height or inf, row index, row, vertex), by id
+
+
+def _prepare(t: MergeTree) -> _Prepared:
+    """`t`'s canonical tree, its meet rows and its search tables, from one walk.
+
+    The walk is `trees._label_walk` of `canonicalize_tree(t)` with each
+    vertex as its own label, taken on `t` itself: it goes down from the top,
+    passes over every vertex with exactly one child (the top's chain
+    included) and visits each kept vertex's kept children in id order.  Two
+    neighbours of the walk meet at the later one's parent, so the gaps are
+    parent heights.  Row p of the meet rows holds the column above it,
+    mirrored, its own height, then one running maximum of the gaps to its
+    right.  The highest gaps of a stretch of the walk are all the height of
+    one vertex, the stretch's meet, so which of them a maximum keeps changes
+    no bit: the rows equal `matrices.meet_table`'s bit for bit, signed zeros
+    included.  The canonical tree is `t` itself when no vertex goes, and
+    otherwise `canonicalize_tree`'s parts; `t` keeps no `children` or
+    `parent` map.
     """
-    vertices, own, gaps = _label_walk(t, {v: (v,) for v in t.height})
+    height = t.height
+    children = {}
+    for c, p in t.edges:
+        children.setdefault(p, []).append(c)
+
+    def kept(v):
+        """v, or the first vertex down its chain of single children."""
+        while len(ch := children.get(v, ())) == 1:
+            v = ch[0]
+        return v
+
+    parent, order = {}, []  # kept vertex -> its kept parent; the walk
+    stack = [(kept(t.top), None)]
+    while stack:
+        v, p = stack.pop()
+        parent[v] = p
+        order.append(v)
+        if v in children:
+            stack.extend([(c, v) for c in sorted(map(kept, children[v]), reverse=True)])
+    gaps = [height[parent[v]] for v in order[1:]]
     rows = []
-    for p, h in enumerate(own):
+    for p, v in enumerate(order):
         row = [r[p] for r in rows]
-        row.append(h)
+        row.append(height[v])
         m = -math.inf
         for g in gaps[p:]:
             if g > m:
                 m = g
             row.append(m)
         rows.append(row)
-    return {v: k for k, v in enumerate(vertices)}, rows
+    at = {v: k for k, v in enumerate(order)}
+    branches = [
+        (h, math.inf if parent[v] is None else height[parent[v]], at[v], rows[at[v]], v)
+        for v, h in t.vertices
+        if v in parent
+    ]
+    leaves = [(h, k, row, v) for h, _, k, row, v in branches if v not in children]
+    if len(order) == len(t.vertices):
+        return _Prepared(t, leaves, branches)
+    vertices = tuple((v, h) for v, h in t.vertices if v in parent)
+    edges = tuple((v, parent[v]) for v, _ in vertices if parent[v] is not None)
+    return _Prepared(_trusted(vertices, edges), leaves, branches)
 
 
 class _Search:
     """Feasibility tests of one tree pair: place cross labels, prune on entries."""
 
-    def __init__(self, t1: MergeTree, t2: MergeTree, budget: int, tol: float):
-        self.t1, self.t2, self.budget, self.tol = t1, t2, budget, tol
-        self.tables = [_meet_rows(t1), _meet_rows(t2)]
+    def __init__(self, p1: _Prepared, p2: _Prepared, budget: int, tol: float):
+        self.p1, self.p2, self.budget, self.tol = p1, p2, budget, tol
         self.probes = 0
-
-    def _placed(self, side: int, p):
-        """(height, meet-table row index, that row, point) of a point."""
-        rows, meets = self.tables[side - 1]
-        r = rows[p.anchor]
-        return (p.height, r, meets[r], p)
 
     def feasible(self, delta: float):
         """A witness pairing at this shift, or None when none exists."""
         self.probes += 1
-        t1, t2, tol = self.t1, self.t2, self.tol
+        p1, p2, tol = self.p1, self.p2, self.tol
         # one label per leaf of either tree; its options pair that leaf with
-        # each point at leaf height + delta in the other tree, as (t1, t2)
+        # each point at leaf height + delta in the other tree, as (t1, t2),
+        # each placed as (height, meet row index, that row, anchor)
         options = [
-            [(p, self._placed(2, q)) for q in points_at(t2, p[0] + delta, tol)]
-            for p in (self._placed(1, vertex_point(t1, v)) for v in t1.leaves)
+            [(p, (x, b[2], b[3], b[4])) for x, b in _branches_at(p2.branches, p[0] + delta, tol)]
+            for p in p1.leaves
         ] + [
-            [(self._placed(1, q), p) for q in points_at(t1, p[0] + delta, tol)]
-            for p in (self._placed(2, vertex_point(t2, v)) for v in t2.leaves)
+            [((x, b[2], b[3], b[4]), p) for x, b in _branches_at(p1.branches, p[0] + delta, tol)]
+            for p in p2.leaves
         ]
         if not all(options):
             return None
@@ -226,8 +267,11 @@ class _Search:
                 continue
             chosen.append((a, c))
             if len(chosen) == len(order):
-                pairs = tuple((a[3], c[3]) for _, (a, c) in sorted(zip(order, chosen)))
-                return LabelPairing(t1, t2, pairs)
+                pairs = tuple(
+                    (PointOnTree(a[3], a[0]), PointOnTree(c[3], c[0]))
+                    for _, (a, c) in sorted(zip(order, chosen))
+                )
+                return LabelPairing(p1.tree, p2.tree, pairs)
             stack.append(iter(options[order[len(chosen)]]))
         return None
 
@@ -251,10 +295,10 @@ def unlabeled_interleaving(
     budget = _as_id(budget, "search budget")
     if budget < 1:
         raise MergespaceError(f"search budget must be at least 1, got {budget}")
-    a = canonicalize_tree(_bare(t1))
-    b = canonicalize_tree(_bare(t2))
+    p1, p2 = _prepare(_bare(t1)), _prepare(_bare(t2))
+    a, b = p1.tree, p2.tree
     slack = height_tol(a, b)
-    search = _Search(a, b, budget, slack)
+    search = _Search(p1, p2, budget, slack)
     bound = bottleneck_tree_distance(a, b)
     # the bound refutes every candidate below bound - slack; the first probe
     # is the lowest candidate left, and `refuted` the largest one refuted

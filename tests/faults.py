@@ -147,11 +147,44 @@ FAULTS = [
         "meet rows' running maximum started one gap late",
         "src/mergespace/unlabeled.py",
         "for g in gaps[p:]:",
-        "for g in (-math.inf,) + gaps[p + 1 :]:",
+        "for g in [-math.inf] + gaps[p + 1 :]:",
         [
             "tests/test_unlabeled.py::test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle",
+            "tests/test_unlabeled.py::test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points",
             "tests/test_unlabeled.py::test_bisection_equals_the_ascending_scan",
             "tests/test_acceptance.py::test_criterion_06_unlabeled_distance_is_exact_with_witness",
+        ],
+    ),
+    (
+        "the walk's chain skip stops one vertex early",
+        "src/mergespace/unlabeled.py",
+        "        while len(ch := children.get(v, ())) == 1:\n",
+        "        while len(ch := children.get(v, ())) == 1 and len(children.get(ch[0], ())) == 1:\n",
+        [
+            "tests/test_unlabeled.py::test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points",
+            "tests/test_unlabeled.py::test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle",
+            "tests/test_unlabeled.py::test_unlabeled_property_bound_first_equals_the_ascending_scan",
+            "tests/test_golden.py::test_dist_unlabeled_matches_golden[refuted-first-probe]",
+        ],
+    ),
+    (
+        "the canonical top's ray ends at the removed top above it",
+        "src/mergespace/unlabeled.py",
+        "    stack = [(kept(t.top), None)]\n",
+        "    stack = [(kept(t.top), None if kept(t.top) == t.top else t.top)]\n",
+        [
+            "tests/test_unlabeled.py::test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points",
+            "tests/test_golden.py::test_dist_unlabeled_matches_golden[real-5]",
+        ],
+    ),
+    (
+        "the walk visits kept children in the order of the chains above them",
+        "src/mergespace/unlabeled.py",
+        "stack.extend([(c, v) for c in sorted(map(kept, children[v]), reverse=True)])",
+        "stack.extend([(kept(c), v) for c in reversed(children[v])])",
+        [
+            "tests/test_unlabeled.py::test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points",
+            "tests/test_unlabeled.py::test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle",
         ],
     ),
     (
@@ -353,10 +386,10 @@ FAULTS = [
 # - `sorted(infinite + finite)` in `persistence._store`: no finite point
 #   equals an essential one, so the stable sort's order among equal points
 #   is the same either way.
-# - `g >= m` for `g > m` in `unlabeled._meet_rows`: the highest gaps of a
-#   stretch of a valid tree's walk are all one vertex's height, so the
-#   running maximum keeps the same bits either way, signed zeros included
-#   (`test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle`
+# - `g >= m` for `g > m` in `unlabeled._prepare`'s meet rows: the highest
+#   gaps of a stretch of a valid tree's walk are all one vertex's height, so
+#   the running maximum keeps the same bits either way, signed zeros
+#   included (`test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle`
 #   checks that on the walk).
 
 

@@ -90,6 +90,14 @@ ROWS = [
            "--witness", Writes(f"unlabeled-{kind}-{leaves}.witness.json")),
           f"dist-unlabeled-{kind}-{leaves}.out")
       for kind, leaves in UNLABELED),
+    # a pair whose first probe, at the bottleneck bound, is refuted: the
+    # search lists the candidates, bisects them and re-tests below the value;
+    # both trees lose single-child vertices whose ids sort after their kept
+    # ends
+    Row("test_dist_unlabeled_matches_golden", "refuted-first-probe",
+        ("dist", "unlabeled", *(In(f"unlabeled-refuted.{side}.tree.json") for side in "ab"),
+         "--witness", Writes("unlabeled-refuted.witness.json")),
+        "dist-unlabeled-refuted.out"),
     # the elder rule on 120 vertices; the grid tree's tied heights make equal
     # minima meet, and each merge must still pair one death
     *(Row("test_pd_matches_golden", kind, ("pd", In(f"{kind}-120.tree.json")),
@@ -270,6 +278,19 @@ def _write_pairs(rng):
             Path(f"{stem}.{side}.tree.json").write_text(write_tree(t))
 
 
+def _write_refuted_pair():
+    from mergespace import MergeTree, write_tree
+
+    pair = {
+        "a": MergeTree([(0, 1.0), (1, 0.0), (2, 1.0), (3, 3.0), (4, 5.0), (5, 4.0), (6, 2.0)],
+                       [(0, 6), (1, 4), (2, 3), (3, 5), (5, 4), (6, 3)]),
+        "b": MergeTree([(0, 2.0), (1, 1.0), (2, 0.0), (3, 4.0), (4, 6.0), (5, 2.0)],
+                       [(0, 4), (1, 5), (2, 3), (3, 4), (5, 3)]),
+    }
+    for side, t in pair.items():
+        (GOLDEN / f"unlabeled-refuted.{side}.tree.json").write_text(write_tree(t))
+
+
 def _write_short_row():
     lines = (GOLDEN / "real-120.matrix.txt").read_text().splitlines(keepends=True)
     lines[100] = lines[100].rsplit(" ", 1)[0] + "\n"  # row 100 loses its last entry
@@ -336,4 +357,5 @@ if __name__ == "__main__":
     _write_short_row()
     _write_maps()
     _write_signed_zero()
+    _write_refuted_pair()
     sys.exit(_run_rows(_in_process, regenerate=True))

@@ -25,10 +25,11 @@ from mergespace import (
     vertex_point,
 )
 from mergespace import trees, unlabeled
-from mergespace.trees import height_tol, points_at
+from mergespace.trees import _branches_at, height_tol, points_at
 from mergespace.matrices import meet_table
-from mergespace.unlabeled import _Search, _heights, _meet_rows, _shifts_around
+from mergespace.unlabeled import _Search, _heights, _prepare, _shifts_around
 from util import (
+    _crossings,
     candidate_shifts_oracle,
     good_map_exists,
     lca_oracle,
@@ -300,7 +301,7 @@ small_pairs = st.builds(
 def test_feasibility_property_is_monotone_in_the_shift(pair):
     a, b = (canonicalize_tree(t) for t in pair)
     shifts = candidate_shifts(a, b)
-    search = _Search(a, b, 10**6, height_tol(a, b))
+    search = _Search(_prepare(a), _prepare(b), 10**6, height_tol(a, b))
     found = [search.feasible(d) is not None for d in shifts]
     assert found == sorted(found)
     assert found[-1]
@@ -394,6 +395,16 @@ def test_unlabeled_property_good_maps_exist_at_the_value_and_not_below(pair):
             assert not good_map_exists(a, b, delta) and not good_map_exists(b, a, delta)
 
 
+def _rows_of(prepared):
+    """(vertex id -> row index, rows in index order) of a prepared tree."""
+    ordered = sorted(prepared.branches, key=lambda b: b[2])
+    return {b[4]: b[2] for b in ordered}, [b[3] for b in ordered]
+
+
+def _hexed(rows):
+    return [[x.hex() for x in r] for r in rows]
+
+
 def _meet_tree(seed, leaves, grid, canonical):
     t = rand_merge_tree(np.random.default_rng(seed), max_leaves=leaves, integral=grid)
     return canonicalize_tree(t) if canonical else t
@@ -418,14 +429,15 @@ def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t, sig
     if sign is not None:
         t = straddling_zero(t, sign)
     rows, meets = meet_table(t)
-    # the search's nested-list rows are the table's bit for bit, signed
-    # zeros included.  numpy's running maximum keeps the later of two equal
-    # values, the rows' loop the earlier; no probe can tell, since the
-    # highest gaps of any stretch of the walk are bit for bit one vertex's
-    # height
-    search_rows, search_meets = _meet_rows(t)
-    assert search_rows == rows
-    assert [[x.hex() for x in r] for r in search_meets] == [[x.hex() for x in r] for r in meets.tolist()]
+    # the search's nested-list rows are its canonical tree's table bit for
+    # bit, signed zeros included.  numpy's running maximum keeps the later
+    # of two equal values, the rows' loop the earlier; no probe can tell,
+    # since the highest gaps of any stretch of the walk are bit for bit one
+    # vertex's height
+    search_rows, search_meets = _rows_of(_prepare(t))
+    canonical_rows, canonical_meets = meet_table(canonicalize_tree(t))
+    assert search_rows == canonical_rows
+    assert _hexed(search_meets) == _hexed(canonical_meets.tolist())
     gaps = trees._label_walk(t, {v: (v,) for v in t.height})[2]
     for p in range(len(gaps)):
         for q in range(p + 1, len(gaps) + 1):
@@ -444,6 +456,89 @@ def test_meet_table_property_matches_the_labeled_route_and_the_lca_oracle(t, sig
         for q in points:
             got = max(p.height, q.height, meets[rows[p.anchor], rows[q.anchor]])
             assert got == lca_oracle(t, p, q).height
+
+
+def _chained_tree(seed, leaves, grid, chains, sign):
+    """A random tree with up to `chains` chains of one to three single
+    children, on its edges or above its top, and its ids shuffled, so that
+    removed ids may sort before or after their kept ends; straddling zero
+    when `sign` is set."""
+    rng = np.random.default_rng(seed)
+    t = rand_merge_tree(rng, leaves, grid)
+    height, edges = dict(t.vertices), list(t.edges)
+    for _ in range(chains):
+        k = int(rng.integers(1, 4))
+        fresh = range(len(height), len(height) + k)
+        if edges and rng.random() < 0.6:
+            c, p = edges.pop(int(rng.integers(len(edges))))
+            lo, hi = height[c], height[p]
+            hs = [lo + (hi - lo) * (i + 1) / (k + 1) for i in range(k)]
+            if not (lo < hs[0] and all(x < y for x, y in zip(hs, hs[1:] + [hi]))):
+                edges.append((c, p))
+                continue
+        else:  # a chain above the top: the top's own chain of single children
+            c = max(height, key=height.__getitem__)
+            hs = [height[c] + 1.0 + i for i in range(k)]
+            p = None
+        for v, h in zip(fresh, hs):
+            height[v] = h
+            edges.append((c, v))
+            c = v
+        if p is not None:
+            edges.append((c, p))
+    ids = [int(x) for x in rng.permutation(len(height))]
+    out = MergeTree([(ids[v], h) for v, h in height.items()], [(ids[c], ids[p]) for c, p in edges])
+    return straddling_zero(out.ensure_valid(), sign) if sign else out.ensure_valid()
+
+
+chained_trees = st.builds(
+    _chained_tree, st.integers(0, 2**32 - 1), st.integers(1, 5), st.booleans(),
+    st.integers(0, 3), st.sampled_from([None, 1.0, -1.0]),
+)
+
+
+@settings(max_examples=200)
+@given(chained_trees)
+@example(SINGLE)
+# a chain of single children only: the top's chain reaches the one leaf
+@example(MergeTree([(0, 0.0), (1, 1.0), (2, 3.0)], [(0, 1), (1, 2)]))
+# removed ids 0 and 1 sort before their kept ends 5 and 4, so the kept
+# children of 6 change their order, and above the top 6 a chain of 2 and 3
+@example(MergeTree([(0, 1.0), (1, 2.0), (2, 6.0), (3, 7.0), (4, 0.0), (5, 0.0), (6, 3.0)],
+                   [(0, 6), (1, 6), (5, 0), (4, 1), (6, 2), (2, 3)]))
+# a merge at -0.0 and a leaf at 0.0 under a chain, and a single-child top
+@example(MergeTree([(0, -1.0), (1, -0.0), (2, 0.0), (3, 0.5), (4, 1.0), (5, 2.0), (6, -2.0)],
+                   [(6, 1), (0, 1), (1, 4), (2, 3), (3, 4), (4, 5)]))
+def test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points(t):
+    t = MergeTree(t.vertices, t.edges)  # a copy with nothing cached
+    prepared = _prepare(t)
+    assert "children" not in vars(t) and "parent" not in vars(t)
+    c = canonicalize_tree(t)
+    assert (prepared.tree.vertices, prepared.tree.edges) == (c.vertices, c.edges)
+    assert (prepared.tree is t) == (c is t)
+    # the rows, by float.hex, and their order are the canonical tree's table
+    rows, meets = meet_table(c)
+    search_rows, search_meets = _rows_of(prepared)
+    assert search_rows == rows
+    assert _hexed(search_meets) == _hexed(meets.tolist())
+    # each branch: its vertex's height, its parent's (inf at the top), its row
+    assert [b[4] for b in prepared.branches] == [v for v, _ in c.vertices]
+    for h, up, k, row, v in prepared.branches:
+        assert h.hex() == c.height[v].hex() and row is search_meets[k]
+        assert up == (math.inf if c.parent[v] is None else c.height[c.parent[v]])
+    assert prepared.leaves == [(h, k, row, v) for h, _, k, row, v in prepared.branches if v in c.leaves]
+    # the options the search reads off the branches are `points_at`'s and
+    # the vertex-and-edge oracle's points: at every height, within and just
+    # past the tolerance of it, inside each edge and on the ray
+    tol = height_tol(t)
+    heights = sorted({h for _, h in c.vertices})
+    probes = [y for h in heights for y in (h, h - tol, h + tol, h - 2 * tol, h + 2 * tol)]
+    probes += [(x + y) / 2 for x, y in zip(heights, heights[1:])] + [heights[-1] + 1.0]
+    for y in probes:
+        for eps in (0.0, tol):
+            got = [(b[4], x.hex()) for x, b in _branches_at(prepared.branches, y, eps)]
+            assert got == [(q.anchor, q.height.hex()) for q in points_at(c, y, eps)]
+            assert got == [(q.anchor, q.height.hex()) for q in _crossings(c, y, eps)]
 
 
 @settings(max_examples=200)
@@ -620,8 +715,9 @@ def test_a_settled_first_probe_lists_no_candidates(monkeypatch):
 def test_a_first_probe_overrun_on_five_hundred_leaves_stays_in_bounded_memory():
     # two grown 500-leaf trees: the first probe runs out of its budget.  The
     # O(H^2) candidate list (3.35 million shifts) is never built, and the
-    # meet rows share the walk's float objects: the traced peak was 70 MiB,
-    # against 210 MiB when the list and the numpy tables' copies were built
+    # meet rows share the tree's float objects: the traced peak was 51 MiB,
+    # against 69 MiB when each option was a point looked up in dicts, and
+    # 210 MiB when the list and the numpy tables' copies were built
     rng = np.random.default_rng(500)
     a, b = rand_grown_tree(rng, 500), rand_grown_tree(rng, 500)
     tracemalloc.start()
@@ -658,5 +754,5 @@ def test_candidate_property_the_largest_shift_is_feasible(seed, leaves, grid, mo
         a, b = (canonicalize_tree(with_heights(rand_merge_tree(rng, leaves, grid), move)) for _ in "ab")
     except MergespaceError:
         return  # the move rounded the heights into an invalid tree
-    search = _Search(a, b, unlabeled.DEFAULT_BUDGET, height_tol(a, b))
+    search = _Search(_prepare(a), _prepare(b), unlabeled.DEFAULT_BUDGET, height_tol(a, b))
     assert search.feasible(max(candidate_shifts(a, b))) is not None
