@@ -36,6 +36,14 @@ branches, each with its two end heights and its row.  A probe reads a
 label's options off the other tree's branch table by the snapping rule of
 `trees.points_at`, and makes points only for the witness it returns.
 
+The pair check is the probe's innermost step, run once per placed label
+for every option tried, so it calls no builtin: a call to `max` or `abs`
+costs more than the comparisons it makes.  Each meet is a running maximum
+of the row entry and the two heights, which is the value `max` returns,
+and |m1 - m2| > limit is tested as m1 - m2 > limit or m2 - m1 > limit.
+The two agree exactly: IEEE subtraction is sign-symmetric, so m2 - m1 is
+-(m1 - m2) bit for bit, and finite heights let no NaN reach the test.
+
 Every result is double-checked from below at value * (1 - 1e-6), and the
 `certified` flag records that nothing feasible lies there.  When that
 shift plus twice the slack is still below the bound, the bound proves it
@@ -151,7 +159,7 @@ class _Prepared(NamedTuple):
     """One input tree as the search reads it (see `_prepare`)."""
 
     tree: MergeTree  # canonical: no vertex with exactly one child
-    leaves: list  # (height, row index, row, vertex) of each leaf, by id
+    leaves: list  # (height, row index, row) of each leaf, by id
     branches: list  # (height, parent height or inf, row index, row, vertex), by id
 
 
@@ -208,7 +216,7 @@ def _prepare(t: MergeTree) -> _Prepared:
         for v, h in t.vertices
         if v in parent
     ]
-    leaves = [(h, k, row, v) for h, _, k, row, v in branches if v not in children]
+    leaves = [(h, k, row) for h, _, k, row, v in branches if v not in children]
     if len(order) == len(t.vertices):
         return _Prepared(t, leaves, branches)
     vertices = tuple((v, h) for v, h in t.vertices if v in parent)
@@ -228,34 +236,51 @@ class _Search:
         self.probes += 1
         p1, p2, tol = self.p1, self.p2, self.tol
         # one label per leaf of either tree; its options pair that leaf with
-        # each point at leaf height + delta in the other tree, as (t1, t2),
-        # each placed as (height, meet row index, that row, anchor)
+        # each point at leaf height + delta in the other tree, each option one
+        # flat tuple (h1, row index 1, row 1, h2, row index 2, row 2): a
+        # point's height, its meet row's index and that row, t1's then t2's
         options = [
-            [(p, (x, b[2], b[3], b[4])) for x, b in _branches_at(p2.branches, p[0] + delta, tol)]
-            for p in p1.leaves
+            [(h, k, row, x, b[2], b[3]) for x, b in _branches_at(p2.branches, h + delta, tol)]
+            for h, k, row in p1.leaves
         ] + [
-            [((x, b[2], b[3], b[4]), p) for x, b in _branches_at(p1.branches, p[0] + delta, tol)]
-            for p in p2.leaves
+            [(x, b[2], b[3], h, k, row) for x, b in _branches_at(p1.branches, h + delta, tol)]
+            for h, k, row in p2.leaves
         ]
         if not all(options):
             return None
 
         # fewest options first, ties by label index (the sort is stable)
         order = sorted(range(len(options)), key=lambda k: len(options[k]))
-        limit = delta + tol
+        limit, budget = delta + tol, self.budget
         states = 0
-        # depth-first with an explicit stack: chosen[i] is the option kept
-        # for label order[i], and stack[i] iterates over that label's options
+        # depth-first with an explicit stack: chosen[i] is (h1, row index 1,
+        # h2, row index 2) of the option kept for label order[i], and stack[i]
+        # iterates over that label's options.  A new option is checked against
+        # each placed one by plain comparisons, since a builtin call per pair
+        # costs more than the check: each meet is a running maximum of the
+        # row entry and the two heights, which is max()'s value, and
+        # `m - k > limit or k - m > limit` is `abs(m - k) > limit`, since
+        # IEEE subtraction is sign-symmetric (k - m is exactly -(m - k)) and
+        # finite heights give no NaN.
         chosen = []
         stack = [iter(options[order[0]])]
         while stack:
-            for a, c in stack[-1]:
+            for ah, ai, ar, ch, ci, cr in stack[-1]:
                 states += 1
-                if states > self.budget:
-                    raise BudgetExceededError(self.budget)
-                for b, e in chosen:
-                    gap = max(a[0], b[0], a[2][b[1]]) - max(c[0], e[0], c[2][e[1]])
-                    if abs(gap) > limit:
+                if states > budget:
+                    raise BudgetExceededError(budget)
+                for bh, bi, eh, ei in chosen:
+                    m = ar[bi]
+                    if ah > m:
+                        m = ah
+                    if bh > m:
+                        m = bh
+                    k = cr[ei]
+                    if ch > k:
+                        k = ch
+                    if eh > k:
+                        k = eh
+                    if m - k > limit or k - m > limit:
                         break
                 else:
                     break
@@ -265,11 +290,13 @@ class _Search:
                 if stack:
                     chosen.pop()
                 continue
-            chosen.append((a, c))
+            chosen.append((ah, ai, ch, ci))
             if len(chosen) == len(order):
+                # a row index names its vertex, the point's anchor
+                at1, at2 = ({b[2]: b[4] for b in p.branches} for p in (p1, p2))
                 pairs = tuple(
-                    (PointOnTree(a[3], a[0]), PointOnTree(c[3], c[0]))
-                    for _, (a, c) in sorted(zip(order, chosen))
+                    (PointOnTree(at1[ai], ah), PointOnTree(at2[ci], ch))
+                    for _, (ah, ai, ch, ci) in sorted(zip(order, chosen))
                 )
                 return LabelPairing(p1.tree, p2.tree, pairs)
             stack.append(iter(options[order[len(chosen)]]))

@@ -190,9 +190,42 @@ FAULTS = [
     (
         "the search budget allows one state more",
         "src/mergespace/unlabeled.py",
-        "if states > self.budget:",
-        "if states > self.budget + 1:",
+        "if states > budget:",
+        "if states > budget + 1:",
         ["tests/test_unlabeled.py::test_the_budget_counts_every_option_tried"],
+    ),
+    (
+        "the pair check drops its lower one-sided test",
+        "src/mergespace/unlabeled.py",
+        "if m - k > limit or k - m > limit:",
+        "if m - k > limit:",
+        [
+            "tests/test_unlabeled.py::test_at_tolerance_zero_the_pair_check_admits_a_gap_equal_to_the_shift[True]",
+            "tests/test_unlabeled.py::test_a_probe_explores_a_pinned_number_of_states",
+            "tests/test_unlabeled.py::test_witness_realizes_the_value",
+            "tests/test_golden.py::test_dist_unlabeled_matches_golden[refuted-first-probe]",
+            "tests/test_acceptance.py::test_criterion_06_unlabeled_distance_is_exact_with_witness",
+        ],
+    ),
+    (
+        "the placed second-tree point's height left out of its meet",
+        "src/mergespace/unlabeled.py",
+        "                    if eh > k:\n                        k = eh\n",
+        "",
+        [
+            "tests/test_unlabeled.py::test_at_tolerance_zero_the_pair_check_admits_a_gap_equal_to_the_shift[False]",
+            "tests/test_unlabeled.py::test_a_probe_explores_a_pinned_number_of_states",
+            "tests/test_unlabeled.py::test_symmetry",
+            "tests/test_golden.py::test_dist_unlabeled_matches_golden[grid-5]",
+            "tests/test_acceptance.py::test_criterion_10_metric_axioms_hold",
+        ],
+    ),
+    (
+        "the pair check refuses a gap equal to its limit",
+        "src/mergespace/unlabeled.py",
+        "if m - k > limit or k - m > limit:",
+        "if m - k >= limit or k - m >= limit:",
+        ["tests/test_unlabeled.py::test_at_tolerance_zero_the_pair_check_admits_a_gap_equal_to_the_shift"],
     ),
     (
         "_walk_gap without the diagonal",

@@ -221,6 +221,46 @@ def test_the_budget_counts_every_option_tried():
         unlabeled_interleaving(SINGLE, SINGLE, budget=1)
 
 
+def test_a_probe_explores_a_pinned_number_of_states():
+    # the seventh 9-leaf pair of seed 9 bisects in 11 probes, and the sixth
+    # of them explores the most states, 3101: one budget more or less than
+    # that succeeds or overruns, so a change to the label order, the option
+    # order or the pruning shows here
+    rng = np.random.default_rng(9)
+    for _ in range(7):
+        a, b = rand_grown_tree(rng, 9), rand_grown_tree(rng, 9)
+    r = unlabeled_interleaving(a, b, budget=3101)
+    assert (r.value, r.probes, r.certified) == (2.0601847353452287, 11, True)
+    with pytest.raises(BudgetExceededError):
+        unlabeled_interleaving(a, b, budget=3100)
+
+
+# a grid pair with value 3.5: every height and half-gap is exact, so at
+# tolerance 0 its witness's largest gap is exactly the value
+BOUNDARY_A = MergeTree(
+    [(0, 3.0), (1, 1.0), (2, 0.0), (3, 2.0), (4, 6.0), (5, 9.0), (6, 10.0), (7, 12.0)],
+    [(0, 4), (1, 5), (2, 6), (3, 4), (4, 5), (5, 6), (6, 7)],
+)
+BOUNDARY_B = MergeTree(
+    [(0, 1.0), (1, 1.0), (2, 2.0), (3, 2.0), (4, 3.0), (5, 5.0), (6, 7.0), (7, 9.0)],
+    [(0, 5), (1, 4), (2, 5), (3, 4), (4, 6), (5, 6), (6, 7)],
+)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_at_tolerance_zero_the_pair_check_admits_a_gap_equal_to_the_shift(swap):
+    # swapping the trees flips the sign of every gap, so each of the check's
+    # one-sided comparisons decides some placement on one side or the other
+    a, b = (BOUNDARY_B, BOUNDARY_A) if swap else (BOUNDARY_A, BOUNDARY_B)
+    d = unlabeled_interleaving(a, b).value
+    assert d == 3.5
+    search = _Search(_prepare(a), _prepare(b), unlabeled.DEFAULT_BUDGET, 0.0)
+    witness = search.feasible(d)
+    assert witness is not None
+    assert labeled_interleaving(*apply_pairing(witness)) == d
+    assert search.feasible(math.nextafter(d, 0.0)) is None
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_a_budget_below_one_is_refused(budget):
     # no search can succeed without trying an option, so the budget is
@@ -526,7 +566,7 @@ def test_prepare_property_gives_the_canonical_tree_its_meet_rows_and_its_points(
     for h, up, k, row, v in prepared.branches:
         assert h.hex() == c.height[v].hex() and row is search_meets[k]
         assert up == (math.inf if c.parent[v] is None else c.height[c.parent[v]])
-    assert prepared.leaves == [(h, k, row, v) for h, _, k, row, v in prepared.branches if v in c.leaves]
+    assert prepared.leaves == [(h, k, row) for h, _, k, row, v in prepared.branches if v in c.leaves]
     # the options the search reads off the branches are `points_at`'s and
     # the vertex-and-edge oracle's points: at every height, within and just
     # past the tolerance of it, inside each edge and on the ray
